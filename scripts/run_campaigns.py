@@ -14,7 +14,9 @@ import time
 from pathlib import Path
 
 from pbrsim.cli import (
+    write_map_csv,
     write_metrics_csv,
+    write_sweep_summary,
     write_trace_csv,
 )
 from pbrsim.scenarios import (
@@ -48,12 +50,7 @@ def main() -> None:
     print(f"{'q0':>6} {'X*':>8} {'D*':>8} {'P*':>10}")
     for op in points:
         print(f"{op.q0:6.0f} {op.x_star:8.4f} {op.d_star:8.4f} {op.productivity:10.6f}")
-    with (out / "setpoint_map.csv").open("w") as fh:
-        fh.write("q0,x_star,d_star,productivity\n")
-        for op in points:
-            fh.write(
-                f"{op.q0:.8e},{op.x_star:.8e},{op.d_star:.8e},{op.productivity:.8e}\n"
-            )
+    write_map_csv(out / "setpoint_map.csv", points)
 
     print("\n== closed-loop campaigns ==")
     print(
@@ -82,28 +79,21 @@ def main() -> None:
     base = light_step_scenario(controller="ip", seed=args.seed)
     cells = robustness_sweep(base, MU0_SWEEP_VALUES)
     print(f"{'ctrl':>4} {'mu_0':>6} {'offset':>10} {'iae':>8} {'batch':>6}")
-    with (out / "sweep_summary.csv").open("w") as fh:
-        fh.write("controller,mu0,offset,iae,settle_time,batch_duration,status\n")
-        for cell in cells:
-            if cell.metrics is None:
-                print(f"{cell.controller_kind:>4} {cell.mu_0:6.2f}  failed: {cell.error}")
-                fh.write(f"{cell.controller_kind},{cell.mu_0:.8e},,,,,failed\n")
-                continue
-            m = cell.metrics
-            write_trace_csv(
-                out / f"trace_sweep_{cell.controller_kind}_mu{cell.mu_0:g}.csv",
-                cell.trace,
-            )
-            settle = "" if m.settle_time_to_2pct is None else f"{m.settle_time_to_2pct:.8e}"
-            fh.write(
-                f"{cell.controller_kind},{cell.mu_0:.8e},{m.steady_state_offset:.8e},"
-                f"{m.iae:.8e},{settle},{m.batch_phase_duration:.8e},ok\n"
-            )
-            print(
-                f"{cell.controller_kind:>4} {cell.mu_0:6.2f}"
-                f" {m.steady_state_offset:10.2e} {m.iae:8.4f}"
-                f" {m.batch_phase_duration:6.1f}"
-            )
+    for cell in cells:
+        if cell.metrics is None:
+            print(f"{cell.controller_kind:>4} {cell.mu_0:6.2f}  failed: {cell.error}")
+            continue
+        m = cell.metrics
+        write_trace_csv(
+            out / f"trace_sweep_{cell.controller_kind}_mu{cell.mu_0:g}.csv",
+            cell.trace,
+        )
+        print(
+            f"{cell.controller_kind:>4} {cell.mu_0:6.2f}"
+            f" {m.steady_state_offset:10.2e} {m.iae:8.4f}"
+            f" {m.batch_phase_duration:6.1f}"
+        )
+    write_sweep_summary(out / "sweep_summary.csv", cells)
 
     print(f"\nall outputs in {out}/ ({time.perf_counter() - t_start:.1f} s)")
 

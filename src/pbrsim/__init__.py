@@ -35,7 +35,7 @@ from .plant import (
     DayNightLight,
     IntegrationError,
     NoiseConfig,
-    PiecewiseConstantLight,
+    PiecewiseConstant,
     PlantState,
     SamplingConfig,
     light_at,
@@ -58,7 +58,6 @@ from .scenarios import (
     FixedReference,
     MapReference,
     Scenario,
-    ScheduleReference,
     SimulationTrace,
     SweepCell,
     TrackingMetrics,

@@ -9,38 +9,32 @@ notation so reruns can be diffed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+import typing
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
 
-from .control import ActuatorBounds, FlConfig, IpConfig
+from .control import FlConfig, IpConfig
 from .kinetics import FullModelParams, SimplifiedModelParams
-from .plant import (
-    DayNightLight,
-    IntegrationError,
-    NoiseConfig,
-    PiecewiseConstantLight,
-    SamplingConfig,
-)
-from .radiative import Geometry
+from .plant import DayNightLight, IntegrationError, PiecewiseConstant
 from .scenarios import (
     BUILTIN_SCENARIOS,
     MU0_SWEEP_VALUES,
     FixedReference,
     MapReference,
-    Reference,
     Scenario,
-    ScheduleReference,
     SimulationTrace,
+    SweepCell,
     TrackingMetrics,
     compute_metrics,
     robustness_sweep,
     run_scenario,
 )
-from .steady_state import setpoint_map
+from .steady_state import OperatingPoint, setpoint_map
 
 __all__ = ["main", "ConfigError", "scenario_to_config", "scenario_from_config"]
 
@@ -73,155 +67,101 @@ def _fmt_opt(x: float | None) -> str:
 #
 # The config file is JSON with nested keys mirroring the dataclass fields,
 # so every model constant can be overridden either in the file or with
-# --set dotted.key=value flags.
+# --set dotted.key=value flags.  A field that can hold one of several types
+# names the one it holds with a "kind" tag.
+
+# Scenario fields that can hold one of several types: kind tag -> type.
+KINDS: dict[str, dict[str, type]] = {
+    "light": {"piecewise": PiecewiseConstant, "day_night": DayNightLight},
+    "reference": {"fixed": FixedReference, "schedule": PiecewiseConstant, "map": MapReference},
+    "controller": {"fl": FlConfig, "ip": IpConfig},
+    "plant": {"full": FullModelParams, "simplified": SimplifiedModelParams},
+}
+
+
+@functools.cache
+def _field_types(cls: type) -> dict[str, Any]:
+    """Config key -> annotation (or kind table) of each init field of cls."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: KINDS.get(f.name, hints[f.name]) for f in fields(cls) if f.init}
+
+
+def _encode(value: Any, kinds: dict[str, type] | None = None) -> Any:
+    if is_dataclass(value):
+        out: dict[str, Any] = {}
+        if kinds is not None:
+            out["kind"] = next(tag for tag, cls in kinds.items() if type(value) is cls)
+        for name in _field_types(type(value)):
+            out[name] = _encode(getattr(value, name), KINDS.get(name))
+        return out
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _decode(tp: Any, value: Any, key: str) -> Any:
+    """Build a value of type tp, or of the kind tagged in value when tp is a
+    kind table, from its config form found at dotted key."""
+    if tp is float:
+        if type(value) in (int, float):
+            try:
+                if math.isfinite(value):
+                    return float(value)
+            except OverflowError:  # an int beyond float range
+                pass
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if tp in (int, str, bool):
+        if type(value) is tp:
+            return value
+        raise ConfigError(f"{key} must be of type {tp.__name__}, got {value!r}")
+    if typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        item_types = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        if len(item_types) != len(value):
+            raise ConfigError(f"{key} must have {len(args)} entries, got {value!r}")
+        return tuple(
+            _decode(t, v, f"{key}[{i}]") for i, (t, v) in enumerate(zip(item_types, value))
+        )
+    if isinstance(tp, dict):
+        kind = value.get("kind") if isinstance(value, dict) else None
+        if not isinstance(kind, str) or kind not in tp:
+            raise ConfigError(f"{key}.kind must be one of: {', '.join(tp)}")
+        value = {k: v for k, v in value.items() if k != "kind"}
+        tp = tp[kind]
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key or 'config'} must be an object, got {value!r}")
+    types = _field_types(tp)
+    kwargs = {}
+    for name, v in value.items():
+        sub = f"{key}.{name}" if key else name
+        if name not in types:
+            raise ConfigError(f"unknown config key {sub!r}")
+        kwargs[name] = _decode(types[name], v, sub)
+    try:
+        return tp(**kwargs)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key or 'scenario'}: {exc}") from exc
 
 
 def scenario_to_config(s: Scenario) -> dict[str, Any]:
     """Nested plain-dict form of a scenario."""
-    if isinstance(s.light, PiecewiseConstantLight):
-        light: dict[str, Any] = {
-            "kind": "piecewise",
-            "segments": [list(seg) for seg in s.light.segments],
-        }
-    else:
-        light = {"kind": "day_night", **asdict(s.light)}
-
-    if isinstance(s.reference, FixedReference):
-        reference: dict[str, Any] = {"kind": "fixed", "value": s.reference.value}
-    elif isinstance(s.reference, ScheduleReference):
-        reference = {"kind": "schedule", "points": [list(p) for p in s.reference.points]}
-    else:
-        reference = {"kind": "map"}
-
-    if isinstance(s.controller, FlConfig):
-        controller: dict[str, Any] = {
-            "kind": "fl",
-            "lam": s.controller.lam,
-            "x_floor": s.controller.x_floor,
-            "mu0": s.controller.sp.mu_0,
-        }
-        simplified = asdict(s.controller.sp)
-    else:
-        c = s.controller
-        controller = {
-            "kind": "ip",
-            "a": c.a,
-            "k_p": c.k_p,
-            "tau_h": c.tau_h,
-            "estimator": c.estimator,
-            "warmup": c.warmup,
-            "record_raw_control": c.record_raw_control,
-        }
-        simplified = asdict(SimplifiedModelParams())
-
-    if isinstance(s.plant, SimplifiedModelParams):
-        plant: dict[str, Any] = {"model": "simplified", **asdict(s.plant)}
-    else:
-        plant = {"model": "full", **asdict(s.plant)}
-
-    return {
-        "name": s.name,
-        "duration_h": s.duration_h,
-        "x0": s.x0,
-        "light": light,
-        "reference": reference,
-        "controller": controller,
-        "simplified": simplified,
-        "plant": plant,
-        "geometry": asdict(s.geometry),
-        "sampling": asdict(s.sampling),
-        "noise": asdict(s.noise),
-        "bounds": asdict(s.bounds),
-        "n_nodes": s.n_nodes,
-    }
-
-
-def _build(cls, section: dict[str, Any], where: str):
-    try:
-        return cls(**section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {where} section: {exc}") from exc
+    return _encode(s)
 
 
 def scenario_from_config(cfg: dict[str, Any]) -> Scenario:
     """Construct and validate a scenario from its plain-dict form."""
-    try:
-        light_cfg = dict(cfg["light"])
-        ref_cfg = dict(cfg["reference"])
-        ctl_cfg = dict(cfg["controller"])
-        simplified = _build(
-            SimplifiedModelParams, dict(cfg["simplified"]), "simplified"
-        )
-        plant_cfg = dict(cfg["plant"])
-    except KeyError as exc:
-        raise ConfigError(f"missing config section: {exc}") from exc
+    return _decode(Scenario, cfg, "")
 
-    kind = light_cfg.pop("kind", None)
-    if kind == "piecewise":
-        segments = tuple(tuple(seg) for seg in light_cfg.pop("segments", ()))
-        light = _build(PiecewiseConstantLight, {"segments": segments, **light_cfg}, "light")
-    elif kind == "day_night":
-        light = _build(DayNightLight, light_cfg, "light")
-    else:
-        raise ConfigError(f"unknown light kind: {kind!r}")
 
-    kind = ref_cfg.pop("kind", None)
-    if kind == "fixed":
-        reference: Reference = _build(FixedReference, ref_cfg, "reference")
-    elif kind == "schedule":
-        points = tuple(tuple(p) for p in ref_cfg.pop("points", ()))
-        reference = _build(ScheduleReference, {"points": points, **ref_cfg}, "reference")
-    elif kind == "map":
-        reference = MapReference()
-    else:
-        raise ConfigError(f"unknown reference kind: {kind!r}")
-
-    kind = ctl_cfg.pop("kind", None)
-    if kind == "fl":
-        mu0 = ctl_cfg.pop("mu0", simplified.mu_0)
-        sp = replace(simplified, mu_0=mu0)
-        controller: FlConfig | IpConfig = _build(
-            FlConfig, {"sp": sp, **ctl_cfg}, "controller"
-        )
-    elif kind == "ip":
-        controller = _build(IpConfig, ctl_cfg, "controller")
-    else:
-        raise ConfigError(f"unknown controller kind: {kind!r}")
-
-    model = plant_cfg.pop("model", "full")
-    if model == "full":
-        plant: FullModelParams | SimplifiedModelParams = _build(
-            FullModelParams, plant_cfg, "plant"
-        )
-    elif model == "simplified":
-        plant = _build(SimplifiedModelParams, plant_cfg, "plant")
-    else:
-        raise ConfigError(f"unknown plant model: {model!r}")
-
-    try:
-        return Scenario(
-            name=str(cfg.get("name", "custom")),
-            duration_h=float(cfg["duration_h"]),
-            x0=float(cfg["x0"]),
-            light=light,
-            reference=reference,
-            controller=controller,
-            plant=plant,
-            geometry=_build(Geometry, dict(cfg["geometry"]), "geometry"),
-            sampling=_build(SamplingConfig, dict(cfg["sampling"]), "sampling"),
-            noise=_build(NoiseConfig, dict(cfg["noise"]), "noise"),
-            bounds=_build(ActuatorBounds, dict(cfg["bounds"]), "bounds"),
-            n_nodes=int(cfg.get("n_nodes", 101)),
-        )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scenario config: {exc}") from exc
+def _reject_constant(token: str) -> Any:
+    raise ConfigError(f"non-finite number {token} in config")
 
 
 def _parse_scalar(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError:
         return text
 
@@ -250,13 +190,11 @@ def load_scenario(args: argparse.Namespace) -> Scenario:
     if getattr(args, "config", None):
         path = Path(args.config)
         try:
-            cfg = json.loads(path.read_text())
+            cfg = json.loads(path.read_text(), parse_constant=_reject_constant)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError("config root must be a JSON object")
     else:
         name = args.scenario
         if name not in BUILTIN_SCENARIOS:
@@ -270,10 +208,10 @@ def load_scenario(args: argparse.Namespace) -> Scenario:
             raise ConfigError("--reference map is only meaningful for paper-4.1")
         cfg = scenario_to_config(builder(**kwargs))
 
-    cfg = apply_overrides(cfg, args.set or [])
+    scenario = scenario_from_config(apply_overrides(cfg, args.set or []))
     if args.seed is not None:
-        cfg.setdefault("noise", {})["seed"] = args.seed
-    return scenario_from_config(cfg)
+        scenario = replace(scenario, noise=replace(scenario.noise, seed=args.seed))
+    return scenario
 
 
 # --- CSV writers ---------------------------------------------------------------
@@ -310,6 +248,36 @@ def write_metrics_csv(path: Path, m: TrackingMetrics) -> None:
     path.write_text(METRICS_HEADER + "\n" + row + "\n")
 
 
+def write_map_csv(path: Path, points: Sequence[OperatingPoint]) -> None:
+    lines = [MAP_HEADER]
+    for op in points:
+        lines.append(
+            ",".join((_fmt(op.q0), _fmt(op.x_star), _fmt(op.d_star), _fmt(op.productivity)))
+        )
+    path.write_text("\n".join(lines) + "\n")
+
+
+def write_sweep_summary(path: Path, cells: Sequence[SweepCell]) -> None:
+    """One row per cell; a failed cell keeps its error on one line, commas
+    turned into semicolons."""
+    lines = [SWEEP_HEADER]
+    for cell in cells:
+        m = cell.metrics
+        if m is not None:
+            cols = (
+                _fmt(m.steady_state_offset),
+                _fmt(m.iae),
+                _fmt_opt(m.settle_time_to_2pct),
+                _fmt(m.batch_phase_duration),
+                "ok",
+            )
+        else:
+            reason = (cell.error or "failed").replace(",", ";").replace("\n", " ")
+            cols = ("", "", "", "", f"failed: {reason}")
+        lines.append(",".join((cell.controller_kind, _fmt(cell.mu_0), *cols)))
+    path.write_text("\n".join(lines) + "\n")
+
+
 # --- subcommands ---------------------------------------------------------------
 
 
@@ -333,15 +301,10 @@ def cmd_setpoint_map(args: argparse.Namespace) -> int:
         raise ConfigError("steps must be >= 2")
     grid = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
     points = setpoint_map(grid)
-    lines = [MAP_HEADER]
-    for op in points:
-        lines.append(
-            ",".join((_fmt(op.q0), _fmt(op.x_star), _fmt(op.d_star), _fmt(op.productivity)))
-        )
     path = Path(args.out)
     if path.parent != Path("."):
         path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    write_map_csv(path, points)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -354,39 +317,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cells = robustness_sweep(base, mu0_values)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [SWEEP_HEADER]
-    any_ok = False
     for cell in cells:
-        if cell.trace is not None and cell.metrics is not None:
-            any_ok = True
+        if cell.trace is not None:
             write_trace_csv(
                 out / f"trace_{cell.controller_kind}_mu{cell.mu_0:g}.csv", cell.trace
             )
-            m = cell.metrics
-            lines.append(
-                ",".join(
-                    (
-                        cell.controller_kind,
-                        _fmt(cell.mu_0),
-                        _fmt(m.steady_state_offset),
-                        _fmt(m.iae),
-                        _fmt_opt(m.settle_time_to_2pct),
-                        _fmt(m.batch_phase_duration),
-                        "ok",
-                    )
-                )
-            )
-        else:
-            reason = (cell.error or "failed").replace(",", ";").replace("\n", " ")
-            lines.append(
-                ",".join(
-                    (cell.controller_kind, _fmt(cell.mu_0), "", "", "", "", f"failed: {reason}")
-                )
-            )
-    (out / "summary.csv").write_text("\n".join(lines) + "\n")
-    print(f"wrote {out / 'summary.csv'} ({sum(1 for c in cells if c.trace is not None)}"
-          f"/{len(cells)} cells ok)")
-    return EXIT_OK if any_ok else EXIT_INTEGRATION
+    write_sweep_summary(out / "summary.csv", cells)
+    n_ok = sum(1 for c in cells if c.trace is not None)
+    print(f"wrote {out / 'summary.csv'} ({n_ok}/{len(cells)} cells ok)")
+    return EXIT_OK if n_ok else EXIT_INTEGRATION
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--set",
             action="append",
             metavar="KEY=VALUE",
-            help="override a config entry by dotted key, e.g. controller.mu0=0.21",
+            help="override a config entry by dotted key, e.g. controller.sp.mu_0=0.21",
         )
 
     p_sim = sub.add_parser("simulate", help="run one scenario, write trace + metrics")

@@ -208,6 +208,13 @@ def estimate_F_closed(window: EstimationWindow, a: float, k_p: float) -> float:
     return float((int_s - a * int_u) / T)
 
 
+def _check_clock(last_t: float | None, t: float) -> float:
+    """Return t as the new last sample time; the clock must strictly increase."""
+    if last_t is not None and t <= last_t:
+        raise ValueError(f"non-monotone controller clock: {t} after {last_t}")
+    return t
+
+
 class FlController:
     """Sampled feedback-linearizing controller with actuator saturation."""
 
@@ -223,14 +230,9 @@ class FlController:
         self.f_estimate: float | None = None  # uniform trace interface
         self._last_t: float | None = None
 
-    def _check_clock(self, t: float) -> None:
-        if self._last_t is not None and t <= self._last_t:
-            raise ValueError(f"non-monotone controller clock: {t} after {self._last_t}")
-        self._last_t = t
-
     def step(self, t: float, y_meas: float, y_r: float, ydot_r: float, q0: float) -> float:
         """Return the applied dilution rate for this sampling instant."""
-        self._check_clock(t)
+        self._last_t = _check_clock(self._last_t, t)
         u_raw = fl_control(y_meas, y_r, q0, self.config, self.geom)
         return saturate(u_raw, self.bounds)
 
@@ -260,16 +262,11 @@ class IpController:
         self.f_estimate = 0.0
         self._last_t: float | None = None
 
-    def _check_clock(self, t: float) -> None:
-        if self._last_t is not None and t <= self._last_t:
-            raise ValueError(f"non-monotone controller clock: {t} after {self._last_t}")
-        self._last_t = t
-
     def step(
         self, t: float, y_meas: float, y_r: float, ydot_r: float, q0: float = 0.0
     ) -> float:
         """Return the applied dilution rate for this sampling instant."""
-        self._check_clock(t)
+        self._last_t = _check_clock(self._last_t, t)
         e = y_meas - y_r
         cfg = self.config
         if self.window.full:

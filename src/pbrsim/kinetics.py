@@ -176,10 +176,4 @@ def specific_growth_rate(
     """Specific growth rate mu = r_X / X in 1/h; requires X > 0."""
     if X <= 0:
         raise ValueError(f"X must be positive, got {X}")
-    if isinstance(params, SimplifiedModelParams):
-        G_bar = mean_irradiance_simplified(X, q0, params, geom)
-        return (
-            params.mu_0 * G_bar / (params.K_I + G_bar + G_bar * G_bar / params.K_II)
-            - params.mu_r
-        )
-    return mean_oxygen_rate(X, q0, params, geom, n_nodes) * params.M_x / params.nu_O2_X
+    return growth_rate(X, q0, params, geom, n_nodes) / X

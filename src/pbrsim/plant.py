@@ -19,7 +19,7 @@ from .kinetics import FullModelParams, SimplifiedModelParams, growth_rate
 from .radiative import Geometry
 
 __all__ = [
-    "PiecewiseConstantLight",
+    "PiecewiseConstant",
     "DayNightLight",
     "LightProfile",
     "LIGHT_STEP_PROFILE",
@@ -35,28 +35,33 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PiecewiseConstantLight:
-    """Light schedule made of constant segments.
+class PiecewiseConstant:
+    """Step function of time, used for light schedules and references.
 
-    Each entry is (start_time_h, q0).  A new level takes effect strictly
+    Each entry is (start_time_h, value).  A new value takes effect strictly
     after its start time, so the sample taken exactly at a switch still sees
-    the previous level.
+    the previous value.
     """
 
-    segments: tuple[tuple[float, float], ...]
+    points: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        segs = tuple((float(t), float(q)) for t, q in self.segments)
-        object.__setattr__(self, "segments", segs)
-        if not segs:
-            raise ValueError("segments must be non-empty")
-        if segs[0][0] != 0.0:
-            raise ValueError("first segment must start at t = 0")
-        starts = [t for t, _ in segs]
+        pts = tuple((float(t), float(v)) for t, v in self.points)
+        object.__setattr__(self, "points", pts)
+        if not pts:
+            raise ValueError("points must be non-empty")
+        if pts[0][0] != 0.0:
+            raise ValueError("first point must start at t = 0")
+        starts = [t for t, _ in pts]
         if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ValueError("segment start times must be strictly increasing")
-        if any(q <= 0 for _, q in segs):
-            raise ValueError("q0 must be positive in every segment")
+            raise ValueError("start times must be strictly increasing")
+        if any(v <= 0 for _, v in pts):
+            raise ValueError("values must be positive")
+
+    def __call__(self, t: float) -> float:
+        starts = [s for s, _ in self.points]
+        idx = bisect_left(starts, t)  # first point starting at or after t
+        return self.points[max(idx - 1, 0)][1]
 
 
 @dataclass(frozen=True)
@@ -77,20 +82,18 @@ class DayNightLight:
             raise ValueError("need 0 < floor <= peak")
 
 
-LightProfile = PiecewiseConstantLight | DayNightLight
+LightProfile = PiecewiseConstant | DayNightLight
 
 # Benchmark schedule: strong light, then a step down to dim light at 30 h.
-LIGHT_STEP_PROFILE = PiecewiseConstantLight(((0.0, 600.0), (30.0, 100.0)))
+LIGHT_STEP_PROFILE = PiecewiseConstant(((0.0, 600.0), (30.0, 100.0)))
 
 
 def light_at(t: float, profile: LightProfile) -> float:
     """Incident photon flux q0 at time t (hours)."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    if isinstance(profile, PiecewiseConstantLight):
-        starts = [s for s, _ in profile.segments]
-        idx = bisect_left(starts, t)  # first segment starting at or after t
-        return profile.segments[max(idx - 1, 0)][1]
+    if isinstance(profile, PiecewiseConstant):
+        return profile(t)
     phase = (t % profile.period_h) / profile.period_h
     if phase >= profile.day_fraction:
         return profile.floor

@@ -13,7 +13,6 @@ to the feedback to absorb.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,7 +30,7 @@ from .plant import (
     DayNightLight,
     LightProfile,
     NoiseConfig,
-    PiecewiseConstantLight,
+    PiecewiseConstant,
     PlantState,
     SamplingConfig,
     light_at,
@@ -43,7 +42,6 @@ from .steady_state import optimal_setpoint
 
 __all__ = [
     "FixedReference",
-    "ScheduleReference",
     "MapReference",
     "Reference",
     "Scenario",
@@ -74,54 +72,31 @@ class FixedReference:
             raise ValueError("reference value must be positive")
 
 
-@dataclass(frozen=True)
-class ScheduleReference:
-    """Piecewise-constant reference; switches take effect strictly after
-    their start time, mirroring the light-schedule semantics."""
-
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        pts = tuple((float(t), float(v)) for t, v in self.points)
-        object.__setattr__(self, "points", pts)
-        if not pts:
-            raise ValueError("points must be non-empty")
-        if pts[0][0] != 0.0:
-            raise ValueError("first reference point must start at t = 0")
-        starts = [t for t, _ in pts]
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ValueError("reference start times must be strictly increasing")
-        if any(v <= 0 for _, v in pts):
-            raise ValueError("reference values must be positive")
-
-
 @dataclass
 class MapReference:
-    """Track the productivity-optimal setpoint for the current light level."""
+    """Track the productivity-optimal setpoint for the current light level,
+    as `optimal_setpoint` finds it with its default plant and geometry."""
 
-    params: FullModelParams = field(default_factory=FullModelParams)
-    geometry: Geometry = field(default_factory=Geometry)
-    n_nodes: int = 101
-    _cache: dict[float, float] = field(default_factory=dict, repr=False)
+    _cache: dict[float, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def value_at(self, q0: float) -> float:
         if q0 not in self._cache:
-            op = optimal_setpoint(q0, self.params, self.geometry, self.n_nodes)
+            op = optimal_setpoint(q0)
             self._cache[q0] = op.x_star
         return self._cache[q0]
 
 
-Reference = FixedReference | ScheduleReference | MapReference
+Reference = FixedReference | PiecewiseConstant | MapReference
 
 
 def reference_at(ref: Reference, t: float, q0: float) -> float:
     """Reference biomass concentration at time t under light q0."""
     if isinstance(ref, FixedReference):
         return ref.value
-    if isinstance(ref, ScheduleReference):
-        starts = [s for s, _ in ref.points]
-        idx = bisect_left(starts, t)
-        return ref.points[max(idx - 1, 0)][1]
+    if isinstance(ref, PiecewiseConstant):
+        return ref(t)
     return ref.value_at(q0)
 
 
@@ -149,6 +124,8 @@ class Scenario:
             raise ValueError("duration_h must be positive")
         if not self.x0 > 0:
             raise ValueError("x0 must be positive")
+        if self.n_nodes < 3 or self.n_nodes % 2 == 0:
+            raise ValueError(f"n_nodes must be odd and >= 3, got {self.n_nodes}")
         n = round(self.duration_h / self.sampling.period_h)
         if n < 1 or abs(n * self.sampling.period_h - self.duration_h) > 1e-9:
             raise ValueError(
@@ -317,7 +294,7 @@ def light_step_scenario(
     """
     cfg: FlConfig | IpConfig = FlConfig() if controller == "fl" else IpConfig()
     if reference == "anchors":
-        ref: Reference = ScheduleReference(((0.0, 0.38), (30.0, 0.17)))
+        ref: Reference = PiecewiseConstant(((0.0, 0.38), (30.0, 0.17)))
     elif reference == "map":
         ref = MapReference()
     else:

@@ -25,7 +25,7 @@ from pbrsim.kinetics import (
 )
 from pbrsim.plant import (
     DayNightLight,
-    PiecewiseConstantLight,
+    PiecewiseConstant,
     PlantState,
     step,
 )
@@ -45,7 +45,7 @@ from pbrsim.scenarios import (
 )
 from pbrsim.steady_state import optimal_setpoint, setpoint_map
 
-CONST_600 = PiecewiseConstantLight(((0.0, 600.0),))
+CONST_600 = PiecewiseConstant(((0.0, 600.0),))
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:

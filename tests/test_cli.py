@@ -15,11 +15,18 @@ from pbrsim.cli import (
     SWEEP_HEADER,
     TRACE_HEADER,
     MAP_HEADER,
+    ConfigError,
     main,
     scenario_from_config,
     scenario_to_config,
+    write_sweep_summary,
 )
-from pbrsim.scenarios import light_step_scenario, run_scenario
+from pbrsim.scenarios import (
+    SweepCell,
+    day_night_scenario,
+    light_step_scenario,
+    run_scenario,
+)
 
 
 def _rows(path):
@@ -68,7 +75,7 @@ def test_fl_trace_has_empty_estimate_column(tmp_path):
 
 def test_set_override_controller_mu0(tmp_path):
     """Dotted override reaches the controller model's rate scale."""
-    rc = main(["simulate", "--controller", "fl", "--set", "controller.mu0=0.21",
+    rc = main(["simulate", "--controller", "fl", "--set", "controller.sp.mu_0=0.21",
                "--out", str(tmp_path)])
     assert rc == EXIT_OK
     _, rows = _rows(tmp_path / "metrics.csv")
@@ -83,7 +90,7 @@ def test_set_unknown_key_rejected(tmp_path):
 
 
 def test_set_requires_assignment(tmp_path):
-    assert main(["simulate", "--set", "controller.mu0", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert main(["simulate", "--set", "controller.sp.mu_0", "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
 def test_malformed_config_rejected(tmp_path):
@@ -95,12 +102,47 @@ def test_malformed_config_rejected(tmp_path):
     assert not out.exists()  # nothing partially written
 
 
+def test_seed_with_malformed_config_rejected(tmp_path):
+    """--seed on a config that is not an object, or whose noise section is
+    not one, is a config error."""
+    cfg = scenario_to_config(light_step_scenario())
+    out = tmp_path / "out"
+    for i, bad in enumerate(([1, 2], {**cfg, "noise": 3})):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(bad))
+        rc = main(["simulate", "--config", str(path), "--seed", "3", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_unknown_scenario_rejected(tmp_path):
     assert main(["simulate", "--scenario", "paper-9.9", "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def _keys(cfg):
+    for key, value in cfg.items():
+        yield key
+        if isinstance(value, dict):
+            yield from _keys(value)
+
+
 def test_config_round_trip(tmp_path):
-    """scenario -> JSON -> scenario reproduces the run bit for bit."""
+    """scenario -> JSON -> scenario gives the same scenario for every built-in,
+    and reproduces the run bit for bit."""
+    builtins = [
+        light_step_scenario(controller=c, reference=r)
+        for c in ("fl", "ip")
+        for r in ("anchors", "map")
+    ] + [day_night_scenario(controller=c) for c in ("fl", "ip")]
+    for s in builtins:
+        cfg = scenario_to_config(s)
+        rebuilt = scenario_from_config(json.loads(json.dumps(cfg)))
+        assert rebuilt == s
+        assert scenario_to_config(rebuilt) == cfg
+    fl = scenario_to_config(light_step_scenario(controller="fl"))
+    assert fl["controller"]["sp"]["mu_0"] == 0.14
+    assert "simplified" not in set(_keys(fl))
+
     sc = light_step_scenario(controller="ip", seed=4)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(scenario_to_config(sc)))
@@ -108,6 +150,42 @@ def test_config_round_trip(tmp_path):
     rebuilt = run_scenario(scenario_from_config(json.loads(cfg_path.read_text())))
     assert np.array_equal(direct.x_true, rebuilt.x_true)
     assert np.array_equal(direct.d_applied, rebuilt.d_applied)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--set", "n_nodes=100"],
+        ["--set", "sampling.substeps=2.5"],
+        ["--set", "duration_h=Infinity"],
+        ["--set", "duration_h=1e999"],
+        ["--set", "noise.relative_std=NaN"],
+        ["--set", "controller.k_p=NaN"],
+        ["--set", "bounds.d_max=Infinity"],
+        ["--controller", "fl", "--set", "simplified.mu_0=0.21"],
+    ],
+)
+def test_config_boundary_exits_2(tmp_path, capsys, args):
+    """Bad config values are config errors, caught before any output."""
+    out = tmp_path / "out"
+    assert main(["simulate", *args, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_stale_or_nonfinite_config_rejected():
+    """Keys of the old config format, and non-finite numbers that reach the
+    codec without passing through JSON, are config errors."""
+    fl = scenario_to_config(light_step_scenario(controller="fl"))
+    for bad in (
+        {**fl, "simplified": fl["controller"]["sp"]},
+        {**fl, "controller": {**fl["controller"], "mu0": 0.21}},
+        {**fl, "plant": {**fl["plant"], "model": "full"}},
+        {**fl, "light": {"kind": "piecewise", "points": [[0.0, float("nan")]]}},
+        {**fl, "noise": {"relative_std": 0.01, "seed": 1.0}},
+    ):
+        with pytest.raises(ConfigError):
+            scenario_from_config(bad)
 
 
 def test_config_file_matches_builtin(tmp_path):
@@ -176,6 +254,13 @@ def test_sweep_all_cells_failing_exits_3(tmp_path):
     header, rows = _rows(tmp_path / "summary.csv")
     assert len(rows) == 6
     assert all(r[6].startswith("failed") for r in rows)
+
+
+def test_sweep_summary_keeps_failure_reason(tmp_path):
+    cell = SweepCell("fl", 0.07, light_step_scenario(), None, None, error="a,\nb")
+    path = tmp_path / "summary.csv"
+    write_sweep_summary(path, [cell])
+    assert path.read_text().splitlines() == [SWEEP_HEADER, "fl,7.00000000e-02,,,,,failed: a; b"]
 
 
 def test_simulate_integration_fault_exits_3(tmp_path):

@@ -13,7 +13,7 @@ from pbrsim.plant import (
     DayNightLight,
     IntegrationError,
     NoiseConfig,
-    PiecewiseConstantLight,
+    PiecewiseConstant,
     PlantState,
     SamplingConfig,
     light_at,
@@ -23,7 +23,7 @@ from pbrsim.plant import (
 )
 from pbrsim.steady_state import optimal_setpoint
 
-CONST_600 = PiecewiseConstantLight(((0.0, 600.0),))
+CONST_600 = PiecewiseConstant(((0.0, 600.0),))
 
 
 def test_light_step_profile_levels():
@@ -45,13 +45,13 @@ def test_light_negative_time():
 
 def test_piecewise_light_validation():
     with pytest.raises(ValueError):
-        PiecewiseConstantLight(())
+        PiecewiseConstant(())
     with pytest.raises(ValueError):
-        PiecewiseConstantLight(((1.0, 600.0),))  # must start at 0
+        PiecewiseConstant(((1.0, 600.0),))  # must start at 0
     with pytest.raises(ValueError):
-        PiecewiseConstantLight(((0.0, 600.0), (0.0, 100.0)))  # not increasing
+        PiecewiseConstant(((0.0, 600.0), (0.0, 100.0)))  # not increasing
     with pytest.raises(ValueError):
-        PiecewiseConstantLight(((0.0, -600.0),))
+        PiecewiseConstant(((0.0, -600.0),))
 
 
 def test_day_night_profile():
@@ -123,7 +123,7 @@ def test_rk4_step_halving_day_night():
 
 def test_washout_strictly_decreases():
     """Max dilution under dim light flushes the culture monotonically."""
-    dim = PiecewiseConstantLight(((0.0, 100.0),))
+    dim = PiecewiseConstant(((0.0, 100.0),))
     st_ = PlantState(X=0.3, t=0.0)
     xs = [st_.X]
     for _ in range(50):
@@ -204,7 +204,7 @@ def test_sampling_config_validation():
 )
 def test_state_stays_nonnegative(x0, D, q0):
     """Biomass cannot go negative whatever admissible input is applied."""
-    profile = PiecewiseConstantLight(((0.0, q0),))
+    profile = PiecewiseConstant(((0.0, q0),))
     st_ = step(PlantState(X=x0, t=0.0), D, profile, 0.1)
     assert st_.X >= 0.0
     assert math.isfinite(st_.X)

@@ -9,14 +9,13 @@ import pytest
 
 from pbrsim.control import FlConfig, IpConfig
 from pbrsim.kinetics import SimplifiedModelParams
-from pbrsim.plant import NoiseConfig, PiecewiseConstantLight, SamplingConfig
+from pbrsim.plant import NoiseConfig, PiecewiseConstant, SamplingConfig
 from pbrsim.scenarios import (
     BUILTIN_SCENARIOS,
     MU0_SWEEP_VALUES,
     FixedReference,
     MapReference,
     Scenario,
-    ScheduleReference,
     compute_metrics,
     day_night_scenario,
     light_step_scenario,
@@ -26,7 +25,7 @@ from pbrsim.scenarios import (
     time_to_band,
 )
 
-CONST_600 = PiecewiseConstantLight(((0.0, 600.0),))
+CONST_600 = PiecewiseConstant(((0.0, 600.0),))
 
 
 @pytest.fixture(scope="module")
@@ -329,7 +328,7 @@ def test_map_reference_tracks_optimizer():
 
 def test_light_step_scenario_reference_modes():
     anchors = light_step_scenario(reference="anchors")
-    assert isinstance(anchors.reference, ScheduleReference)
+    assert isinstance(anchors.reference, PiecewiseConstant)
     live = light_step_scenario(reference="map")
     assert isinstance(live.reference, MapReference)
     with pytest.raises(ValueError):
@@ -338,13 +337,13 @@ def test_light_step_scenario_reference_modes():
 
 def test_schedule_reference_validation():
     with pytest.raises(ValueError):
-        ScheduleReference(())
+        PiecewiseConstant(())
     with pytest.raises(ValueError):
-        ScheduleReference(((1.0, 0.38),))
+        PiecewiseConstant(((1.0, 0.38),))
     with pytest.raises(ValueError):
-        ScheduleReference(((0.0, 0.38), (0.0, 0.17)))
+        PiecewiseConstant(((0.0, 0.38), (0.0, 0.17)))
     with pytest.raises(ValueError):
-        ScheduleReference(((0.0, -0.38),))
+        PiecewiseConstant(((0.0, -0.38),))
     with pytest.raises(ValueError):
         FixedReference(0.0)
 
