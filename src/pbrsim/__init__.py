@@ -55,7 +55,6 @@ from .radiative import (
 from .scenarios import (
     BUILTIN_SCENARIOS,
     MU0_SWEEP_VALUES,
-    FixedReference,
     MapReference,
     Scenario,
     SimulationTrace,
@@ -74,7 +73,6 @@ from .steady_state import (
     NotUnimodalError,
     OperatingPoint,
     SetpointSearch,
-    equilibrium_dilution,
     optimal_setpoint,
     setpoint_map,
 )

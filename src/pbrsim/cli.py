@@ -16,7 +16,7 @@ import sys
 import typing
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .control import FlConfig, IpConfig
 from .kinetics import FullModelParams, SimplifiedModelParams
@@ -24,7 +24,6 @@ from .plant import DayNightLight, IntegrationError, PiecewiseConstant
 from .scenarios import (
     BUILTIN_SCENARIOS,
     MU0_SWEEP_VALUES,
-    FixedReference,
     MapReference,
     Scenario,
     SimulationTrace,
@@ -34,7 +33,7 @@ from .scenarios import (
     robustness_sweep,
     run_scenario,
 )
-from .steady_state import OperatingPoint, setpoint_map
+from .steady_state import Q0_VALID_RANGE, OperatingPoint, setpoint_map
 
 __all__ = ["main", "ConfigError", "scenario_to_config", "scenario_from_config"]
 
@@ -57,12 +56,6 @@ def _fmt(x: float) -> str:
     return f"{x:.8e}"
 
 
-def _fmt_opt(x: float | None) -> str:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    return _fmt(x)
-
-
 # --- scenario <-> config dict -------------------------------------------------
 #
 # The config file is JSON with nested keys mirroring the dataclass fields,
@@ -73,7 +66,7 @@ def _fmt_opt(x: float | None) -> str:
 # Scenario fields that can hold one of several types: kind tag -> type.
 KINDS: dict[str, dict[str, type]] = {
     "light": {"piecewise": PiecewiseConstant, "day_night": DayNightLight},
-    "reference": {"fixed": FixedReference, "schedule": PiecewiseConstant, "map": MapReference},
+    "reference": {"schedule": PiecewiseConstant, "map": MapReference},
     "controller": {"fl": FlConfig, "ip": IpConfig},
     "plant": {"full": FullModelParams, "simplified": SimplifiedModelParams},
 }
@@ -187,7 +180,9 @@ def apply_overrides(cfg: dict[str, Any], pairs: Sequence[str]) -> dict[str, Any]
 
 def load_scenario(args: argparse.Namespace) -> Scenario:
     """Resolve the scenario from --config or --scenario plus overrides."""
-    if getattr(args, "config", None):
+    if args.config:
+        if args.controller or args.reference:
+            raise ConfigError("--controller and --reference apply to built-in scenarios only")
         path = Path(args.config)
         try:
             cfg = json.loads(path.read_text(), parse_constant=_reject_constant)
@@ -201,81 +196,66 @@ def load_scenario(args: argparse.Namespace) -> Scenario:
             known = ", ".join(sorted(BUILTIN_SCENARIOS))
             raise ConfigError(f"unknown scenario {name!r} (built-ins: {known})")
         builder = BUILTIN_SCENARIOS[name]
-        kwargs: dict[str, Any] = {"controller": args.controller}
-        if name == "paper-4.1":
-            kwargs["reference"] = args.reference
-        elif args.reference != "anchors":
-            raise ConfigError("--reference map is only meaningful for paper-4.1")
-        cfg = scenario_to_config(builder(**kwargs))
+        builtin = builder(args.controller) if args.controller else builder()
+        if args.reference == "map":
+            builtin = replace(builtin, reference=MapReference())
+        cfg = scenario_to_config(builtin)
 
     scenario = scenario_from_config(apply_overrides(cfg, args.set or []))
     if args.seed is not None:
-        scenario = replace(scenario, noise=replace(scenario.noise, seed=args.seed))
+        try:
+            scenario = replace(scenario, noise=replace(scenario.noise, seed=args.seed))
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
     return scenario
 
 
 # --- CSV writers ---------------------------------------------------------------
 
 
-def write_trace_csv(path: Path, trace: SimulationTrace) -> None:
-    lines = [TRACE_HEADER]
-    for i in range(len(trace)):
-        lines.append(
-            ",".join(
-                (
-                    _fmt(trace.t[i]),
-                    _fmt(trace.x_true[i]),
-                    _fmt(trace.y_meas[i]),
-                    _fmt(trace.y_ref[i]),
-                    _fmt(trace.d_applied[i]),
-                    _fmt(trace.q0[i]),
-                    _fmt_opt(float(trace.f_est[i])),
-                )
-            )
-        )
+def _field(x: float | str | None) -> str:
+    """One CSV field: None or NaN is empty, a string goes as is."""
+    if x is None or x != x:  # NaN is the one value unequal to itself
+        return ""
+    return x if isinstance(x, str) else _fmt(x)
+
+
+def _write_csv(path: Path, header: str, rows: Iterable[Sequence[Any]]) -> None:
+    lines = [header, *(",".join(map(_field, row)) for row in rows)]
     path.write_text("\n".join(lines) + "\n")
+
+
+def write_trace_csv(path: Path, trace: SimulationTrace) -> None:
+    """One row per sample; the header names are the trace's column fields."""
+    columns = (getattr(trace, name).tolist() for name in TRACE_HEADER.split(","))
+    _write_csv(path, TRACE_HEADER, zip(*columns))
+
+
+def _metrics_fields(m: TrackingMetrics) -> tuple[float | None, ...]:
+    return (m.steady_state_offset, m.iae, m.settle_time_to_2pct, m.batch_phase_duration)
 
 
 def write_metrics_csv(path: Path, m: TrackingMetrics) -> None:
-    row = ",".join(
-        (
-            _fmt(m.steady_state_offset),
-            _fmt(m.iae),
-            _fmt_opt(m.settle_time_to_2pct),
-            _fmt(m.batch_phase_duration),
-        )
-    )
-    path.write_text(METRICS_HEADER + "\n" + row + "\n")
+    _write_csv(path, METRICS_HEADER, [_metrics_fields(m)])
 
 
 def write_map_csv(path: Path, points: Sequence[OperatingPoint]) -> None:
-    lines = [MAP_HEADER]
-    for op in points:
-        lines.append(
-            ",".join((_fmt(op.q0), _fmt(op.x_star), _fmt(op.d_star), _fmt(op.productivity)))
-        )
-    path.write_text("\n".join(lines) + "\n")
+    rows = [(op.q0, op.x_star, op.d_star, op.productivity) for op in points]
+    _write_csv(path, MAP_HEADER, rows)
 
 
 def write_sweep_summary(path: Path, cells: Sequence[SweepCell]) -> None:
     """One row per cell; a failed cell keeps its error on one line, commas
     turned into semicolons."""
-    lines = [SWEEP_HEADER]
+    rows = []
     for cell in cells:
-        m = cell.metrics
-        if m is not None:
-            cols = (
-                _fmt(m.steady_state_offset),
-                _fmt(m.iae),
-                _fmt_opt(m.settle_time_to_2pct),
-                _fmt(m.batch_phase_duration),
-                "ok",
-            )
+        if cell.metrics is not None:
+            cols = (*_metrics_fields(cell.metrics), "ok")
         else:
             reason = (cell.error or "failed").replace(",", ";").replace("\n", " ")
-            cols = ("", "", "", "", f"failed: {reason}")
-        lines.append(",".join((cell.controller_kind, _fmt(cell.mu_0), *cols)))
-    path.write_text("\n".join(lines) + "\n")
+            cols = (None, None, None, None, f"failed: {reason}")
+        rows.append((cell.controller_kind, cell.mu_0, *cols))
+    _write_csv(path, SWEEP_HEADER, rows)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -295,8 +275,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_setpoint_map(args: argparse.Namespace) -> int:
     lo, hi, steps = args.q0_min, args.q0_max, args.steps
-    if not (100.0 <= lo < hi <= 1000.0):
-        raise ConfigError(f"need 100 <= q0-min < q0-max <= 1000, got [{lo}, {hi}]")
+    q_min, q_max = Q0_VALID_RANGE
+    if not (q_min <= lo < hi <= q_max):
+        raise ConfigError(f"need {q_min:g} <= q0-min < q0-max <= {q_max:g}, got [{lo}, {hi}]")
     if steps < 2:
         raise ConfigError("steps must be >= 2")
     grid = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
@@ -312,8 +293,9 @@ def cmd_setpoint_map(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = load_scenario(args)
     mu0_values = tuple(args.mu0) if args.mu0 else MU0_SWEEP_VALUES
-    if not mu0_values:
-        raise ConfigError("sweep needs at least one mu0 value")
+    for mu_0 in mu0_values:
+        if not (math.isfinite(mu_0) and mu_0 > 0):
+            raise ConfigError(f"--mu0 must be finite and positive, got {mu_0}")
     cells = robustness_sweep(base, mu0_values)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -346,15 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--controller",
             choices=("fl", "ip"),
-            default="ip",
-            help="controller for built-in scenarios (default: %(default)s)",
+            help="controller for built-in scenarios (default: ip)",
         )
         p.add_argument(
             "--reference",
             choices=("anchors", "map"),
-            default="anchors",
-            help="paper-4.1 reference mode: hard-coded setpoints or the live "
-            "productivity optimizer (default: %(default)s)",
+            help="reference for built-in scenarios: their own setpoints "
+            "(anchors, the default) or the live productivity optimizer (map)",
         )
         p.add_argument("--seed", type=int, default=None, help="measurement noise seed")
         p.add_argument(
@@ -372,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_map = sub.add_parser(
         "setpoint-map", help="tabulate productivity-optimal setpoints versus light"
     )
-    p_map.add_argument("--q0-min", type=float, default=100.0)
-    p_map.add_argument("--q0-max", type=float, default=1000.0)
+    p_map.add_argument("--q0-min", type=float, default=Q0_VALID_RANGE[0])
+    p_map.add_argument("--q0-max", type=float, default=Q0_VALID_RANGE[1])
     p_map.add_argument("--steps", type=int, default=10)
     p_map.add_argument(
         "--out", default="setpoint_map.csv", help="output CSV path (default: %(default)s)"
@@ -388,8 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--mu0",
         type=float,
         action="append",
-        help="mu_0 value for the controller model (repeatable; "
-        "default 0.07 0.14 0.21)",
+        help="mu_0 value for the controller model (repeatable; default "
+        + " ".join(f"{v:g}" for v in MU0_SWEEP_VALUES)
+        + ")",
     )
     p_sweep.add_argument("--out", default=".", help="output directory (default: %(default)s)")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -257,8 +257,10 @@ class IpController:
             raise ValueError("period_h must be positive")
         self.config = config
         self.bounds = bounds
-        capacity = round(config.tau_h / period_h) + 1
-        self.window = EstimationWindow(capacity)
+        try:
+            self.window = EstimationWindow(round(config.tau_h / period_h) + 1)
+        except OverflowError as exc:
+            raise ValueError(f"tau_h={config.tau_h} h makes a window too long to count") from exc
         self.f_estimate = 0.0
         self._last_t: float | None = None
 

@@ -36,7 +36,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PiecewiseConstant:
-    """Step function of time, used for light schedules and references.
+    """Step function of time, used for light schedules and references; a
+    constant is a one-point schedule.
 
     Each entry is (start_time_h, value).  A new value takes effect strictly
     after its start time, so the sample taken exactly at a switch still sees
@@ -44,6 +45,7 @@ class PiecewiseConstant:
     """
 
     points: tuple[tuple[float, float], ...]
+    _starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple((float(t), float(v)) for t, v in self.points)
@@ -52,16 +54,21 @@ class PiecewiseConstant:
             raise ValueError("points must be non-empty")
         if pts[0][0] != 0.0:
             raise ValueError("first point must start at t = 0")
-        starts = [t for t, _ in pts]
+        starts = tuple(t for t, _ in pts)
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("start times must be strictly increasing")
         if any(v <= 0 for _, v in pts):
             raise ValueError("values must be positive")
+        object.__setattr__(self, "_starts", starts)
 
     def __call__(self, t: float) -> float:
-        starts = [s for s, _ in self.points]
-        idx = bisect_left(starts, t)  # first point starting at or after t
+        idx = bisect_left(self._starts, t)  # first point starting at or after t
         return self.points[max(idx - 1, 0)][1]
+
+    @property
+    def value_range(self) -> tuple[float, float]:
+        values = [v for _, v in self.points]
+        return min(values), max(values)
 
 
 @dataclass(frozen=True)
@@ -81,6 +88,17 @@ class DayNightLight:
         if self.floor <= 0 or self.peak < self.floor:
             raise ValueError("need 0 < floor <= peak")
 
+    def __call__(self, t: float) -> float:
+        phase = (t % self.period_h) / self.period_h
+        if phase >= self.day_fraction:
+            return self.floor
+        lift = sin(pi * phase / self.day_fraction)
+        return self.floor + (self.peak - self.floor) * max(lift, 0.0)
+
+    @property
+    def value_range(self) -> tuple[float, float]:
+        return self.floor, self.peak
+
 
 LightProfile = PiecewiseConstant | DayNightLight
 
@@ -92,13 +110,7 @@ def light_at(t: float, profile: LightProfile) -> float:
     """Incident photon flux q0 at time t (hours)."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    if isinstance(profile, PiecewiseConstant):
-        return profile(t)
-    phase = (t % profile.period_h) / profile.period_h
-    if phase >= profile.day_fraction:
-        return profile.floor
-    lift = sin(pi * phase / profile.day_fraction)
-    return profile.floor + (profile.peak - profile.floor) * max(lift, 0.0)
+    return profile(t)
 
 
 @dataclass(frozen=True)
@@ -111,6 +123,8 @@ class NoiseConfig:
     def __post_init__(self) -> None:
         if self.relative_std < 0:
             raise ValueError("relative_std must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

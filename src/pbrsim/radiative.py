@@ -37,6 +37,8 @@ E_A_INTERCEPT = 337.0  # m^2/kg
 E_S_LOG_SLOPE = 28.9  # m^2/kg
 E_S_INTERCEPT = 708.0  # m^2/kg
 BACKSCATTER_FRACTION = 0.08  # dimensionless
+# The absorption correlation holds while E_a > 0, i.e. for 0 < q0 < Q0_OPTICS_MAX.
+Q0_OPTICS_MAX = math.exp(-E_A_INTERCEPT / E_A_LOG_SLOPE)  # umol/m2/s
 
 # Below this optical thickness the slab is treated as transparent.
 _CLEAR_SLAB_THICKNESS = 1e-12
@@ -73,17 +75,17 @@ class TwoFluxCoeffs:
 def optical_coefficients(q0: float) -> OpticalProps:
     """Cross sections of cells acclimated to incident light q0 (umol/m2/s).
 
-    Raises ValueError if q0 is non-positive or so large that the absorption
-    correlation leaves its validity range (E_a would go non-positive).
+    Raises ValueError if q0 is non-positive or at least Q0_OPTICS_MAX, where
+    the absorption correlation leaves its validity range (E_a reaches zero).
     """
     if q0 <= 0:
         raise ValueError(f"q0 must be positive, got {q0}")
-    log_q0 = math.log(q0)
-    E_a = E_A_LOG_SLOPE * log_q0 + E_A_INTERCEPT
-    if E_a <= 0:
+    if q0 >= Q0_OPTICS_MAX:
         raise ValueError(
             f"q0={q0} outside the validity range of the absorption correlation"
         )
+    log_q0 = math.log(q0)
+    E_a = E_A_LOG_SLOPE * log_q0 + E_A_INTERCEPT
     E_s = E_S_LOG_SLOPE * log_q0 + E_S_INTERCEPT
     return OpticalProps(E_a=E_a, E_s=E_s)
 

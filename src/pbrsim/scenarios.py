@@ -5,9 +5,10 @@ controller, and the sampling/noise settings.  Running it produces a sampled
 trace: true state, noisy measurement, reference, applied dilution, incident
 light, and (for the model-free controller) the online F estimate.
 
-References are piecewise constant in all built-in campaigns, so the
-controllers are fed a zero reference derivative; reference steps are left
-to the feedback to absorb.
+A reference is either a step function of time (a fixed setpoint is a
+one-point schedule) or the live productivity optimum at the current light.
+Schedules are piecewise constant, so the controllers are fed a zero
+reference derivative; reference steps are left to the feedback to absorb.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .kinetics import FullModelParams, SimplifiedModelParams
 from .plant import (
     LIGHT_STEP_PROFILE,
     DayNightLight,
+    IntegrationError,
     LightProfile,
     NoiseConfig,
     PiecewiseConstant,
@@ -37,11 +39,10 @@ from .plant import (
     measure,
     step,
 )
-from .radiative import Geometry
-from .steady_state import optimal_setpoint
+from .radiative import Q0_OPTICS_MAX, Geometry
+from .steady_state import Q0_VALID_RANGE, optimal_setpoint
 
 __all__ = [
-    "FixedReference",
     "MapReference",
     "Reference",
     "Scenario",
@@ -63,19 +64,14 @@ __all__ = [
 MU0_SWEEP_VALUES = (0.07, 0.14, 0.21)
 
 
-@dataclass(frozen=True)
-class FixedReference:
-    value: float  # kg/m3
-
-    def __post_init__(self) -> None:
-        if self.value <= 0:
-            raise ValueError("reference value must be positive")
-
-
 @dataclass
 class MapReference:
     """Track the productivity-optimal setpoint for the current light level,
-    as `optimal_setpoint` finds it with its default plant and geometry."""
+    as `optimal_setpoint` finds it with its default plant and geometry.
+
+    Each distinct q0 is solved once and cached, so the cache grows by at most
+    one entry per sample of the runs that share the instance.
+    """
 
     _cache: dict[float, float] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -88,13 +84,11 @@ class MapReference:
         return self._cache[q0]
 
 
-Reference = FixedReference | PiecewiseConstant | MapReference
+Reference = PiecewiseConstant | MapReference
 
 
 def reference_at(ref: Reference, t: float, q0: float) -> float:
     """Reference biomass concentration at time t under light q0."""
-    if isinstance(ref, FixedReference):
-        return ref.value
     if isinstance(ref, PiecewiseConstant):
         return ref(t)
     return ref.value_at(q0)
@@ -131,6 +125,20 @@ class Scenario:
             raise ValueError(
                 "duration_h must be a whole number of sampling periods"
             )
+        lo, hi = self.light.value_range
+        if isinstance(self.plant, FullModelParams) and not hi < Q0_OPTICS_MAX:
+            raise ValueError(
+                f"light peak {hi:g} leaves the optical correlations' range "
+                f"q0 < {Q0_OPTICS_MAX:g}"
+            )
+        if isinstance(self.reference, MapReference) and not (
+            Q0_VALID_RANGE[0] <= lo and hi <= Q0_VALID_RANGE[1]
+        ):
+            raise ValueError(
+                f"light range [{lo:g}, {hi:g}] leaves the map reference's "
+                f"range {Q0_VALID_RANGE}"
+            )
+        _make_controller(self)  # rejects, e.g., an iP window too long to count
 
     @property
     def controller_kind(self) -> str:
@@ -280,31 +288,20 @@ def time_to_band(trace: SimulationTrace, t_from: float, band: float = 0.02) -> f
     return float(trace.t[mask][hit[0]] - t_from)
 
 
-def light_step_scenario(
-    controller: str = "ip", seed: int = 0, reference: str = "anchors"
-) -> Scenario:
+def light_step_scenario(controller: str = "ip", seed: int = 0) -> Scenario:
     """Benchmark: bright-to-dim light step with a matching setpoint drop.
 
     Fifty hours at the productivity-optimal setpoints: 0.38 kg/m3 under
     600 umol/m2/s, dropping to 0.17 kg/m3 when the light steps down to
     100 umol/m2/s at t = 30 h.  Registered as "paper-4.1".
-
-    reference="anchors" uses those two hard-coded setpoints; "map" tracks
-    the live productivity optimizer at the current light level instead.
     """
     cfg: FlConfig | IpConfig = FlConfig() if controller == "fl" else IpConfig()
-    if reference == "anchors":
-        ref: Reference = PiecewiseConstant(((0.0, 0.38), (30.0, 0.17)))
-    elif reference == "map":
-        ref = MapReference()
-    else:
-        raise ValueError(f"unknown reference mode: {reference!r}")
     return Scenario(
         name="paper-4.1",
         duration_h=50.0,
         x0=0.17,
         light=LIGHT_STEP_PROFILE,
-        reference=ref,
+        reference=PiecewiseConstant(((0.0, 0.38), (30.0, 0.17))),
         controller=cfg,
         noise=NoiseConfig(seed=seed),
     )
@@ -323,7 +320,7 @@ def day_night_scenario(controller: str = "ip", seed: int = 0) -> Scenario:
         duration_h=50.0,
         x0=0.17,
         light=DayNightLight(),
-        reference=FixedReference(0.175),
+        reference=PiecewiseConstant(((0.0, 0.175),)),
         controller=cfg,
         noise=NoiseConfig(seed=seed),
     )
@@ -357,8 +354,8 @@ def robustness_sweep(
     plant never changes, and the model-free controller does not read mu_0 at
     all (its cells differ only in label).  Every cell reuses the same noise
     seed, so cells are pairwise comparable sample by sample.  Cells are
-    independent; a diverging cell is recorded with its error message and the
-    sweep continues.
+    independent; a diverging cell (IntegrationError) is recorded with its
+    error message and the sweep continues.  Any other error propagates.
     """
     if isinstance(base.controller, FlConfig):
         fl_base, ip_base = base.controller, IpConfig()
@@ -381,7 +378,7 @@ def robustness_sweep(
                 trace = run_scenario(cell_scenario)
                 metrics = compute_metrics(trace)
                 cells.append(SweepCell(kind, mu_0, cell_scenario, trace, metrics))
-            except Exception as exc:  # noqa: BLE001 - cell isolation is the point
+            except IntegrationError as exc:
                 cells.append(
                     SweepCell(kind, mu_0, cell_scenario, None, None, error=str(exc))
                 )

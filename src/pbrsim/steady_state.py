@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kinetics import FullModelParams, growth_rate_full, specific_growth_rate
+from .kinetics import FullModelParams, growth_rate_full
 from .radiative import Geometry
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "SetpointSearch",
     "NoAdmissibleSetpointError",
     "NotUnimodalError",
-    "equilibrium_dilution",
     "optimal_setpoint",
     "setpoint_map",
 ]
@@ -67,18 +66,6 @@ class SetpointSearch:
             raise ValueError("grid_points must be >= 3")
         if self.x_tol <= 0:
             raise ValueError("x_tol must be positive")
-
-
-def equilibrium_dilution(
-    X: float,
-    q0: float,
-    p: FullModelParams = FullModelParams(),
-    geom: Geometry = Geometry(),
-    n_nodes: int = 101,
-) -> float:
-    """Dilution rate that holds biomass constant at X; negative means the
-    culture cannot sustain itself there (net respiration)."""
-    return specific_growth_rate(X, q0, p, geom, n_nodes)
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:

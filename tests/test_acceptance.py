@@ -54,12 +54,6 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def sweep_41():
-    base = light_step_scenario(controller="ip", seed=0)
-    return robustness_sweep(base, (0.07, 0.14, 0.21))
-
-
-@pytest.fixture(scope="module")
 def sweep_42():
     base = day_night_scenario(controller="ip", seed=0)
     return robustness_sweep(base, (0.07, 0.14, 0.21))

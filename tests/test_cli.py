@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from pbrsim.cli import (
     TRACE_HEADER,
     MAP_HEADER,
     ConfigError,
+    apply_overrides,
     main,
     scenario_from_config,
     scenario_to_config,
     write_sweep_summary,
 )
 from pbrsim.scenarios import (
+    MapReference,
     SweepCell,
     day_night_scenario,
     light_step_scenario,
@@ -126,15 +129,20 @@ def _keys(cfg):
             yield from _keys(value)
 
 
+def _builtins():
+    """The six built-in configs: paper-4.1 anchors and map, and paper-4.2,
+    each with fl and ip, as (CLI flags, scenario)."""
+    for c in ("fl", "ip"):
+        s = light_step_scenario(controller=c)
+        yield ["--controller", c], s
+        yield ["--controller", c, "--reference", "map"], replace(s, reference=MapReference())
+        yield ["--scenario", "paper-4.2", "--controller", c], day_night_scenario(controller=c)
+
+
 def test_config_round_trip(tmp_path):
     """scenario -> JSON -> scenario gives the same scenario for every built-in,
     and reproduces the run bit for bit."""
-    builtins = [
-        light_step_scenario(controller=c, reference=r)
-        for c in ("fl", "ip")
-        for r in ("anchors", "map")
-    ] + [day_night_scenario(controller=c) for c in ("fl", "ip")]
-    for s in builtins:
+    for _, s in _builtins():
         cfg = scenario_to_config(s)
         rebuilt = scenario_from_config(json.loads(json.dumps(cfg)))
         assert rebuilt == s
@@ -163,6 +171,14 @@ def test_config_round_trip(tmp_path):
         ["--set", "controller.k_p=NaN"],
         ["--set", "bounds.d_max=Infinity"],
         ["--controller", "fl", "--set", "simplified.mu_0=0.21"],
+        ["--set", "light.points=[[0,200000]]"],
+        ["--reference", "map", "--set", "light.points=[[0,1500]]"],
+        ["--reference", "map", "--set", "light.points=[[0,50]]"],
+        ["--scenario", "paper-4.2", "--set", "light.peak=1e308"],
+        ["--set", "noise.seed=-1"],
+        ["--seed", "-1"],
+        ["--set", "controller.tau_h=1e308"],
+        ["--set", "controller.tau_h=1e300"],
     ],
 )
 def test_config_boundary_exits_2(tmp_path, capsys, args):
@@ -170,6 +186,87 @@ def test_config_boundary_exits_2(tmp_path, capsys, args):
     out = tmp_path / "out"
     assert main(["simulate", *args, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+HOSTILE = ("NaN", "Infinity", "-Infinity", "0", "-1", "2.5", "1e308", "-1e308", "x", "[1]")
+
+
+def _leaves(cfg, prefix=""):
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_hostile_leaf_values(tmp_path, capsys):
+    """Each hostile value in each leaf key of each built-in config: main
+    returns 0, 2 or 3 without raising, and 3 only for a config the codec
+    accepts."""
+    out = str(tmp_path / "out")
+    for flags, builtin in _builtins():
+        cfg = scenario_to_config(builtin)
+        for key in _leaves(cfg):
+            for value in HOSTILE:
+                sets = ["duration_h=0.5", f"{key}={value}"]
+                argv = ["simulate", *flags, "--set", sets[0], "--set", sets[1], "--out", out]
+                try:
+                    rc = main(argv)
+                except Exception as exc:  # noqa: BLE001 - report which input escaped
+                    pytest.fail(f"{argv}: {exc!r}")
+                assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_INTEGRATION), argv
+                if rc == EXIT_INTEGRATION:
+                    scenario_from_config(apply_overrides(json.loads(json.dumps(cfg)), sets))
+    capsys.readouterr()
+
+
+def test_reference_map_applies_to_either_builtin(tmp_path):
+    """--reference map swaps the live optimizer into paper-4.2 too."""
+    rc = main(["simulate", "--scenario", "paper-4.2", "--reference", "map",
+               "--set", "duration_h=1", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    _, rows = _rows(tmp_path / "trace.csv")
+    assert float(rows[0][3]) == pytest.approx(0.20182086195952736, abs=1e-4)  # q0 = 100
+
+
+def test_config_rejects_builtin_flags(tmp_path, capsys):
+    """--controller and --reference apply to built-ins only, and a "fixed"
+    reference is an unknown kind."""
+    cfg = scenario_to_config(day_night_scenario())
+    assert cfg["reference"] == {"kind": "schedule", "points": [[0.0, 0.175]]}
+    good, fixed = tmp_path / "good.json", tmp_path / "fixed.json"
+    good.write_text(json.dumps(cfg))
+    fixed.write_text(json.dumps({**cfg, "reference": {"kind": "fixed", "value": 0.175}}))
+    out = tmp_path / "out"
+    for args in (
+        ["--config", str(good), "--controller", "fl"],
+        ["--config", str(good), "--reference", "map"],
+        ["--config", str(good), "--reference", "anchors"],
+        ["--config", str(fixed)],
+    ):
+        assert main(["simulate", *args, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--mu0", "0.14", "--mu0", "-1"],
+        ["--mu0", "0"],
+        ["--mu0", "nan"],
+        ["--mu0", "inf"],
+        ["--reference", "map", "--set", "light.points=[[0,1500]]"],
+    ],
+)
+def test_sweep_config_errors_exit_2(tmp_path, capsys, args):
+    """A bad --mu0 or config is a config error, not a failed sweep cell."""
+    out = tmp_path / "out"
+    assert main(["sweep", *args, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("--mu0" in err) == ("--mu0" in args)
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pbrsim.kinetics import SimplifiedModelParams
 from pbrsim.radiative import (
     Geometry,
+    Q0_OPTICS_MAX,
     OpticalProps,
     irradiance_at_depth,
     mean_irradiance_simplified,
@@ -43,6 +44,16 @@ def test_optical_coefficients_validation():
     # beyond exp(337/28) ~ 1.7e5 the absorption correlation goes non-positive
     with pytest.raises(ValueError):
         optical_coefficients(2e5)
+
+
+def test_optics_bound_is_the_validity_edge():
+    """Q0_OPTICS_MAX is where the absorption correlation reaches zero, and
+    optical_coefficients accepts exactly the q0 below it."""
+    assert Q0_OPTICS_MAX == pytest.approx(math.exp(337.0 / 28.0), rel=1e-15)
+    below = math.nextafter(Q0_OPTICS_MAX, 0.0)
+    assert 0.0 <= optical_coefficients(below).E_a < 1e-9
+    with pytest.raises(ValueError):
+        optical_coefficients(Q0_OPTICS_MAX)
 
 
 def test_two_flux_coeffs_frozen():

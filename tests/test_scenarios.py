@@ -13,7 +13,6 @@ from pbrsim.plant import NoiseConfig, PiecewiseConstant, SamplingConfig
 from pbrsim.scenarios import (
     BUILTIN_SCENARIOS,
     MU0_SWEEP_VALUES,
-    FixedReference,
     MapReference,
     Scenario,
     compute_metrics,
@@ -36,12 +35,6 @@ def nominal_traces():
         tr = run_scenario(light_step_scenario(controller=kind, seed=0))
         out[kind] = (tr, compute_metrics(tr))
     return out
-
-
-@pytest.fixture(scope="module")
-def sweep_cells():
-    base = light_step_scenario(controller="ip", seed=0)
-    return robustness_sweep(base, MU0_SWEEP_VALUES)
 
 
 def test_builtin_scenario_names():
@@ -170,26 +163,26 @@ def test_metrics_short_run_warns():
     assert m.offset_window_h == pytest.approx(1.0)
 
 
-def test_sweep_structure(sweep_cells):
-    assert len(sweep_cells) == 6
-    kinds = [c.controller_kind for c in sweep_cells]
+def test_sweep_structure(sweep_41):
+    assert len(sweep_41) == 6
+    kinds = [c.controller_kind for c in sweep_41]
     assert kinds == ["fl", "fl", "fl", "ip", "ip", "ip"]
-    assert [c.mu_0 for c in sweep_cells[:3]] == list(MU0_SWEEP_VALUES)
-    assert all(c.error is None for c in sweep_cells)
+    assert [c.mu_0 for c in sweep_41[:3]] == list(MU0_SWEEP_VALUES)
+    assert all(c.error is None for c in sweep_41)
 
 
-def test_sweep_ip_cells_identical(sweep_cells):
+def test_sweep_ip_cells_identical(sweep_41):
     """The model-free law never reads mu_0: its cells are bit-identical."""
-    ip_cells = [c for c in sweep_cells if c.controller_kind == "ip"]
+    ip_cells = [c for c in sweep_41 if c.controller_kind == "ip"]
     ref = ip_cells[0].trace
     for c in ip_cells[1:]:
         assert np.array_equal(c.trace.x_true, ref.x_true)
         assert np.array_equal(c.trace.d_applied, ref.d_applied)
 
 
-def test_sweep_fl_offset_grows_with_mismatch(sweep_cells):
+def test_sweep_fl_offset_grows_with_mismatch(sweep_41):
     """FL tail offset increases away from the nominal rate scale."""
-    fl = {c.mu_0: c.metrics.steady_state_offset for c in sweep_cells
+    fl = {c.mu_0: c.metrics.steady_state_offset for c in sweep_41
           if c.controller_kind == "fl"}
     assert fl[0.07] == pytest.approx(-0.00498486199832574, rel=1e-9)
     assert fl[0.14] == pytest.approx(-0.0015021597191064238, rel=1e-9)
@@ -201,7 +194,7 @@ def test_sweep_fl_offset_grows_with_mismatch(sweep_cells):
     assert fl[0.07] < 0 < fl[0.21]
 
 
-def test_first_stretch_dichotomy(sweep_cells):
+def test_first_stretch_dichotomy(sweep_41):
     """Model mismatch shows up as a standing FL offset on the bright
     stretch (reference 0.38, t in [25, 30]) while the model-free loop is
     insensitive.  The FL offset e_ss = (r_hat - r) / lam scales with X, so
@@ -213,7 +206,7 @@ def test_first_stretch_dichotomy(sweep_cells):
         return float(np.mean((trace.y_ref - trace.x_true)[mask]))
 
     by_cell = {
-        (c.controller_kind, c.mu_0): stretch_offset(c.trace) for c in sweep_cells
+        (c.controller_kind, c.mu_0): stretch_offset(c.trace) for c in sweep_41
     }
     assert by_cell[("fl", 0.07)] == pytest.approx(-0.012186186056122877, rel=1e-9)
     assert by_cell[("fl", 0.21)] == pytest.approx(0.012716770209938479, rel=1e-9)
@@ -287,7 +280,7 @@ def test_fl_error_decays_at_configured_rate():
         duration_h=4.0,
         x0=0.40,
         light=CONST_600,
-        reference=FixedReference(0.38),
+        reference=PiecewiseConstant(((0.0, 0.38),)),
         controller=FlConfig(),
         plant=SimplifiedModelParams(),
         sampling=SamplingConfig(period_h=0.01, substeps=2),
@@ -308,7 +301,7 @@ def test_fl_matched_model_offset_vanishes():
         duration_h=30.0,
         x0=0.17,
         light=CONST_600,
-        reference=FixedReference(0.38),
+        reference=PiecewiseConstant(((0.0, 0.38),)),
         controller=FlConfig(),
         plant=SimplifiedModelParams(),
         noise=NoiseConfig(relative_std=0.0, seed=0),
@@ -327,12 +320,9 @@ def test_map_reference_tracks_optimizer():
 
 
 def test_light_step_scenario_reference_modes():
-    anchors = light_step_scenario(reference="anchors")
-    assert isinstance(anchors.reference, PiecewiseConstant)
-    live = light_step_scenario(reference="map")
-    assert isinstance(live.reference, MapReference)
-    with pytest.raises(ValueError):
-        light_step_scenario(reference="nope")
+    """Each built-in tracks its own setpoint schedule."""
+    assert light_step_scenario().reference == PiecewiseConstant(((0.0, 0.38), (30.0, 0.17)))
+    assert day_night_scenario().reference == PiecewiseConstant(((0.0, 0.175),))
 
 
 def test_schedule_reference_validation():
@@ -345,7 +335,7 @@ def test_schedule_reference_validation():
     with pytest.raises(ValueError):
         PiecewiseConstant(((0.0, -0.38),))
     with pytest.raises(ValueError):
-        FixedReference(0.0)
+        PiecewiseConstant(((0.0, 0.0),))
 
 
 def test_scenario_validation():
@@ -368,3 +358,16 @@ def test_scenario_validation():
             reference=sc.reference,
             controller=sc.controller,
         )
+
+
+def test_sweep_propagates_non_integration_errors(monkeypatch):
+    """Only an IntegrationError is isolated per cell; anything else is a
+    fault of the inputs or the code and stops the sweep."""
+    import pbrsim.scenarios as scenarios
+
+    def broken(scenario):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(scenarios, "run_scenario", broken)
+    with pytest.raises(RuntimeError, match="boom"):
+        robustness_sweep(light_step_scenario(), (0.14,))

@@ -7,7 +7,6 @@ from pbrsim.kinetics import FullModelParams, growth_rate_full, specific_growth_r
 from pbrsim.steady_state import (
     Q0_VALID_RANGE,
     NoAdmissibleSetpointError,
-    equilibrium_dilution,
     optimal_setpoint,
     setpoint_map,
 )
@@ -60,9 +59,8 @@ def test_productivity_identity():
 
 
 def test_equilibrium_dilution_matches_specific_growth():
-    d = equilibrium_dilution(0.38, 600.0)
+    d = specific_growth_rate(0.38, 600.0)
     assert d == pytest.approx(0.051997689320243276, rel=1e-12)
-    assert d == pytest.approx(specific_growth_rate(0.38, 600.0), rel=1e-12)
 
 
 def test_equilibrium_derivative_vanishes():
