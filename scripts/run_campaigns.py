@@ -20,9 +20,9 @@ from pbrsim.cli import (
     write_trace_csv,
 )
 from pbrsim.scenarios import (
+    BUILTIN_SCENARIOS,
     MU0_SWEEP_VALUES,
     compute_metrics,
-    day_night_scenario,
     light_step_scenario,
     robustness_sweep,
     run_scenario,
@@ -57,8 +57,7 @@ def main() -> None:
         f"{'scenario':>10} {'ctrl':>4} {'offset':>10} {'iae':>8}"
         f" {'settle':>8} {'batch':>6} {'reattach':>8}"
     )
-    builders = {"paper-4.1": light_step_scenario, "paper-4.2": day_night_scenario}
-    for name, builder in builders.items():
+    for name, builder in BUILTIN_SCENARIOS.items():
         for kind in ("fl", "ip"):
             scenario = builder(controller=kind, seed=args.seed)
             trace = run_scenario(scenario)

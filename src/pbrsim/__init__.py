@@ -72,7 +72,6 @@ from .steady_state import (
     NoAdmissibleSetpointError,
     NotUnimodalError,
     OperatingPoint,
-    SetpointSearch,
     optimal_setpoint,
     setpoint_map,
 )

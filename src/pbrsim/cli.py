@@ -18,11 +18,11 @@ from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .control import FlConfig, IpConfig
 from .kinetics import FullModelParams, SimplifiedModelParams
 from .plant import DayNightLight, IntegrationError, PiecewiseConstant
 from .scenarios import (
     BUILTIN_SCENARIOS,
+    CONTROLLERS,
     MU0_SWEEP_VALUES,
     MapReference,
     Scenario,
@@ -41,7 +41,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INTEGRATION = 3
 
-TRACE_HEADER = "t,x_true,y_meas,y_ref,d_applied,q0,f_est"
+TRACE_HEADER = ",".join(f.name for f in fields(SimulationTrace))
 METRICS_HEADER = "offset,iae,settle_time,batch_duration"
 SWEEP_HEADER = "controller,mu0,offset,iae,settle_time,batch_duration,status"
 MAP_HEADER = "q0,x_star,d_star,productivity"
@@ -67,7 +67,7 @@ def _fmt(x: float) -> str:
 KINDS: dict[str, dict[str, type]] = {
     "light": {"piecewise": PiecewiseConstant, "day_night": DayNightLight},
     "reference": {"schedule": PiecewiseConstant, "map": MapReference},
-    "controller": {"fl": FlConfig, "ip": IpConfig},
+    "controller": CONTROLLERS,
     "plant": {"full": FullModelParams, "simplified": SimplifiedModelParams},
 }
 
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         src.add_argument("--config", help="JSON scenario config file")
         p.add_argument(
             "--controller",
-            choices=("fl", "ip"),
+            choices=CONTROLLERS,
             help="controller for built-in scenarios (default: ip)",
         )
         p.add_argument(

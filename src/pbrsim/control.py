@@ -56,19 +56,19 @@ def saturate(u: float, bounds: ActuatorBounds = ActuatorBounds()) -> float:
     return min(max(u, bounds.d_min), bounds.d_max)
 
 
+X_FLOOR = 1e-4  # FL division guard on the measurement, kg/m3
+
+
 @dataclass
 class FlConfig:
     """Feedback-linearizing controller settings."""
 
     lam: float = 1.0  # imposed error decay rate, 1/h
     sp: SimplifiedModelParams = field(default_factory=SimplifiedModelParams)
-    x_floor: float = 1e-4  # division guard on the measurement, kg/m3
 
     def __post_init__(self) -> None:
         if self.lam <= 0:
             raise ValueError("lam must be positive")
-        if self.x_floor <= 0:
-            raise ValueError("x_floor must be positive")
 
 
 @dataclass
@@ -79,8 +79,6 @@ class IpConfig:
     k_p: float = 5.0  # proportional gain on the tracking error
     tau_h: float = 1.5  # estimation window length, h (15 sampling periods)
     estimator: str = "open"  # "open": from (u, y) data; "closed": reference form
-    warmup: str = "zero_f"  # act with F=0, or "hold_min": pump at d_min until ready
-    record_raw_control: bool = False  # log pre-saturation commands in the window
 
     def __post_init__(self) -> None:
         if self.a == 0:
@@ -91,8 +89,6 @@ class IpConfig:
             raise ValueError("tau_h must be positive")
         if self.estimator not in ("open", "closed"):
             raise ValueError(f"unknown estimator variant: {self.estimator!r}")
-        if self.warmup not in ("zero_f", "hold_min"):
-            raise ValueError(f"unknown warmup policy: {self.warmup!r}")
 
 
 def fl_control(
@@ -111,7 +107,7 @@ def fl_control(
     if y_meas < 0:
         raise ValueError(f"y_meas must be nonnegative, got {y_meas}")
     r_hat = growth_rate_simplified(y_meas, q0, cfg.sp, geom)
-    return (r_hat + cfg.lam * (y_meas - y_r)) / max(y_meas, cfg.x_floor)
+    return (r_hat + cfg.lam * (y_meas - y_r)) / max(y_meas, X_FLOOR)
 
 
 def ip_control(f_est: float, ydot_r: float, e: float, cfg: IpConfig) -> float:
@@ -227,7 +223,7 @@ class FlController:
         self.config = config
         self.bounds = bounds
         self.geom = geom
-        self.f_estimate: float | None = None  # uniform trace interface
+        self.f_estimate = math.nan  # FL has no estimate; NaN in the trace
         self._last_t: float | None = None
 
     def step(self, t: float, y_meas: float, y_r: float, ydot_r: float, q0: float) -> float:
@@ -240,10 +236,9 @@ class FlController:
 class IpController:
     """Sampled intelligent-proportional controller with online F estimation.
 
-    Until the window first fills, the controller either acts with F = 0 or
-    holds the pump at d_min, per the configured warmup policy.  The applied
-    (saturated) command is what enters the window: that is the input the
-    plant actually saw, and during saturation it is the only signal that
+    Until the window first fills, the controller acts with F = 0.  The
+    applied (saturated) command is what enters the window: that is the input
+    the plant actually saw, and during saturation it is the only signal that
     carries fresh information into the closed-form estimate.
     """
 
@@ -278,15 +273,7 @@ class IpController:
                 f_est = estimate_F_closed(self.window, cfg.a, cfg.k_p)
         else:
             f_est = 0.0
-
-        u_raw: float | None = None
-        if not self.window.full and cfg.warmup == "hold_min":
-            applied = self.bounds.d_min
-        else:
-            u_raw = ip_control(f_est, ydot_r, e, cfg)
-            applied = saturate(u_raw, self.bounds)
-
-        recorded = u_raw if (cfg.record_raw_control and u_raw is not None) else applied
-        self.window.push(t, recorded, y_meas, e, ydot_r)
+        applied = saturate(ip_control(f_est, ydot_r, e, cfg), self.bounds)
+        self.window.push(t, applied, y_meas, e, ydot_r)
         self.f_estimate = f_est
         return applied

@@ -14,7 +14,7 @@ reference derivative; reference steps are left to the feedback to absorb.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,6 +49,8 @@ __all__ = [
     "SimulationTrace",
     "TrackingMetrics",
     "SweepCell",
+    "CONTROLLERS",
+    "MAX_SAMPLES",
     "MU0_SWEEP_VALUES",
     "BUILTIN_SCENARIOS",
     "reference_at",
@@ -62,6 +64,12 @@ __all__ = [
 
 # Controller-model rate scales exercised by the robustness sweep, 1/h.
 MU0_SWEEP_VALUES = (0.07, 0.14, 0.21)
+
+# Controller name -> config type, for the built-ins and the config "kind" tag.
+CONTROLLERS: dict[str, type] = {"fl": FlConfig, "ip": IpConfig}
+
+# Most sampling periods in one run; its seven float64 trace columns take ~56 MB.
+MAX_SAMPLES = 10**6
 
 
 @dataclass
@@ -120,7 +128,10 @@ class Scenario:
             raise ValueError("x0 must be positive")
         if self.n_nodes < 3 or self.n_nodes % 2 == 0:
             raise ValueError(f"n_nodes must be odd and >= 3, got {self.n_nodes}")
-        n = round(self.duration_h / self.sampling.period_h)
+        periods = self.duration_h / self.sampling.period_h
+        if not periods <= MAX_SAMPLES:
+            raise ValueError(f"duration_h / sampling.period_h is {periods:g}, over {MAX_SAMPLES}")
+        n = round(periods)
         if n < 1 or abs(n * self.sampling.period_h - self.duration_h) > 1e-9:
             raise ValueError(
                 "duration_h must be a whole number of sampling periods"
@@ -140,18 +151,12 @@ class Scenario:
             )
         _make_controller(self)  # rejects, e.g., an iP window too long to count
 
-    @property
-    def controller_kind(self) -> str:
-        return "fl" if isinstance(self.controller, FlConfig) else "ip"
-
 
 @dataclass
 class SimulationTrace:
-    """Sampled closed-loop record; f_est is NaN where no estimate exists."""
+    """Sampled closed-loop record, one array per CSV column in column order;
+    f_est is NaN where no estimate exists."""
 
-    name: str
-    controller_kind: str
-    seed: int
     t: np.ndarray
     x_true: np.ndarray
     y_meas: np.ndarray
@@ -184,24 +189,20 @@ def run_scenario(scenario: Scenario) -> SimulationTrace:
     controller = _make_controller(s)
     state = PlantState(X=s.x0, t=0.0)
 
-    cols = {
-        key: np.empty(n + 1)
-        for key in ("t", "x_true", "y_meas", "y_ref", "d_applied", "q0", "f_est")
-    }
+    tr = SimulationTrace(*(np.empty(n + 1) for _ in fields(SimulationTrace)))
     for k in range(n + 1):
         t = k * s.sampling.period_h
         q0 = light_at(t, s.light)
         y_ref = reference_at(s.reference, t, q0)
         y = measure(state.X, s.noise, rng)
         d = controller.step(t, y, y_ref, 0.0, q0)
-        f_est = controller.f_estimate
-        cols["t"][k] = t
-        cols["x_true"][k] = state.X
-        cols["y_meas"][k] = y
-        cols["y_ref"][k] = y_ref
-        cols["d_applied"][k] = d
-        cols["q0"][k] = q0
-        cols["f_est"][k] = np.nan if f_est is None else f_est
+        tr.t[k] = t
+        tr.x_true[k] = state.X
+        tr.y_meas[k] = y
+        tr.y_ref[k] = y_ref
+        tr.d_applied[k] = d
+        tr.q0[k] = q0
+        tr.f_est[k] = controller.f_estimate
         if k < n:
             state = step(
                 PlantState(X=state.X, t=t),
@@ -213,9 +214,7 @@ def run_scenario(scenario: Scenario) -> SimulationTrace:
                 s.sampling.substeps,
                 s.n_nodes,
             )
-    return SimulationTrace(
-        name=s.name, controller_kind=s.controller_kind, seed=s.noise.seed, **cols
-    )
+    return tr
 
 
 @dataclass(frozen=True)
@@ -288,6 +287,12 @@ def time_to_band(trace: SimulationTrace, t_from: float, band: float = 0.02) -> f
     return float(trace.t[mask][hit[0]] - t_from)
 
 
+def _controller_config(name: str) -> FlConfig | IpConfig:
+    if name not in CONTROLLERS:
+        raise ValueError(f"unknown controller {name!r} (choices: {', '.join(CONTROLLERS)})")
+    return CONTROLLERS[name]()
+
+
 def light_step_scenario(controller: str = "ip", seed: int = 0) -> Scenario:
     """Benchmark: bright-to-dim light step with a matching setpoint drop.
 
@@ -295,14 +300,13 @@ def light_step_scenario(controller: str = "ip", seed: int = 0) -> Scenario:
     600 umol/m2/s, dropping to 0.17 kg/m3 when the light steps down to
     100 umol/m2/s at t = 30 h.  Registered as "paper-4.1".
     """
-    cfg: FlConfig | IpConfig = FlConfig() if controller == "fl" else IpConfig()
     return Scenario(
         name="paper-4.1",
         duration_h=50.0,
         x0=0.17,
         light=LIGHT_STEP_PROFILE,
         reference=PiecewiseConstant(((0.0, 0.38), (30.0, 0.17))),
-        controller=cfg,
+        controller=_controller_config(controller),
         noise=NoiseConfig(seed=seed),
     )
 
@@ -314,14 +318,13 @@ def day_night_scenario(controller: str = "ip", seed: int = 0) -> Scenario:
     (peak 600) and a dim night (floor 100) on a 24 h period.  Registered as
     "paper-4.2".
     """
-    cfg: FlConfig | IpConfig = FlConfig() if controller == "fl" else IpConfig()
     return Scenario(
         name="paper-4.2",
         duration_h=50.0,
         x0=0.17,
         light=DayNightLight(),
         reference=PiecewiseConstant(((0.0, 0.175),)),
-        controller=cfg,
+        controller=_controller_config(controller),
         noise=NoiseConfig(seed=seed),
     )
 

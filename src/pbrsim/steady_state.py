@@ -20,7 +20,6 @@ from .radiative import Geometry
 
 __all__ = [
     "OperatingPoint",
-    "SetpointSearch",
     "NoAdmissibleSetpointError",
     "NotUnimodalError",
     "optimal_setpoint",
@@ -30,6 +29,12 @@ __all__ = [
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 Q0_VALID_RANGE = (100.0, 1000.0)  # umol/m2/s, range the optical correlations cover
+
+# Bracket and tolerance of the productivity maximization.
+X_MIN = 0.01  # kg/m3
+X_MAX = 2.0  # kg/m3
+GRID_POINTS = 200
+X_TOL = 1e-5  # kg/m3
 
 
 class NoAdmissibleSetpointError(ValueError):
@@ -48,24 +53,6 @@ class OperatingPoint:
     x_star: float  # biomass setpoint, kg/m3
     d_star: float  # dilution holding x_star, 1/h
     productivity: float  # harvested flux d_star * x_star, kg/m3/h
-
-
-@dataclass(frozen=True)
-class SetpointSearch:
-    """Bracket and tolerances of the productivity maximization."""
-
-    x_min: float = 0.01  # kg/m3
-    x_max: float = 2.0  # kg/m3
-    grid_points: int = 200
-    x_tol: float = 1e-5  # kg/m3
-
-    def __post_init__(self) -> None:
-        if not 0 < self.x_min < self.x_max:
-            raise ValueError("need 0 < x_min < x_max")
-        if self.grid_points < 3:
-            raise ValueError("grid_points must be >= 3")
-        if self.x_tol <= 0:
-            raise ValueError("x_tol must be positive")
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
@@ -91,13 +78,12 @@ def optimal_setpoint(
     p: FullModelParams = FullModelParams(),
     geom: Geometry = Geometry(),
     n_nodes: int = 101,
-    search: SetpointSearch = SetpointSearch(),
 ) -> OperatingPoint:
     """Biomass setpoint maximizing steady-state productivity at light q0.
 
     A coarse scan brackets the maximum (and rejects non-unimodal scans
     instead of silently returning a local optimum); golden-section then
-    refines the bracket down to search.x_tol.  Ties on the coarse grid
+    refines the bracket down to X_TOL.  Ties on the coarse grid
     resolve to the smallest X.
     """
     lo_q0, hi_q0 = Q0_VALID_RANGE
@@ -107,12 +93,11 @@ def optimal_setpoint(
     def productivity(x: float) -> float:
         return growth_rate_full(x, q0, p, geom, n_nodes)
 
-    grid = np.linspace(search.x_min, search.x_max, search.grid_points)
+    grid = np.linspace(X_MIN, X_MAX, GRID_POINTS)
     values = np.array([productivity(x) for x in grid])
     if np.all(values <= 0):
         raise NoAdmissibleSetpointError(
-            f"no positive productivity for q0={q0} in "
-            f"[{search.x_min}, {search.x_max}]"
+            f"no positive productivity for q0={q0} in [{X_MIN}, {X_MAX}]"
         )
 
     interior_maxima = [
@@ -130,7 +115,7 @@ def optimal_setpoint(
     best = int(np.argmax(values))  # first index on ties: smallest X
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    x_star = _golden_max(productivity, lo, hi, search.x_tol)
+    x_star = _golden_max(productivity, lo, hi, X_TOL)
     prod = productivity(x_star)
     if prod <= 0:
         raise NoAdmissibleSetpointError(f"refined productivity non-positive at q0={q0}")
@@ -142,20 +127,19 @@ def setpoint_map(
     p: FullModelParams = FullModelParams(),
     geom: Geometry = Geometry(),
     n_nodes: int = 101,
-    search: SetpointSearch = SetpointSearch(),
 ) -> list[OperatingPoint]:
     """Optimal operating points over a grid of light levels.
 
     The optimal setpoint is expected to rise with available light; a
-    non-monotone map is reported as a warning (it usually means the search
-    bracket or the model constants were overridden into odd territory).
+    non-monotone map is reported as a warning (it usually means the model
+    constants were overridden into odd territory).
     """
-    points = [optimal_setpoint(q0, p, geom, n_nodes, search) for q0 in q0_values]
+    points = [optimal_setpoint(q0, p, geom, n_nodes) for q0 in q0_values]
     xs = [op.x_star for op in points]
     qs = [op.q0 for op in points]
     for i in range(1, len(points)):
         rising_light = qs[i] > qs[i - 1]
-        if rising_light and xs[i] < xs[i - 1] - search.x_tol:
+        if rising_light and xs[i] < xs[i - 1] - X_TOL:
             warnings.warn(
                 f"setpoint map not monotone: x*({qs[i]:.6g}) < x*({qs[i-1]:.6g})",
                 stacklevel=2,

@@ -41,7 +41,7 @@ def test_simulate_writes_trace_and_metrics(tmp_path):
     rc = main(["simulate", "--scenario", "paper-4.1", "--out", str(tmp_path)])
     assert rc == EXIT_OK
     header, rows = _rows(tmp_path / "trace.csv")
-    assert header == TRACE_HEADER
+    assert header == TRACE_HEADER == "t,x_true,y_meas,y_ref,d_applied,q0,f_est"
     assert len(rows) == 501
     assert float(rows[0][0]) == 0.0
     assert float(rows[-1][0]) == 50.0
@@ -179,6 +179,12 @@ def test_config_round_trip(tmp_path):
         ["--seed", "-1"],
         ["--set", "controller.tau_h=1e308"],
         ["--set", "controller.tau_h=1e300"],
+        *(
+            ["--controller", kind, "--set", f"sampling.period_h={period}",
+             "--set", "duration_h=0.5"]
+            for kind in ("fl", "ip")
+            for period in ("1e-300", "1e-9")
+        ),
     ],
 )
 def test_config_boundary_exits_2(tmp_path, capsys, args):
@@ -224,8 +230,9 @@ def test_hostile_leaf_values(tmp_path, capsys):
 
 def test_reference_map_applies_to_either_builtin(tmp_path):
     """--reference map swaps the live optimizer into paper-4.2 too."""
-    rc = main(["simulate", "--scenario", "paper-4.2", "--reference", "map",
-               "--set", "duration_h=1", "--out", str(tmp_path)])
+    with pytest.warns(UserWarning, match="run shorter than"):
+        rc = main(["simulate", "--scenario", "paper-4.2", "--reference", "map",
+                   "--set", "duration_h=1", "--out", str(tmp_path)])
     assert rc == EXIT_OK
     _, rows = _rows(tmp_path / "trace.csv")
     assert float(rows[0][3]) == pytest.approx(0.20182086195952736, abs=1e-4)  # q0 = 100
@@ -274,10 +281,14 @@ def test_stale_or_nonfinite_config_rejected():
     """Keys of the old config format, and non-finite numbers that reach the
     codec without passing through JSON, are config errors."""
     fl = scenario_to_config(light_step_scenario(controller="fl"))
+    ip = scenario_to_config(light_step_scenario(controller="ip"))
     for bad in (
         {**fl, "simplified": fl["controller"]["sp"]},
         {**fl, "controller": {**fl["controller"], "mu0": 0.21}},
         {**fl, "plant": {**fl["plant"], "model": "full"}},
+        {**fl, "controller": {**fl["controller"], "x_floor": 1e-4}},
+        {**ip, "controller": {**ip["controller"], "warmup": "zero_f"}},
+        {**ip, "controller": {**ip["controller"], "record_raw_control": False}},
         {**fl, "light": {"kind": "piecewise", "points": [[0.0, float("nan")]]}},
         {**fl, "noise": {"relative_std": 0.01, "seed": 1.0}},
     ):

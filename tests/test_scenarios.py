@@ -114,9 +114,6 @@ def test_reattach_after_setpoint_drop(nominal_traces):
 def test_metrics_trivial_perfect_tracking(nominal_traces):
     tr, _ = nominal_traces["ip"]
     perfect = type(tr)(
-        name="perfect",
-        controller_kind="ip",
-        seed=0,
         t=tr.t,
         x_true=tr.y_ref.copy(),
         y_meas=tr.y_ref.copy(),
@@ -135,9 +132,6 @@ def test_metrics_trivial_perfect_tracking(nominal_traces):
 def test_metrics_constant_error(nominal_traces):
     tr, _ = nominal_traces["ip"]
     shifted = type(tr)(
-        name="shifted",
-        controller_kind="ip",
-        seed=0,
         t=tr.t,
         x_true=tr.y_ref - 0.01,
         y_meas=tr.y_ref - 0.01,
@@ -260,15 +254,6 @@ def test_closed_estimator_in_loop_characterization():
     assert m.iae > 4.0
 
 
-def test_raw_command_window_characterization():
-    """Recording pre-saturation commands poisons the estimate during the
-    batch phase (the plant never saw those inputs)."""
-    sc = light_step_scenario(controller="ip", seed=0)
-    sc.controller = IpConfig(record_raw_control=True)
-    m = compute_metrics(run_scenario(sc))
-    assert m.batch_phase_duration > 15.0
-
-
 def test_fl_error_decays_at_configured_rate():
     """Matched model, no noise: the FL loop imposes exp(-lam t) decay.
 
@@ -358,6 +343,9 @@ def test_scenario_validation():
             reference=sc.reference,
             controller=sc.controller,
         )
+    for builder in BUILTIN_SCENARIOS.values():
+        with pytest.raises(ValueError, match="choices: fl, ip"):
+            builder("FL")
 
 
 def test_sweep_propagates_non_integration_errors(monkeypatch):
