@@ -9,6 +9,7 @@ notation so reruns can be diffed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -16,7 +17,7 @@ import sys
 import typing
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .kinetics import FullModelParams, SimplifiedModelParams
 from .plant import DayNightLight, IntegrationError, PiecewiseConstant
@@ -40,6 +41,10 @@ __all__ = ["main", "ConfigError", "scenario_to_config", "scenario_from_config"]
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INTEGRATION = 3
+
+# Each map point is one setpoint solve (several ms), so a larger --steps
+# would run for many minutes before writing anything.
+MAX_MAP_STEPS = 1000
 
 TRACE_HEADER = ",".join(f.name for f in fields(SimulationTrace))
 METRICS_HEADER = "offset,iae,settle_time,batch_duration"
@@ -258,17 +263,52 @@ def write_sweep_summary(path: Path, cells: Sequence[SweepCell]) -> None:
     _write_csv(path, SWEEP_HEADER, rows)
 
 
+# --- output locations ----------------------------------------------------------
+
+
+def _check_out(path: Path, is_dir: bool) -> None:
+    """Refuse an output location that cannot be written, before anything runs.
+
+    path must be a directory if is_dir, else a file, or not exist yet with
+    a directory as its nearest existing ancestor.  Nothing is created here.
+    """
+    try:
+        if path.exists():
+            if path.is_dir() != is_dir:
+                kind = "not a directory" if is_dir else "a directory"
+                raise ConfigError(f"--out {path} is {kind}")
+            return
+        for ancestor in path.parents:
+            if ancestor.exists():
+                if not ancestor.is_dir():
+                    raise ConfigError(f"--out {path} lies under {ancestor}, a file")
+                return
+    except OSError as exc:
+        raise ConfigError(f"--out {path} cannot be checked: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _writing(path: Path) -> Iterator[None]:
+    """Report a failed write under path as a config error, not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 # --- subcommands ---------------------------------------------------------------
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args)
+    out = Path(args.out)
+    _check_out(out, is_dir=True)
     trace = run_scenario(scenario)  # run fully before writing any file
     metrics = compute_metrics(trace)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(out / "trace.csv", trace)
-    write_metrics_csv(out / "metrics.csv", metrics)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        write_trace_csv(out / "trace.csv", trace)
+        write_metrics_csv(out / "metrics.csv", metrics)
     print(f"wrote {out / 'trace.csv'} and {out / 'metrics.csv'}")
     return EXIT_OK
 
@@ -278,14 +318,15 @@ def cmd_setpoint_map(args: argparse.Namespace) -> int:
     q_min, q_max = Q0_VALID_RANGE
     if not (q_min <= lo < hi <= q_max):
         raise ConfigError(f"need {q_min:g} <= q0-min < q0-max <= {q_max:g}, got [{lo}, {hi}]")
-    if steps < 2:
-        raise ConfigError("steps must be >= 2")
+    if not 2 <= steps <= MAX_MAP_STEPS:
+        raise ConfigError(f"steps must lie in [2, {MAX_MAP_STEPS}], got {steps}")
+    path = Path(args.out)
+    _check_out(path, is_dir=False)
     grid = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
     points = setpoint_map(grid)
-    path = Path(args.out)
-    if path.parent != Path("."):
+    with _writing(path):
         path.parent.mkdir(parents=True, exist_ok=True)
-    write_map_csv(path, points)
+        write_map_csv(path, points)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -296,15 +337,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for mu_0 in mu0_values:
         if not (math.isfinite(mu_0) and mu_0 > 0):
             raise ConfigError(f"--mu0 must be finite and positive, got {mu_0}")
-    cells = robustness_sweep(base, mu0_values)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for cell in cells:
-        if cell.trace is not None:
-            write_trace_csv(
-                out / f"trace_{cell.controller_kind}_mu{cell.mu_0:g}.csv", cell.trace
-            )
-    write_sweep_summary(out / "summary.csv", cells)
+    _check_out(out, is_dir=True)
+    cells = robustness_sweep(base, mu0_values)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        for cell in cells:
+            if cell.trace is not None:
+                write_trace_csv(
+                    out / f"trace_{cell.controller_kind}_mu{cell.mu_0:g}.csv", cell.trace
+                )
+        write_sweep_summary(out / "summary.csv", cells)
     n_ok = sum(1 for c in cells if c.trace is not None)
     print(f"wrote {out / 'summary.csv'} ({n_ok}/{len(cells)} cells ok)")
     return EXIT_OK if n_ok else EXIT_INTEGRATION
@@ -354,7 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_map.add_argument("--q0-min", type=float, default=Q0_VALID_RANGE[0])
     p_map.add_argument("--q0-max", type=float, default=Q0_VALID_RANGE[1])
-    p_map.add_argument("--steps", type=int, default=10)
+    p_map.add_argument(
+        "--steps",
+        type=int,
+        default=10,
+        help=f"grid points, 2 to {MAX_MAP_STEPS} (default: %(default)s)",
+    )
     p_map.add_argument(
         "--out", default="setpoint_map.csv", help="output CSV path (default: %(default)s)"
     )

@@ -13,6 +13,7 @@ hour, so the O2 balance carries an explicit seconds-to-hours conversion.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,14 +94,20 @@ def local_oxygen_rate(G, E_a: float, p: FullModelParams = FullModelParams()):
     return (photo - resp) * SECONDS_PER_HOUR
 
 
-def _simpson_mean(values: np.ndarray) -> float:
-    """Average of uniformly sampled values via composite Simpson weights."""
-    n = values.size
-    weights = np.ones(n)
+@functools.lru_cache(maxsize=None, typed=True)
+def _depth_grid(depth: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes z over [0, depth] and their composite Simpson weights.
+
+    Built once per (depth, n_nodes); typed, so a float n_nodes is never
+    served the grid of the equal int.
+    """
+    z = np.linspace(0.0, depth, n_nodes)
+    weights = np.ones(n_nodes)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    # mean = (h/3) * sum(w*y) / L with h = L/(n-1), so L cancels.
-    return float(weights @ values / (3.0 * (n - 1)))
+    z.flags.writeable = False
+    weights.flags.writeable = False
+    return z, weights
 
 
 def mean_oxygen_rate(
@@ -121,9 +128,11 @@ def mean_oxygen_rate(
         # Dark culture: uninhibited respiration only.
         return float(-p.resp_rate * SECONDS_PER_HOUR)
     E_a = optical_coefficients(q0).E_a
-    z = np.linspace(0.0, geom.depth, n_nodes)
+    z, weights = _depth_grid(geom.depth, n_nodes)
     G = irradiance_at_depth(z, X, q0, geom)
-    return _simpson_mean(local_oxygen_rate(G, E_a, p))
+    values = local_oxygen_rate(G, E_a, p)
+    # Simpson mean = (h/3) * sum(w*y) / L with h = L/(n-1), so L cancels.
+    return float(weights @ values / (3.0 * (n_nodes - 1)))
 
 
 def growth_rate_full(

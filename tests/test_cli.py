@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pbrsim import cli
 from pbrsim.cli import (
     EXIT_CONFIG,
     EXIT_INTEGRATION,
@@ -336,6 +337,44 @@ def test_setpoint_map_range_validation(tmp_path):
     assert main(["setpoint-map", "--q0-min", "600", "--q0-max", "600",
                  "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--out", "{file}"],
+        ["sweep", "--out", "{file}"],
+        ["setpoint-map", "--out", "{file}/x.csv"],
+        ["setpoint-map", "--out", "."],
+        ["setpoint-map", "--steps", "200000"],
+        ["setpoint-map", "--steps", str(10**18)],
+    ],
+)
+def test_output_and_steps_boundary_exits_2(tmp_path, capsys, monkeypatch, argv):
+    """An unusable --out, or more map steps than MAX_MAP_STEPS, is a config
+    error found before any run or solve."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output check")
+
+    for name in ("run_scenario", "robustness_sweep", "setpoint_map"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.chdir(tmp_path)
+    file = tmp_path / "file"
+    file.write_text("keep\n")
+    assert main([arg.format(file=file) for arg in argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    assert file.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_write_failure_exits_2(tmp_path, capsys):
+    """An OSError while writing is an error line and exit 2, not a traceback."""
+    (tmp_path / "trace.csv").mkdir()
+    argv = ["simulate", "--set", "duration_h=0.5", "--out", str(tmp_path)]
+    with pytest.warns(UserWarning, match="run shorter than"):
+        assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}")
 
 
 def test_sweep_outputs(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbrsim import kinetics
 from pbrsim.kinetics import (
     SECONDS_PER_HOUR,
     FullModelParams,
@@ -17,6 +18,12 @@ from pbrsim.kinetics import (
     local_oxygen_rate,
     mean_oxygen_rate,
     specific_growth_rate,
+)
+from pbrsim.radiative import (
+    Geometry,
+    irradiance_at_depth,
+    optical_coefficients,
+    two_flux_coeffs,
 )
 
 
@@ -76,6 +83,59 @@ def test_mean_oxygen_rate_validation():
         mean_oxygen_rate(-0.1, 600.0)
     with pytest.raises(ValueError):
         mean_oxygen_rate(0.3, -10.0)
+
+
+def _reference_mean_oxygen_rate(X, q0, p, geom, n_nodes):
+    """The kernel as first written: a fresh grid, fresh Simpson weights and
+    the np.any range check on every call, with the two-flux profile inline."""
+    if q0 == 0:
+        return float(-p.resp_rate * SECONDS_PER_HOUR)
+    E_a = optical_coefficients(q0).E_a
+    z = np.linspace(0.0, geom.depth, n_nodes)
+    assert not (np.any(z < 0) or np.any(z > geom.depth))
+    coeffs = two_flux_coeffs(X, optical_coefficients(q0))
+    delta, alpha, L = coeffs.delta, coeffs.alpha, geom.depth
+    if delta * L < 1e-12:
+        G = q0 * np.ones_like(z)
+    else:
+        up, down = 1.0 + alpha, 1.0 - alpha
+        num = up * np.exp(-delta * z) - down * np.exp(-delta * (2.0 * L - z))
+        den = up * up - down * down * math.exp(-2.0 * delta * L)
+        G = 2.0 * q0 * num / den
+    values = local_oxygen_rate(G, E_a, p)
+    weights = np.ones(n_nodes)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return float(weights @ values / (3.0 * (n_nodes - 1)))
+
+
+@pytest.mark.parametrize("depth", [0.05, 0.1])
+@pytest.mark.parametrize("n_nodes", [3, 5, 101, 201])
+def test_mean_oxygen_rate_equals_reference_pipeline(depth, n_nodes):
+    """The shared-grid kernel gives the same bits as the per-call pipeline."""
+    p, geom = FullModelParams(), Geometry(depth)
+    rng = np.random.default_rng(n_nodes)
+    pairs = [(0.0, 600.0), (0.3, 0.0), (0.0, 0.0), (2.0, 1000.0)]
+    pairs += zip(rng.uniform(0.0, 2.0, 200).tolist(), rng.uniform(0.0, 2000.0, 200).tolist())
+    for X, q0 in pairs:
+        expected = _reference_mean_oxygen_rate(X, q0, p, geom, n_nodes)
+        assert mean_oxygen_rate(X, q0, p, geom, n_nodes) == expected, (X, q0)
+
+
+def test_depth_grid_is_shared_and_read_only():
+    """The cached grid and weights cannot be written, and the profile built
+    on the grid is a new array, never the grid itself."""
+    mean_oxygen_rate(0.3, 600.0)
+    z, weights = kinetics._depth_grid(Geometry().depth, 101)
+    assert kinetics._depth_grid(Geometry().depth, 101)[0] is z
+    for arr in (z, weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    for X, q0 in ((0.3, 600.0), (0.0, 600.0), (0.3, 0.0)):
+        G = irradiance_at_depth(z, X, q0)
+        assert G is not z and not np.shares_memory(G, z)
+        assert G.flags.writeable
 
 
 def test_growth_rate_full_frozen():

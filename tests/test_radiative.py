@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pbrsim.kinetics import SimplifiedModelParams
 from pbrsim.radiative import (
@@ -128,6 +129,36 @@ def test_irradiance_validation():
         irradiance_at_depth(0.06, 0.3, 600.0)
     with pytest.raises(ValueError):
         irradiance_at_depth(0.02, 0.3, -1.0)
+
+
+Z_ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-1e-300, max_value=L * (1 + 1e-15)),
+    st.sampled_from([0.0, -0.0, L, math.nextafter(L, 1.0), -5e-324, math.nan]),
+)
+
+
+@settings(max_examples=300)
+@given(
+    z=st.one_of(
+        Z_ENTRIES,
+        hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0), elements=Z_ENTRIES),
+    ),
+    q0=st.sampled_from([0.0, 600.0]),
+)
+def test_depth_check_matches_any_expression(z, q0):
+    """irradiance_at_depth rejects exactly the z that the elementwise
+    np.any(z < 0) or np.any(z > depth) test rejects: NaN entries pass, empty
+    arrays pass, on scalars, 0-d, 1-D and 2-D input alike."""
+    arr = np.asarray(z, dtype=float)
+    expected = bool(np.any(arr < 0) or np.any(arr > L))
+    try:
+        irradiance_at_depth(z, 0.3, q0)
+    except ValueError:
+        rejected = True
+    else:
+        rejected = False
+    assert rejected == expected
 
 
 def test_geometry_validation():
