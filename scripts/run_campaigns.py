@@ -14,11 +14,13 @@ import time
 from pathlib import Path
 
 from pbrsim.cli import (
+    check_out,
     write_map_csv,
     write_metrics_csv,
     write_sweep_summary,
     write_trace_csv,
 )
+from pbrsim.plant import NoiseConfig
 from pbrsim.scenarios import (
     BUILTIN_SCENARIOS,
     MU0_SWEEP_VALUES,
@@ -41,6 +43,11 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0, help="measurement noise seed")
     args = parser.parse_args()
     out = Path(args.out)
+    try:  # refuse bad input before any solve, as the CLI does
+        check_out(out, is_dir=True)
+        NoiseConfig(seed=args.seed)
+    except ValueError as exc:
+        parser.exit(2, f"error: {exc}\n")
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
 

@@ -23,12 +23,10 @@ from .control import (
 from .kinetics import (
     FullModelParams,
     SimplifiedModelParams,
-    growth_rate,
     growth_rate_full,
     growth_rate_simplified,
     local_oxygen_rate,
     mean_oxygen_rate,
-    specific_growth_rate,
 )
 from .plant import (
     LIGHT_STEP_PROFILE,
@@ -36,7 +34,6 @@ from .plant import (
     IntegrationError,
     NoiseConfig,
     PiecewiseConstant,
-    PlantState,
     SamplingConfig,
     light_at,
     measure,
@@ -46,11 +43,9 @@ from .plant import (
 from .radiative import (
     Geometry,
     OpticalProps,
-    TwoFluxCoeffs,
     irradiance_at_depth,
     mean_irradiance_simplified,
     optical_coefficients,
-    two_flux_coeffs,
 )
 from .scenarios import (
     BUILTIN_SCENARIOS,
@@ -63,7 +58,6 @@ from .scenarios import (
     compute_metrics,
     day_night_scenario,
     light_step_scenario,
-    reference_at,
     robustness_sweep,
     run_scenario,
     time_to_band,

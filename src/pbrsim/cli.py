@@ -36,7 +36,7 @@ from .scenarios import (
 )
 from .steady_state import Q0_VALID_RANGE, OperatingPoint, setpoint_map
 
-__all__ = ["main", "ConfigError", "scenario_to_config", "scenario_from_config"]
+__all__ = ["main", "ConfigError", "check_out", "scenario_to_config", "scenario_from_config"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -266,7 +266,7 @@ def write_sweep_summary(path: Path, cells: Sequence[SweepCell]) -> None:
 # --- output locations ----------------------------------------------------------
 
 
-def _check_out(path: Path, is_dir: bool) -> None:
+def check_out(path: Path, is_dir: bool) -> None:
     """Refuse an output location that cannot be written, before anything runs.
 
     path must be a directory if is_dir, else a file, or not exist yet with
@@ -302,7 +302,7 @@ def _writing(path: Path) -> Iterator[None]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args)
     out = Path(args.out)
-    _check_out(out, is_dir=True)
+    check_out(out, is_dir=True)
     trace = run_scenario(scenario)  # run fully before writing any file
     metrics = compute_metrics(trace)
     with _writing(out):
@@ -321,7 +321,7 @@ def cmd_setpoint_map(args: argparse.Namespace) -> int:
     if not 2 <= steps <= MAX_MAP_STEPS:
         raise ConfigError(f"steps must lie in [2, {MAX_MAP_STEPS}], got {steps}")
     path = Path(args.out)
-    _check_out(path, is_dir=False)
+    check_out(path, is_dir=False)
     grid = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
     points = setpoint_map(grid)
     with _writing(path):
@@ -338,7 +338,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not (math.isfinite(mu_0) and mu_0 > 0):
             raise ConfigError(f"--mu0 must be finite and positive, got {mu_0}")
     out = Path(args.out)
-    _check_out(out, is_dir=True)
+    check_out(out, is_dir=True)
     cells = robustness_sweep(base, mu0_values)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)

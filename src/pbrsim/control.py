@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,6 +70,14 @@ class FlConfig:
         if self.lam <= 0:
             raise ValueError("lam must be positive")
 
+    def build(self, bounds: ActuatorBounds, geom: Geometry, period_h: float) -> "FlController":
+        """A fresh controller with these settings; period_h is unused."""
+        return FlController(self, bounds, geom)
+
+    def with_model_rate(self, mu_0: float) -> "FlConfig":
+        """A copy whose internal model has rate scale mu_0 (1/h)."""
+        return replace(self, sp=replace(self.sp, mu_0=mu_0))
+
 
 @dataclass
 class IpConfig:
@@ -89,6 +97,14 @@ class IpConfig:
             raise ValueError("tau_h must be positive")
         if self.estimator not in ("open", "closed"):
             raise ValueError(f"unknown estimator variant: {self.estimator!r}")
+
+    def build(self, bounds: ActuatorBounds, geom: Geometry, period_h: float) -> "IpController":
+        """A fresh controller with these settings; geom is unused."""
+        return IpController(self, bounds, period_h)
+
+    def with_model_rate(self, mu_0: float) -> "IpConfig":
+        """A copy: the model-free law has no model rate to perturb."""
+        return replace(self)
 
 
 def fl_control(

@@ -14,11 +14,14 @@ hour, so the O2 balance carries an explicit seconds-to-hours conversion.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .radiative import (
+    Q0_OPTICS_MAX,
     Geometry,
     irradiance_at_depth,
     mean_irradiance_simplified,
@@ -32,8 +35,6 @@ __all__ = [
     "mean_oxygen_rate",
     "growth_rate_full",
     "growth_rate_simplified",
-    "growth_rate",
-    "specific_growth_rate",
 ]
 
 SECONDS_PER_HOUR = 3600.0
@@ -42,6 +43,8 @@ SECONDS_PER_HOUR = 3600.0
 @dataclass(frozen=True)
 class FullModelParams:
     """Constants of the radiative/energetic growth description."""
+
+    q0_max: ClassVar[float] = Q0_OPTICS_MAX  # light must stay below it
 
     K: float = 120.0  # photosynthesis half-saturation, umol/m2/s
     K_R: float = 6.0  # respiration inhibition constant, umol/m2/s
@@ -64,10 +67,16 @@ class FullModelParams:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
+    def rate(self, X: float, q0: float, geom: Geometry, n_nodes: int) -> float:
+        """Volumetric growth rate r_X in kg/m3/h (see growth_rate_full)."""
+        return growth_rate_full(X, q0, self, geom, n_nodes)
+
 
 @dataclass(frozen=True)
 class SimplifiedModelParams:
     """Constants of the lumped Haldane growth model."""
+
+    q0_max: ClassVar[float] = math.inf  # any positive light
 
     mu_0: float = 0.14  # rate scale, 1/h
     mu_r: float = 0.013  # maintenance respiration rate, 1/h
@@ -80,6 +89,11 @@ class SimplifiedModelParams:
         for name in ("mu_0", "mu_r", "alpha_hat", "E_a_hat", "K_I", "K_II"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+
+    def rate(self, X: float, q0: float, geom: Geometry, n_nodes: int) -> float:
+        """Volumetric growth rate in kg/m3/h (see growth_rate_simplified);
+        n_nodes is unused, the lumped model has a closed form."""
+        return growth_rate_simplified(X, q0, self, geom)
 
 
 def local_oxygen_rate(G, E_a: float, p: FullModelParams = FullModelParams()):
@@ -120,9 +134,9 @@ def mean_oxygen_rate(
     """Depth-averaged net O2 rate in mol O2/kg/h (composite Simpson)."""
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise ValueError(f"n_nodes must be odd and >= 3, got {n_nodes}")
-    if X < 0:
+    if not X >= 0:  # NaN fails it too
         raise ValueError(f"X must be nonnegative, got {X}")
-    if q0 < 0:
+    if not q0 >= 0:
         raise ValueError(f"q0 must be nonnegative, got {q0}")
     if q0 == 0:
         # Dark culture: uninhibited respiration only.
@@ -155,34 +169,9 @@ def growth_rate_simplified(
     geom: Geometry = Geometry(),
 ) -> float:
     """Volumetric growth rate in kg/m3/h under the lumped Haldane model."""
-    if X < 0:
+    if not X >= 0:
         raise ValueError(f"X must be nonnegative, got {X}")
     G_bar = mean_irradiance_simplified(X, q0, sp, geom)
     mu = sp.mu_0 * G_bar / (sp.K_I + G_bar + G_bar * G_bar / sp.K_II) - sp.mu_r
     return mu * X
 
-
-def growth_rate(
-    X: float,
-    q0: float,
-    params: FullModelParams | SimplifiedModelParams,
-    geom: Geometry = Geometry(),
-    n_nodes: int = 101,
-) -> float:
-    """Growth rate under either model, dispatched on the parameter type."""
-    if isinstance(params, SimplifiedModelParams):
-        return growth_rate_simplified(X, q0, params, geom)
-    return growth_rate_full(X, q0, params, geom, n_nodes)
-
-
-def specific_growth_rate(
-    X: float,
-    q0: float,
-    params: FullModelParams | SimplifiedModelParams = FullModelParams(),
-    geom: Geometry = Geometry(),
-    n_nodes: int = 101,
-) -> float:
-    """Specific growth rate mu = r_X / X in 1/h; requires X > 0."""
-    if X <= 0:
-        raise ValueError(f"X must be positive, got {X}")
-    return growth_rate(X, q0, params, geom, n_nodes) / X

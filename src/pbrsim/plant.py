@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from math import isfinite, pi, sin
+from math import inf, isfinite, pi, sin
+from typing import ClassVar
 
 import numpy as np
 
-from .kinetics import FullModelParams, SimplifiedModelParams, growth_rate
+from .kinetics import FullModelParams, SimplifiedModelParams
 from .radiative import Geometry
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "LIGHT_STEP_PROFILE",
     "NoiseConfig",
     "SamplingConfig",
-    "PlantState",
     "IntegrationError",
     "light_at",
     "plant_derivative",
@@ -41,9 +41,10 @@ class PiecewiseConstant:
 
     Each entry is (start_time_h, value).  A new value takes effect strictly
     after its start time, so the sample taken exactly at a switch still sees
-    the previous value.
+    the previous value.  Called as a reference, ref(t, q0), it ignores q0.
     """
 
+    q0_range: ClassVar[tuple[float, float]] = (0.0, inf)  # light it serves as a reference at
     points: tuple[tuple[float, float], ...]
     _starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
@@ -61,7 +62,7 @@ class PiecewiseConstant:
             raise ValueError("values must be positive")
         object.__setattr__(self, "_starts", starts)
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t: float, q0: float = 0.0) -> float:
         idx = bisect_left(self._starts, t)  # first point starting at or after t
         return self.points[max(idx - 1, 0)][1]
 
@@ -141,12 +142,6 @@ class SamplingConfig:
             raise ValueError("substeps must be >= 1")
 
 
-@dataclass(frozen=True)
-class PlantState:
-    X: float  # biomass concentration, kg/m3
-    t: float  # time, h
-
-
 class IntegrationError(RuntimeError):
     """Raised when the integrator produces a non-finite state."""
 
@@ -168,11 +163,12 @@ def plant_derivative(
     """dX/dt in kg/m3/h at dilution rate D (1/h)."""
     if D < 0:
         raise ValueError(f"D must be nonnegative, got {D}")
-    return growth_rate(X, q0, params, geom, n_nodes) - D * X
+    return params.rate(X, q0, geom, n_nodes) - D * X
 
 
 def step(
-    state: PlantState,
+    X: float,
+    t: float,
     D: float,
     profile: LightProfile,
     dt: float,
@@ -180,8 +176,8 @@ def step(
     geom: Geometry = Geometry(),
     substeps: int = 10,
     n_nodes: int = 101,
-) -> PlantState:
-    """Advance the plant by dt hours under constant D (zero-order hold).
+) -> float:
+    """Biomass X after dt hours from time t under constant D (zero-order hold).
 
     Biomass is clamped at zero from below: the vessel cannot hold negative
     concentration, and RK4 stage excursions below zero are cut the same way.
@@ -190,14 +186,15 @@ def step(
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     h = dt / substeps
-    X = state.X
 
-    def f(x: float, t: float) -> float:
-        q0 = light_at(t, profile)
-        return plant_derivative(max(x, 0.0), D, q0, params, geom, n_nodes)
+    def f(x: float, tau: float) -> float:
+        q0 = light_at(tau, profile)
+        # max(x, 0.0), but a NaN stage becomes 0.0 rather than reach the rate:
+        # its NaN slope already makes the new X NaN, which raises below.
+        return plant_derivative(x if x >= 0.0 else 0.0, D, q0, params, geom, n_nodes)
 
     for i in range(substeps):
-        t0 = state.t + i * h
+        t0 = t + i * h
         k1 = f(X, t0)
         k2 = f(X + 0.5 * h * k1, t0 + 0.5 * h)
         k3 = f(X + 0.5 * h * k2, t0 + 0.5 * h)
@@ -206,7 +203,7 @@ def step(
         if not isfinite(X):
             raise IntegrationError("state became non-finite", t=t0 + h, X=X, D=D)
         X = max(X, 0.0)
-    return PlantState(X=X, t=state.t + dt)
+    return X
 
 
 def measure(X: float, noise: NoiseConfig, rng: np.random.Generator) -> float:

@@ -24,9 +24,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Geometry",
     "OpticalProps",
-    "TwoFluxCoeffs",
     "optical_coefficients",
-    "two_flux_coeffs",
     "irradiance_at_depth",
     "mean_irradiance_simplified",
 ]
@@ -64,21 +62,13 @@ class OpticalProps:
     b: float = BACKSCATTER_FRACTION  # backward-scattered fraction
 
 
-@dataclass(frozen=True)
-class TwoFluxCoeffs:
-    """Slab attenuation parameters for a given biomass concentration."""
-
-    delta: float  # extinction coefficient, 1/m
-    alpha: float  # linear scattering modulus, dimensionless
-
-
 def optical_coefficients(q0: float) -> OpticalProps:
     """Cross sections of cells acclimated to incident light q0 (umol/m2/s).
 
     Raises ValueError if q0 is non-positive or at least Q0_OPTICS_MAX, where
     the absorption correlation leaves its validity range (E_a reaches zero).
     """
-    if q0 <= 0:
+    if not q0 > 0:  # NaN fails it too
         raise ValueError(f"q0 must be positive, got {q0}")
     if q0 >= Q0_OPTICS_MAX:
         raise ValueError(
@@ -88,33 +78,6 @@ def optical_coefficients(q0: float) -> OpticalProps:
     E_a = E_A_LOG_SLOPE * log_q0 + E_A_INTERCEPT
     E_s = E_S_LOG_SLOPE * log_q0 + E_S_INTERCEPT
     return OpticalProps(E_a=E_a, E_s=E_s)
-
-
-def two_flux_coeffs(X: float, props: OpticalProps) -> TwoFluxCoeffs:
-    """Extinction and scattering modulus at biomass concentration X (kg/m3)."""
-    if X < 0:
-        raise ValueError(f"X must be nonnegative, got {X}")
-    diffuse = props.E_a + 2.0 * props.b * props.E_s
-    return TwoFluxCoeffs(
-        delta=X * math.sqrt(props.E_a * diffuse),
-        alpha=math.sqrt(props.E_a / diffuse),
-    )
-
-
-def _slab_profile(z, q0: float, coeffs: TwoFluxCoeffs, depth: float):
-    """Two-flux irradiance at depth z for precomputed slab coefficients.
-
-    Written with negative exponents only, so it stays finite for optically
-    thick cultures where exp(delta*L) would overflow.
-    """
-    delta, alpha = coeffs.delta, coeffs.alpha
-    if delta * depth < _CLEAR_SLAB_THICKNESS:
-        return q0 * np.ones_like(np.asarray(z, dtype=float))
-    up = 1.0 + alpha
-    down = 1.0 - alpha
-    num = up * np.exp(-delta * z) - down * np.exp(-delta * (2.0 * depth - z))
-    den = up * up - down * down * math.exp(-2.0 * delta * depth)
-    return 2.0 * q0 * num / den
 
 
 def irradiance_at_depth(
@@ -138,13 +101,30 @@ def irradiance_at_depth(
         or np.fmax.reduce(z, axis=None, initial=-np.inf) > geom.depth
     ):
         raise ValueError("z must lie within [0, depth]")
-    if q0 < 0:
+    if not q0 >= 0:  # NaN fails it too
         raise ValueError(f"q0 must be nonnegative, got {q0}")
     if q0 == 0:
         out = np.zeros_like(z)
         return float(out) if out.ndim == 0 else out
-    coeffs = two_flux_coeffs(X, props if props is not None else optical_coefficients(q0))
-    out = _slab_profile(z, q0, coeffs, geom.depth)
+    if props is None:
+        props = optical_coefficients(q0)
+    if not X >= 0:
+        raise ValueError(f"X must be nonnegative, got {X}")
+    # Extinction coefficient delta (1/m) and scattering modulus alpha of the slab.
+    diffuse = props.E_a + 2.0 * props.b * props.E_s
+    delta = X * math.sqrt(props.E_a * diffuse)
+    alpha = math.sqrt(props.E_a / diffuse)
+    depth = geom.depth
+    if delta * depth < _CLEAR_SLAB_THICKNESS:
+        out = q0 * np.ones_like(z)
+    else:
+        # Negative exponents only, so G stays finite for optically thick
+        # cultures where exp(delta*L) would overflow.
+        up = 1.0 + alpha
+        down = 1.0 - alpha
+        num = up * np.exp(-delta * z) - down * np.exp(-delta * (2.0 * depth - z))
+        den = up * up - down * down * math.exp(-2.0 * delta * depth)
+        out = 2.0 * q0 * num / den
     return float(out) if out.ndim == 0 else out
 
 
@@ -157,9 +137,9 @@ def mean_irradiance_simplified(
     G(z) = q0 * exp(-c * X * z) with c = (1 + alpha_hat) / (2 alpha_hat) * E_a_hat,
     whose depth average has the closed form q0 * (1 - exp(-cXL)) / (cXL).
     """
-    if X < 0:
+    if not X >= 0:  # NaN fails it too
         raise ValueError(f"X must be nonnegative, got {X}")
-    if q0 < 0:
+    if not q0 >= 0:
         raise ValueError(f"q0 must be nonnegative, got {q0}")
     attenuation = (1.0 + sp.alpha_hat) / (2.0 * sp.alpha_hat) * sp.E_a_hat
     thickness = attenuation * X * geom.depth

@@ -5,26 +5,22 @@ controller, and the sampling/noise settings.  Running it produces a sampled
 trace: true state, noisy measurement, reference, applied dilution, incident
 light, and (for the model-free controller) the online F estimate.
 
-A reference is either a step function of time (a fixed setpoint is a
-one-point schedule) or the live productivity optimum at the current light.
-Schedules are piecewise constant, so the controllers are fed a zero
-reference derivative; reference steps are left to the feedback to absorb.
+A reference is called as ref(t, q0): either a step function of time (a
+fixed setpoint is a one-point schedule) or the live productivity optimum at
+the current light.  Schedules are piecewise constant, so the controllers are
+fed a zero reference derivative; reference steps are left to the feedback to
+absorb.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .control import (
-    ActuatorBounds,
-    FlConfig,
-    FlController,
-    IpConfig,
-    IpController,
-)
+from .control import ActuatorBounds, FlConfig, IpConfig
 from .kinetics import FullModelParams, SimplifiedModelParams
 from .plant import (
     LIGHT_STEP_PROFILE,
@@ -33,13 +29,12 @@ from .plant import (
     LightProfile,
     NoiseConfig,
     PiecewiseConstant,
-    PlantState,
     SamplingConfig,
     light_at,
     measure,
     step,
 )
-from .radiative import Q0_OPTICS_MAX, Geometry
+from .radiative import Geometry
 from .steady_state import Q0_VALID_RANGE, optimal_setpoint
 
 __all__ = [
@@ -53,7 +48,6 @@ __all__ = [
     "MAX_SAMPLES",
     "MU0_SWEEP_VALUES",
     "BUILTIN_SCENARIOS",
-    "reference_at",
     "light_step_scenario",
     "day_night_scenario",
     "run_scenario",
@@ -81,6 +75,7 @@ class MapReference:
     one entry per sample of the runs that share the instance.
     """
 
+    q0_range: ClassVar[tuple[float, float]] = Q0_VALID_RANGE  # light it can solve at
     _cache: dict[float, float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -91,15 +86,11 @@ class MapReference:
             self._cache[q0] = op.x_star
         return self._cache[q0]
 
+    def __call__(self, t: float, q0: float) -> float:
+        return self.value_at(q0)
+
 
 Reference = PiecewiseConstant | MapReference
-
-
-def reference_at(ref: Reference, t: float, q0: float) -> float:
-    """Reference biomass concentration at time t under light q0."""
-    if isinstance(ref, PiecewiseConstant):
-        return ref(t)
-    return ref.value_at(q0)
 
 
 @dataclass
@@ -137,19 +128,19 @@ class Scenario:
                 "duration_h must be a whole number of sampling periods"
             )
         lo, hi = self.light.value_range
-        if isinstance(self.plant, FullModelParams) and not hi < Q0_OPTICS_MAX:
+        if not hi < self.plant.q0_max:
             raise ValueError(
                 f"light peak {hi:g} leaves the optical correlations' range "
-                f"q0 < {Q0_OPTICS_MAX:g}"
+                f"q0 < {self.plant.q0_max:g}"
             )
-        if isinstance(self.reference, MapReference) and not (
-            Q0_VALID_RANGE[0] <= lo and hi <= Q0_VALID_RANGE[1]
-        ):
+        ref_lo, ref_hi = self.reference.q0_range
+        if not (ref_lo <= lo and hi <= ref_hi):
             raise ValueError(
                 f"light range [{lo:g}, {hi:g}] leaves the map reference's "
-                f"range {Q0_VALID_RANGE}"
+                f"range {self.reference.q0_range}"
             )
-        _make_controller(self)  # rejects, e.g., an iP window too long to count
+        # Rejects, e.g., an iP window too long to count.
+        self.controller.build(self.bounds, self.geometry, self.sampling.period_h)
 
 
 @dataclass
@@ -169,12 +160,6 @@ class SimulationTrace:
         return len(self.t)
 
 
-def _make_controller(s: Scenario):
-    if isinstance(s.controller, FlConfig):
-        return FlController(s.controller, s.bounds, s.geometry)
-    return IpController(s.controller, s.bounds, s.sampling.period_h)
-
-
 def run_scenario(scenario: Scenario) -> SimulationTrace:
     """Simulate the closed loop over the scenario horizon.
 
@@ -186,26 +171,27 @@ def run_scenario(scenario: Scenario) -> SimulationTrace:
     s = scenario
     n = round(s.duration_h / s.sampling.period_h)
     rng = np.random.default_rng(s.noise.seed)
-    controller = _make_controller(s)
-    state = PlantState(X=s.x0, t=0.0)
+    controller = s.controller.build(s.bounds, s.geometry, s.sampling.period_h)
+    X = s.x0
 
     tr = SimulationTrace(*(np.empty(n + 1) for _ in fields(SimulationTrace)))
     for k in range(n + 1):
         t = k * s.sampling.period_h
         q0 = light_at(t, s.light)
-        y_ref = reference_at(s.reference, t, q0)
-        y = measure(state.X, s.noise, rng)
+        y_ref = s.reference(t, q0)
+        y = measure(X, s.noise, rng)
         d = controller.step(t, y, y_ref, 0.0, q0)
         tr.t[k] = t
-        tr.x_true[k] = state.X
+        tr.x_true[k] = X
         tr.y_meas[k] = y
         tr.y_ref[k] = y_ref
         tr.d_applied[k] = d
         tr.q0[k] = q0
         tr.f_est[k] = controller.f_estimate
         if k < n:
-            state = step(
-                PlantState(X=state.X, t=t),
+            X = step(
+                X,
+                t,
                 d,
                 s.light,
                 s.sampling.period_h,
@@ -360,20 +346,13 @@ def robustness_sweep(
     independent; a diverging cell (IntegrationError) is recorded with its
     error message and the sweep continues.  Any other error propagates.
     """
-    if isinstance(base.controller, FlConfig):
-        fl_base, ip_base = base.controller, IpConfig()
-    else:
-        fl_base, ip_base = FlConfig(), base.controller
-
     cells: list[SweepCell] = []
-    for kind in ("fl", "ip"):
+    for kind, config_type in CONTROLLERS.items():
+        kind_base = (
+            base.controller if isinstance(base.controller, config_type) else config_type()
+        )
         for mu_0 in mu0_values:
-            if kind == "fl":
-                cfg: FlConfig | IpConfig = replace(
-                    fl_base, sp=replace(fl_base.sp, mu_0=mu_0)
-                )
-            else:
-                cfg = replace(ip_base)
+            cfg = kind_base.with_model_rate(mu_0)
             cell_scenario = replace(
                 base, name=f"{base.name}[{kind},mu0={mu_0:g}]", controller=cfg
             )

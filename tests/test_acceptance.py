@@ -26,7 +26,6 @@ from pbrsim.kinetics import (
 from pbrsim.plant import (
     DayNightLight,
     PiecewiseConstant,
-    PlantState,
     step,
 )
 from pbrsim.radiative import (
@@ -223,7 +222,7 @@ def test_criterion_5_injected_f_contraction():
         e = x - y_r
         u = (growth_rate_full(x, 600.0) + k_p * e) / x
         assert 0.0 <= u <= 0.5  # stays strictly inside the actuator range
-        x = step(PlantState(X=x, t=t), u, CONST_600, Ts, substeps=2).X
+        x = step(x, t, u, CONST_600, Ts, substeps=2)
         t += Ts
         max_dev = max(max_dev, abs((x - y_r) - e0 * math.exp(-k_p * t)))
         ts.append(t)
@@ -267,17 +266,17 @@ def test_criterion_6_numerical_hygiene():
     for profile in (CONST_600, DayNightLight()):
         ends = []
         for substeps in (10, 20):
-            st = PlantState(X=0.3, t=0.0)
+            x, t = 0.3, 0.0
             for _ in range(500):
-                st = step(st, 0.03, profile, 0.1, substeps=substeps)
-            ends.append(st.X)
+                x, t = step(x, t, 0.03, profile, 0.1, substeps=substeps), t + 0.1
+            ends.append(x)
         drifts.append(abs(ends[0] - ends[1]))
     # equilibrium round trip over 50 h
     op = optimal_setpoint(600.0)
-    st = PlantState(X=op.x_star, t=0.0)
+    x, t = op.x_star, 0.0
     for _ in range(500):
-        st = step(st, op.d_star, CONST_600, 0.1)
-    eq_drift = abs(st.X - op.x_star)
+        x, t = step(x, t, op.d_star, CONST_600, 0.1), t + 0.1
+    eq_drift = abs(x - op.x_star)
     ok = (
         worst_gbar <= 1e-10
         and worst_j <= 1e-8

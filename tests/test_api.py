@@ -1,0 +1,89 @@
+"""The package's interfaces: no type dispatch on a model, controller or
+reference, and every name the traced benchmark reads still exists."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pbrsim"
+
+# Each family answers one interface (params.rate, config.build, ref(t, q0)),
+# so no code should pick behaviour by testing for one of these types.
+FAMILY_TYPES = {
+    "FullModelParams",
+    "SimplifiedModelParams",
+    "FlConfig",
+    "IpConfig",
+    "PiecewiseConstant",
+    "DayNightLight",
+    "MapReference",
+}
+# Tracer queries in perfbench/run.py whose string arguments are labels.
+TRACER_QUERIES = {"calls", "calls_inside", "percentile", "total"}
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def _type_tests(tree: ast.AST):
+    """(line, names) of each isinstance(...) call and each `type(...) is` test."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            yield node.lineno, _names(node.args[1]) if len(node.args) > 1 else set()
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
+        ):
+            sides = [node.left, *node.comparators]
+            if any(isinstance(s, ast.Call) and getattr(s.func, "id", None) == "type"
+                   for s in sides):
+                yield node.lineno, set().union(*map(_names, sides))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_type_dispatch_on_a_family(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = [(line, sorted(names & FAMILY_TYPES)) for line, names in _type_tests(tree)]
+    assert [hit for hit in hits if hit[1]] == []
+
+
+def test_type_test_finder_sees_both_forms():
+    tree = ast.parse("isinstance(p, FullModelParams)\ntype(r) is plant.MapReference\n")
+    assert [names & FAMILY_TYPES for _, names in _type_tests(tree)] == [
+        {"FullModelParams"},
+        {"MapReference"},
+    ]
+
+
+def _benchmark_labels() -> set[str]:
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    return {
+        arg.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in TRACER_QUERIES
+        for arg in node.args
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+    }
+
+
+def test_benchmark_labels_resolve():
+    """Each label the traced benchmark queries names a public function or
+    method defined in that pbrsim module, as the tracer labels it."""
+    labels = _benchmark_labels()
+    assert "kinetics.mean_oxygen_rate" in labels and len(labels) >= 10
+    for label in sorted(labels):
+        module, *path = label.split(".")
+        obj = importlib.import_module(f"pbrsim.{module}")
+        for part in path:
+            assert not part.startswith("_"), label
+            obj = getattr(obj, part, None)
+        assert inspect.isfunction(obj), label
+        assert f"{obj.__module__.rsplit('.', 1)[-1]}.{obj.__qualname__}" == label

@@ -1,9 +1,11 @@
 """Command-line interface: file contracts, determinism, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,6 +367,25 @@ def test_output_and_steps_boundary_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert main([arg.format(file=file) for arg in argv]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
     assert file.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize("argv", [["--out", "file"], ["--out", "out", "--seed", "-1"]])
+def test_run_campaigns_boundary_exits_2(tmp_path, argv):
+    """scripts/run_campaigns.py refuses an --out file and a negative --seed
+    with an error line before any solve, and writes nothing."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_campaigns.py"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    (tmp_path / "file").write_text("keep\n")
+    proc = subprocess.run(
+        [sys.executable, str(script), *argv], capture_output=True, text=True,
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert (tmp_path / "file").read_text() == "keep\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 

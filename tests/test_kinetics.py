@@ -12,18 +12,15 @@ from pbrsim.kinetics import (
     SECONDS_PER_HOUR,
     FullModelParams,
     SimplifiedModelParams,
-    growth_rate,
     growth_rate_full,
     growth_rate_simplified,
     local_oxygen_rate,
     mean_oxygen_rate,
-    specific_growth_rate,
 )
 from pbrsim.radiative import (
     Geometry,
     irradiance_at_depth,
     optical_coefficients,
-    two_flux_coeffs,
 )
 
 
@@ -79,10 +76,14 @@ def test_mean_oxygen_rate_validation():
         mean_oxygen_rate(0.3, 600.0, n_nodes=100)  # even
     with pytest.raises(ValueError):
         mean_oxygen_rate(0.3, 600.0, n_nodes=1)
-    with pytest.raises(ValueError):
-        mean_oxygen_rate(-0.1, 600.0)
-    with pytest.raises(ValueError):
-        mean_oxygen_rate(0.3, -10.0)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            mean_oxygen_rate(bad, 600.0)
+        with pytest.raises(ValueError):
+            growth_rate_simplified(bad, 600.0)
+    for bad in (-10.0, math.nan):
+        with pytest.raises(ValueError):
+            mean_oxygen_rate(0.3, bad)
 
 
 def _reference_mean_oxygen_rate(X, q0, p, geom, n_nodes):
@@ -93,8 +94,10 @@ def _reference_mean_oxygen_rate(X, q0, p, geom, n_nodes):
     E_a = optical_coefficients(q0).E_a
     z = np.linspace(0.0, geom.depth, n_nodes)
     assert not (np.any(z < 0) or np.any(z > geom.depth))
-    coeffs = two_flux_coeffs(X, optical_coefficients(q0))
-    delta, alpha, L = coeffs.delta, coeffs.alpha, geom.depth
+    props = optical_coefficients(q0)
+    diffuse = props.E_a + 2.0 * props.b * props.E_s
+    delta, alpha = X * math.sqrt(props.E_a * diffuse), math.sqrt(props.E_a / diffuse)
+    L = geom.depth
     if delta * L < 1e-12:
         G = q0 * np.ones_like(z)
     else:
@@ -167,18 +170,20 @@ def test_growth_rate_simplified_haldane_arithmetic():
 
 
 def test_growth_rate_dispatch():
-    """growth_rate routes on the parameter type."""
+    """Each parameter type's rate is its own model's growth rate."""
     full = FullModelParams()
     simp = SimplifiedModelParams()
-    assert growth_rate(0.3, 600.0, full) == growth_rate_full(0.3, 600.0, full)
-    assert growth_rate(0.3, 600.0, simp) == growth_rate_simplified(0.3, 600.0, simp)
+    geom = Geometry()
+    assert full.rate(0.3, 600.0, geom, 101) == growth_rate_full(0.3, 600.0, full)
+    assert simp.rate(0.3, 600.0, geom, 101) == growth_rate_simplified(0.3, 600.0, simp)
 
 
 def test_specific_growth_rate_consistency():
-    mu = specific_growth_rate(0.3, 600.0)
-    assert mu == pytest.approx(growth_rate_full(0.3, 600.0) / 0.3, rel=1e-12)
-    with pytest.raises(ValueError):
-        specific_growth_rate(0.0, 600.0)
+    """mu = r_X / X is the mean O2 rate times M_x / nu_O2_X; r_X(0) = 0."""
+    p = FullModelParams()
+    mu = growth_rate_full(0.3, 600.0) / 0.3
+    assert mu == pytest.approx(mean_oxygen_rate(0.3, 600.0) * p.M_x / p.nu_O2_X, rel=1e-12)
+    assert growth_rate_full(0.0, 600.0) == 0.0
 
 
 def test_dark_growth_is_decay():

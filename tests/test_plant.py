@@ -14,7 +14,6 @@ from pbrsim.plant import (
     IntegrationError,
     NoiseConfig,
     PiecewiseConstant,
-    PlantState,
     SamplingConfig,
     light_at,
     measure,
@@ -83,29 +82,29 @@ def test_plant_derivative_negative_dilution():
 def test_equilibrium_hold():
     """At (X*, D*) the state is a fixed point of the integrator."""
     op = optimal_setpoint(600.0)
-    st_ = PlantState(X=op.x_star, t=0.0)
+    x, t = op.x_star, 0.0
     for _ in range(100):  # 10 h
-        st_ = step(st_, op.d_star, CONST_600, 0.1)
-    assert abs(st_.X - op.x_star) <= 1e-9
+        x, t = step(x, t, op.d_star, CONST_600, 0.1), t + 0.1
+    assert abs(x - op.x_star) <= 1e-9
 
 
 def test_equilibrium_round_trip_50h():
     """Round-trip drift at the operating point stays below 1e-6 over 50 h."""
     op = optimal_setpoint(600.0)
-    st_ = PlantState(X=op.x_star, t=0.0)
+    x, t = op.x_star, 0.0
     for _ in range(500):
-        st_ = step(st_, op.d_star, CONST_600, 0.1)
-    assert abs(st_.X - op.x_star) <= 1e-6
+        x, t = step(x, t, op.d_star, CONST_600, 0.1), t + 0.1
+    assert abs(x - op.x_star) <= 1e-6
 
 
 def test_rk4_step_halving_constant_light():
     """Halving the substep changes the 50 h endpoint by < 1e-6 kg/m3."""
     ends = []
     for substeps in (10, 20):
-        st_ = PlantState(X=0.3, t=0.0)
+        x, t = 0.3, 0.0
         for _ in range(500):
-            st_ = step(st_, 0.03, CONST_600, 0.1, substeps=substeps)
-        ends.append(st_.X)
+            x, t = step(x, t, 0.03, CONST_600, 0.1, substeps=substeps), t + 0.1
+        ends.append(x)
     assert abs(ends[0] - ends[1]) <= 1e-6
 
 
@@ -114,44 +113,44 @@ def test_rk4_step_halving_day_night():
     dn = DayNightLight()
     ends = []
     for substeps in (10, 20):
-        st_ = PlantState(X=0.3, t=0.0)
+        x, t = 0.3, 0.0
         for _ in range(500):
-            st_ = step(st_, 0.03, dn, 0.1, substeps=substeps)
-        ends.append(st_.X)
+            x, t = step(x, t, 0.03, dn, 0.1, substeps=substeps), t + 0.1
+        ends.append(x)
     assert abs(ends[0] - ends[1]) <= 1e-6
 
 
 def test_washout_strictly_decreases():
     """Max dilution under dim light flushes the culture monotonically."""
     dim = PiecewiseConstant(((0.0, 100.0),))
-    st_ = PlantState(X=0.3, t=0.0)
-    xs = [st_.X]
+    x, t = 0.3, 0.0
+    xs = [x]
     for _ in range(50):
-        st_ = step(st_, 0.5, dim, 0.1)
-        xs.append(st_.X)
+        x, t = step(x, t, 0.5, dim, 0.1), t + 0.1
+        xs.append(x)
     assert all(b < a for a, b in zip(xs, xs[1:]))
 
 
 def test_small_inoculum_grows():
     """A tiny culture under strong light grows rather than dying out."""
-    st_ = PlantState(X=1e-6, t=0.0)
+    x, t = 1e-6, 0.0
     for _ in range(100):
-        st_ = step(st_, 0.0, CONST_600, 0.1)
-    assert st_.X > 1e-6
+        x, t = step(x, t, 0.0, CONST_600, 0.1), t + 0.1
+    assert x > 1e-6
 
 
 def test_step_validation():
     with pytest.raises(ValueError):
-        step(PlantState(X=0.3, t=0.0), 0.1, CONST_600, 0.0)
+        step(0.3, 0.0, 0.1, CONST_600, 0.0)
 
 
 def test_integration_error_carries_context():
     """A non-finite state raises with the fault location attached."""
     bomb = FullModelParams(M_x=1e200)
     with pytest.raises(IntegrationError) as err:
-        st_ = PlantState(X=0.3, t=0.0)
+        x, t = 0.3, 0.0
         for _ in range(10):
-            st_ = step(st_, 0.0, CONST_600, 0.1, params=bomb)
+            x, t = step(x, t, 0.0, CONST_600, 0.1, params=bomb), t + 0.1
     assert hasattr(err.value, "t")
     assert hasattr(err.value, "X")
     assert hasattr(err.value, "D")
@@ -205,6 +204,6 @@ def test_sampling_config_validation():
 def test_state_stays_nonnegative(x0, D, q0):
     """Biomass cannot go negative whatever admissible input is applied."""
     profile = PiecewiseConstant(((0.0, q0),))
-    st_ = step(PlantState(X=x0, t=0.0), D, profile, 0.1)
-    assert st_.X >= 0.0
-    assert math.isfinite(st_.X)
+    x = step(x0, 0.0, D, profile, 0.1)
+    assert x >= 0.0
+    assert math.isfinite(x)

@@ -16,7 +16,6 @@ from pbrsim.radiative import (
     irradiance_at_depth,
     mean_irradiance_simplified,
     optical_coefficients,
-    two_flux_coeffs,
 )
 
 L = 0.05
@@ -42,6 +41,8 @@ def test_optical_coefficients_validation():
         optical_coefficients(0.0)
     with pytest.raises(ValueError):
         optical_coefficients(-5.0)
+    with pytest.raises(ValueError):
+        optical_coefficients(math.nan)
     # beyond exp(337/28) ~ 1.7e5 the absorption correlation goes non-positive
     with pytest.raises(ValueError):
         optical_coefficients(2e5)
@@ -58,15 +59,20 @@ def test_optics_bound_is_the_validity_edge():
 
 
 def test_two_flux_coeffs_frozen():
-    """delta and alpha at X = 0.3, q0 = 600 against 50-digit arithmetic."""
-    tf = two_flux_coeffs(0.3, optical_coefficients(600.0))
-    assert tf.alpha == pytest.approx(0.72455655959639099, rel=1e-14)
-    assert tf.delta == pytest.approx(65.372109697784177, rel=1e-14)
+    """G(z) at X = 0.3, q0 = 600 is the two-flux closed form for delta and
+    alpha from 50-digit arithmetic."""
+    alpha, delta = 0.72455655959639099, 65.372109697784177
+    z = np.linspace(0.0, L, 11)
+    up, down = 1.0 + alpha, 1.0 - alpha
+    num = up * np.exp(-delta * z) - down * np.exp(-delta * (2.0 * L - z))
+    G = 2.0 * 600.0 * num / (up * up - down * down * math.exp(-2.0 * delta * L))
+    np.testing.assert_allclose(irradiance_at_depth(z, 0.3, 600.0), G, rtol=1e-14, atol=0)
 
 
 def test_two_flux_coeffs_negative_biomass():
-    with pytest.raises(ValueError):
-        two_flux_coeffs(-0.1, optical_coefficients(600.0))
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            irradiance_at_depth(0.02, bad, 600.0)
 
 
 def test_irradiance_frozen_profile():
@@ -127,8 +133,9 @@ def test_irradiance_validation():
         irradiance_at_depth(-0.01, 0.3, 600.0)
     with pytest.raises(ValueError):
         irradiance_at_depth(0.06, 0.3, 600.0)
-    with pytest.raises(ValueError):
-        irradiance_at_depth(0.02, 0.3, -1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            irradiance_at_depth(0.02, 0.3, bad)
 
 
 Z_ENTRIES = st.one_of(
@@ -221,7 +228,9 @@ def test_mean_irradiance_monotone_in_biomass():
 
 def test_mean_irradiance_validation():
     sp = SimplifiedModelParams()
-    with pytest.raises(ValueError):
-        mean_irradiance_simplified(-0.1, 600.0, sp)
-    with pytest.raises(ValueError):
-        mean_irradiance_simplified(0.3, -600.0, sp)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            mean_irradiance_simplified(bad, 600.0, sp)
+    for bad in (-600.0, math.nan):
+        with pytest.raises(ValueError):
+            mean_irradiance_simplified(0.3, bad, sp)

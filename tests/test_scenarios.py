@@ -18,7 +18,6 @@ from pbrsim.scenarios import (
     compute_metrics,
     day_night_scenario,
     light_step_scenario,
-    reference_at,
     robustness_sweep,
     run_scenario,
     time_to_band,
@@ -299,9 +298,9 @@ def test_map_reference_tracks_optimizer():
     from pbrsim.steady_state import optimal_setpoint
 
     ref = MapReference()
-    assert reference_at(ref, 0.0, 600.0) == optimal_setpoint(600.0).x_star
+    assert ref(0.0, 600.0) == optimal_setpoint(600.0).x_star
     # second lookup hits the cache
-    assert reference_at(ref, 1.0, 600.0) == reference_at(ref, 0.0, 600.0)
+    assert ref(1.0, 600.0) == ref(0.0, 600.0)
 
 
 def test_light_step_scenario_reference_modes():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pbrsim.kinetics import FullModelParams, growth_rate_full, specific_growth_rate
+from pbrsim.kinetics import FullModelParams, growth_rate_full
 from pbrsim.steady_state import (
     Q0_VALID_RANGE,
     NoAdmissibleSetpointError,
@@ -59,7 +59,7 @@ def test_productivity_identity():
 
 
 def test_equilibrium_dilution_matches_specific_growth():
-    d = specific_growth_rate(0.38, 600.0)
+    d = growth_rate_full(0.38, 600.0) / 0.38
     assert d == pytest.approx(0.051997689320243276, rel=1e-12)
 
 
