@@ -14,11 +14,13 @@ import time
 from pathlib import Path
 
 from pbrsim.cli import (
+    ConfigError,
     check_out,
     write_map_csv,
     write_metrics_csv,
     write_sweep_summary,
     write_trace_csv,
+    writing,
 )
 from pbrsim.plant import NoiseConfig
 from pbrsim.scenarios import (
@@ -48,6 +50,14 @@ def main() -> None:
         NoiseConfig(seed=args.seed)
     except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")
+    try:  # a failed write is an error line too, not a traceback
+        with writing(out):
+            run_all(out, args.seed)
+    except ConfigError as exc:
+        parser.exit(2, f"error: {exc}\n")
+
+
+def run_all(out: Path, seed: int) -> None:
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
 
@@ -66,7 +76,7 @@ def main() -> None:
     )
     for name, builder in BUILTIN_SCENARIOS.items():
         for kind in ("fl", "ip"):
-            scenario = builder(controller=kind, seed=args.seed)
+            scenario = builder(controller=kind, seed=seed)
             trace = run_scenario(scenario)
             metrics = compute_metrics(trace)
             tag = name.replace(".", "_").replace("-", "_")
@@ -82,7 +92,7 @@ def main() -> None:
             )
 
     print("\n== robustness sweep (controller-model mu_0) ==")
-    base = light_step_scenario(controller="ip", seed=args.seed)
+    base = light_step_scenario(controller="ip", seed=seed)
     cells = robustness_sweep(base, MU0_SWEEP_VALUES)
     print(f"{'ctrl':>4} {'mu_0':>6} {'offset':>10} {'iae':>8} {'batch':>6}")
     for cell in cells:

@@ -8,8 +8,6 @@ reproducible closed-loop campaigns with a command-line front end.
 
 from .control import (
     ActuatorBounds,
-    EstimationWindow,
-    EstimatorNotReady,
     FlConfig,
     FlController,
     IpConfig,

@@ -36,7 +36,9 @@ from .scenarios import (
 )
 from .steady_state import Q0_VALID_RANGE, OperatingPoint, setpoint_map
 
-__all__ = ["main", "ConfigError", "check_out", "scenario_to_config", "scenario_from_config"]
+__all__ = [
+    "main", "ConfigError", "check_out", "writing", "scenario_to_config", "scenario_from_config"
+]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -288,7 +290,7 @@ def check_out(path: Path, is_dir: bool) -> None:
 
 
 @contextlib.contextmanager
-def _writing(path: Path) -> Iterator[None]:
+def writing(path: Path) -> Iterator[None]:
     """Report a failed write under path as a config error, not a traceback."""
     try:
         yield
@@ -305,7 +307,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     check_out(out, is_dir=True)
     trace = run_scenario(scenario)  # run fully before writing any file
     metrics = compute_metrics(trace)
-    with _writing(out):
+    with writing(out):
         out.mkdir(parents=True, exist_ok=True)
         write_trace_csv(out / "trace.csv", trace)
         write_metrics_csv(out / "metrics.csv", metrics)
@@ -324,7 +326,7 @@ def cmd_setpoint_map(args: argparse.Namespace) -> int:
     check_out(path, is_dir=False)
     grid = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
     points = setpoint_map(grid)
-    with _writing(path):
+    with writing(path):
         path.parent.mkdir(parents=True, exist_ok=True)
         write_map_csv(path, points)
     print(f"wrote {path}")
@@ -340,7 +342,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
     check_out(out, is_dir=True)
     cells = robustness_sweep(base, mu0_values)
-    with _writing(out):
+    with writing(out):
         out.mkdir(parents=True, exist_ok=True)
         for cell in cells:
             if cell.trace is not None:

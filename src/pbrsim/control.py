@@ -1,7 +1,7 @@
 """Dilution-rate controllers: model-based and model-free.
 
-Both controllers run at a fixed sampling period, read the noisy biomass
-measurement, and must respect the actuator range of the feed pump.
+Both controllers answer step(t, y_meas, y_r, q0) at a fixed sampling period,
+read the noisy biomass measurement, and must respect the feed pump's range.
 
 The model-based law cancels the growth term predicted by the lumped Haldane
 model and imposes a first-order decay of the tracking error.
@@ -9,7 +9,9 @@ model and imposes a first-order decay of the tracking error.
 The model-free law treats the plant locally as y' = F + a * u, with F an
 unknown lump re-estimated online from a sliding window of recent data, and
 a a fixed gain chosen so that a * u matches the scale of y'.  Dilution
-removes biomass, so the default gain is negative.
+removes biomass, so the default gain is negative.  The paper's law also adds
+the reference derivative, which is zero here: every reference is held between
+samples.  Only the model-based law reads q0.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ __all__ = [
     "ActuatorBounds",
     "FlConfig",
     "IpConfig",
-    "EstimationWindow",
-    "EstimatorNotReady",
     "saturate",
     "fl_control",
     "ip_control",
@@ -126,52 +126,20 @@ def fl_control(
     return (r_hat + cfg.lam * (y_meas - y_r)) / max(y_meas, X_FLOOR)
 
 
-def ip_control(f_est: float, ydot_r: float, e: float, cfg: IpConfig) -> float:
-    """Raw command u = -(F_est - ydot_r + k_p * e) / a."""
-    return -(f_est - ydot_r + cfg.k_p * e) / cfg.a
+def ip_control(f_est: float, e: float, cfg: IpConfig) -> float:
+    """Raw command u = -(F_est + k_p * e) / a."""
+    return -(f_est + cfg.k_p * e) / cfg.a
 
 
-class EstimatorNotReady(RuntimeError):
-    """The sliding window does not yet span the estimation horizon."""
+def _elapsed(t: np.ndarray, *signals: np.ndarray) -> np.ndarray:
+    """Sample times from the oldest; at least 2, one per signal value."""
+    lengths = [len(x) for x in (t, *signals)]
+    if lengths[0] < 2 or len(set(lengths)) > 1:
+        raise ValueError(f"need 2 or more samples of equal length, got lengths {lengths}")
+    return t - t[0]
 
 
-class EstimationWindow:
-    """Ring buffer of (t, u, y, e, ydot_r) samples for the F estimators.
-
-    Capacity is in samples; with n samples the window spans (n-1) sampling
-    periods, so spanning a horizon tau takes round(tau / T_s) + 1 samples.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 2:
-            raise ValueError("capacity must be at least 2 samples")
-        self.capacity = capacity
-        self._samples: deque[tuple[float, float, float, float, float]] = deque(
-            maxlen=capacity
-        )
-
-    def push(self, t: float, u: float, y: float, e: float, ydot_r: float) -> None:
-        self._samples.append((t, u, y, e, ydot_r))
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    @property
-    def full(self) -> bool:
-        return len(self._samples) == self.capacity
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        data = np.asarray(self._samples, dtype=float)
-        return data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4]
-
-
-def _segments(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    p = sigma[:-1]
-    h = np.diff(sigma)
-    return p, sigma[1:], h
-
-
-def estimate_F_open(window: EstimationWindow, a: float) -> float:
+def estimate_F_open(t: np.ndarray, u: np.ndarray, y: np.ndarray, a: float) -> float:
     """Window estimate of F from input/output data alone.
 
     Continuous form: F = -(6 / T^3) * int_0^T [(T - 2s) * y(s)
@@ -181,12 +149,9 @@ def estimate_F_open(window: EstimationWindow, a: float) -> float:
     exact for the cubic integrand pieces), so a noise-free linear y with
     constant u is recovered to rounding error.
     """
-    if not window.full:
-        raise EstimatorNotReady("window not full")
-    t, u, y, _, _ = window.arrays()
-    sigma = t - t[0]
+    sigma = _elapsed(t, u, y)
     T = sigma[-1]
-    p, q, h = _segments(sigma)
+    p, q, h = sigma[:-1], sigma[1:], np.diff(sigma)
     mid = 0.5 * (p + q)
     half = h / (2.0 * math.sqrt(3.0))
     lo, hi = mid - half, mid + half
@@ -198,23 +163,20 @@ def estimate_F_open(window: EstimationWindow, a: float) -> float:
     return float(-6.0 / T**3 * (int_y + a * int_u))
 
 
-def estimate_F_closed(window: EstimationWindow, a: float, k_p: float) -> float:
+def estimate_F_closed(t: np.ndarray, u: np.ndarray, e: np.ndarray, a: float, k_p: float) -> float:
     """Window estimate of F from the reference-side signals.
 
-    Continuous form: F = (1 / T) * int_0^T [ydot_r(s) - a * u(s)
-    - k_p * e(s)] ds.  The reference and error terms are integrated by the
-    trapezoidal rule (exact for piecewise-linear signals) and the held input
-    exactly.  Valid when the loop keeps e' close to -k_p * e; during long
-    actuator saturation stretches the premise fails and the estimate drifts
-    toward -k_p * <e> instead of F.
+    Continuous form: F = -(1 / T) * int_0^T [a * u(s) + k_p * e(s)] ds (no
+    reference derivative: see the module docstring).  The error term is
+    integrated by the trapezoidal rule (exact for piecewise-linear signals)
+    and the held input exactly.  Valid when the loop keeps e' close to
+    -k_p * e; during long actuator saturation stretches the premise fails and
+    the estimate drifts toward -k_p * <e> instead of F.
     """
-    if not window.full:
-        raise EstimatorNotReady("window not full")
-    t, u, _, e, ydot_r = window.arrays()
-    sigma = t - t[0]
+    sigma = _elapsed(t, u, e)
     T = sigma[-1]
-    _, _, h = _segments(sigma)
-    s = ydot_r - k_p * e
+    h = np.diff(sigma)
+    s = 0.0 - k_p * e  # 0.0 - keeps a zero error +0.0
     int_s = np.sum(0.5 * h * (s[:-1] + s[1:]))
     int_u = np.sum(h * u[:-1])
     return float((int_s - a * int_u) / T)
@@ -242,7 +204,7 @@ class FlController:
         self.f_estimate = math.nan  # FL has no estimate; NaN in the trace
         self._last_t: float | None = None
 
-    def step(self, t: float, y_meas: float, y_r: float, ydot_r: float, q0: float) -> float:
+    def step(self, t: float, y_meas: float, y_r: float, q0: float) -> float:
         """Return the applied dilution rate for this sampling instant."""
         self._last_t = _check_clock(self._last_t, t)
         u_raw = fl_control(y_meas, y_r, q0, self.config, self.geom)
@@ -252,10 +214,10 @@ class FlController:
 class IpController:
     """Sampled intelligent-proportional controller with online F estimation.
 
-    Until the window first fills, the controller acts with F = 0.  The
-    applied (saturated) command is what enters the window: that is the input
-    the plant actually saw, and during saturation it is the only signal that
-    carries fresh information into the closed-form estimate.
+    Its window, rows, holds the last round(tau_h / period_h) + 1 samples
+    (t, u, y, e), spanning tau_h; until it first fills, F = 0.  The applied
+    (saturated) command enters the window: it is the input the plant saw, and
+    during saturation the only fresh information for the closed-form estimate.
     """
 
     def __init__(
@@ -269,27 +231,29 @@ class IpController:
         self.config = config
         self.bounds = bounds
         try:
-            self.window = EstimationWindow(round(config.tau_h / period_h) + 1)
+            n = round(config.tau_h / period_h) + 1
+            self.rows: deque[tuple[float, float, float, float]] = deque(maxlen=n)
         except OverflowError as exc:
             raise ValueError(f"tau_h={config.tau_h} h makes a window too long to count") from exc
+        if n < 2:
+            raise ValueError(f"tau_h={config.tau_h} h spans under 2 samples of {period_h} h")
         self.f_estimate = 0.0
         self._last_t: float | None = None
 
-    def step(
-        self, t: float, y_meas: float, y_r: float, ydot_r: float, q0: float = 0.0
-    ) -> float:
+    def step(self, t: float, y_meas: float, y_r: float, q0: float) -> float:
         """Return the applied dilution rate for this sampling instant."""
         self._last_t = _check_clock(self._last_t, t)
         e = y_meas - y_r
         cfg = self.config
-        if self.window.full:
+        if len(self.rows) == self.rows.maxlen:
+            ts, us, ys, es = np.asarray(self.rows, dtype=float).T
             if cfg.estimator == "open":
-                f_est = estimate_F_open(self.window, cfg.a)
+                f_est = estimate_F_open(ts, us, ys, cfg.a)
             else:
-                f_est = estimate_F_closed(self.window, cfg.a, cfg.k_p)
+                f_est = estimate_F_closed(ts, us, es, cfg.a, cfg.k_p)
         else:
             f_est = 0.0
-        applied = saturate(ip_control(f_est, ydot_r, e, cfg), self.bounds)
-        self.window.push(t, applied, y_meas, e, ydot_r)
+        applied = saturate(ip_control(f_est, e, cfg), self.bounds)
+        self.rows.append((t, applied, y_meas, e))
         self.f_estimate = f_est
         return applied

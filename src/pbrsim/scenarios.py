@@ -7,9 +7,9 @@ light, and (for the model-free controller) the online F estimate.
 
 A reference is called as ref(t, q0): either a step function of time (a
 fixed setpoint is a one-point schedule) or the live productivity optimum at
-the current light.  Schedules are piecewise constant, so the controllers are
-fed a zero reference derivative; reference steps are left to the feedback to
-absorb.
+the current light.  Either is held between samples, so the reference has no
+derivative for the controllers to use; reference steps are left to the
+feedback to absorb.
 """
 
 from __future__ import annotations
@@ -160,6 +160,8 @@ class SimulationTrace:
         return len(self.t)
 
 
+# step() reports a diverging state as IntegrationError; numpy need not warn first.
+@np.errstate(over="ignore", invalid="ignore")
 def run_scenario(scenario: Scenario) -> SimulationTrace:
     """Simulate the closed loop over the scenario horizon.
 
@@ -180,7 +182,7 @@ def run_scenario(scenario: Scenario) -> SimulationTrace:
         q0 = light_at(t, s.light)
         y_ref = s.reference(t, q0)
         y = measure(X, s.noise, rng)
-        d = controller.step(t, y, y_ref, 0.0, q0)
+        d = controller.step(t, y, y_ref, q0)
         tr.t[k] = t
         tr.x_true[k] = X
         tr.y_meas[k] = y

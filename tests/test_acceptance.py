@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pbrsim.cli import main
-from pbrsim.control import EstimationWindow, estimate_F_closed, estimate_F_open
+from pbrsim.control import estimate_F_closed, estimate_F_open
 from pbrsim.kinetics import (
     SimplifiedModelParams,
     growth_rate_full,
@@ -180,23 +180,23 @@ def test_criterion_4_estimator_recovery():
     # loop-consistent synthetic record (ZOH: y exactly piecewise linear)
     y_r, e0 = 1.0, 0.05
     y, t = y_r + e0, 0.0
-    w16 = EstimationWindow(17)
+    rows = []
     Ts = tau / 16
     for _ in range(17):
         e = y - y_r
         u = -(F0 + k_p * e) / a
-        w16.push(t, u, y, e, 0.0)
+        rows.append((t, u, y, e))
         y += (F0 + a * u) * Ts
         t += Ts
-    err_open_16 = abs(estimate_F_open(w16, a) - F0) / F0
-    err_closed_16 = abs(estimate_F_closed(w16, a, k_p) - F0) / F0
+    t16, u16, y16, e16 = np.array(rows).T
+    err_open_16 = abs(estimate_F_open(t16, u16, y16, a) - F0) / F0
+    err_closed_16 = abs(estimate_F_closed(t16, u16, e16, a, k_p) - F0) / F0
     # exact linear open-loop signal at tau/64
-    w64 = EstimationWindow(65)
     Ts = tau / 64
     u0 = 0.3
-    for k in range(65):
-        w64.push(k * Ts, u0, 2.0 + (F0 + a * u0) * k * Ts, 0.0, 0.0)
-    err_open_64 = abs(estimate_F_open(w64, a) - F0) / F0
+    t64 = np.array([k * Ts for k in range(65)])
+    y64 = np.array([2.0 + (F0 + a * u0) * k * Ts for k in range(65)])
+    err_open_64 = abs(estimate_F_open(t64, np.full(65, u0), y64, a) - F0) / F0
     _report(
         "criterion 4 (estimator recovery)",
         err_open_16 <= 0.02 and err_closed_16 <= 0.02 and err_open_64 <= 1e-6,

@@ -1,5 +1,6 @@
 """The package's interfaces: no type dispatch on a model, controller or
-reference, and every name the traced benchmark reads still exists."""
+reference, one step call for both controllers, and every name the traced
+benchmark reads still exists."""
 
 import ast
 import importlib
@@ -7,6 +8,8 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from pbrsim.control import FlController, IpController
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pbrsim"
@@ -87,3 +90,9 @@ def test_benchmark_labels_resolve():
             obj = getattr(obj, part, None)
         assert inspect.isfunction(obj), label
         assert f"{obj.__module__.rsplit('.', 1)[-1]}.{obj.__qualname__}" == label
+
+
+def test_controllers_share_one_step_signature():
+    """Both controllers are driven by the same call, step(t, y_meas, y_r, q0)."""
+    names = [list(inspect.signature(c.step).parameters) for c in (FlController, IpController)]
+    assert names == [["self", "t", "y_meas", "y_r", "q0"]] * 2

@@ -35,6 +35,13 @@ from pbrsim.scenarios import (
 )
 
 
+def _env():
+    """The environment for a child Python that imports this checkout's pbrsim."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def _rows(path):
     lines = path.read_text().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
@@ -188,6 +195,7 @@ def test_config_round_trip(tmp_path):
             for kind in ("fl", "ip")
             for period in ("1e-300", "1e-9")
         ),
+        ["--set", "controller.tau_h=0.01"],
     ],
 )
 def test_config_boundary_exits_2(tmp_path, capsys, args):
@@ -370,23 +378,35 @@ def test_output_and_steps_boundary_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
-@pytest.mark.parametrize("argv", [["--out", "file"], ["--out", "out", "--seed", "-1"]])
+@pytest.mark.parametrize(
+    "argv", [["--out", "file"], ["--out", "out", "--seed", "-1"], ["--out", "wf"]]
+)
 def test_run_campaigns_boundary_exits_2(tmp_path, argv):
     """scripts/run_campaigns.py refuses an --out file and a negative --seed
-    with an error line before any solve, and writes nothing."""
+    with an error line before any solve, and writes nothing.  Under --out wf
+    a directory sits where the map CSV goes: that write fails after the map
+    solve, so the map table is printed, but it is an error line too, not a
+    traceback, and the campaigns after it never run."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_campaigns.py"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     (tmp_path / "file").write_text("keep\n")
+    made = argv == ["--out", "wf"]
+    if made:
+        (tmp_path / "wf" / "setpoint_map.csv").mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
     proc = subprocess.run(
         [sys.executable, str(script), *argv], capture_output=True, text=True,
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        cwd=tmp_path, env=_env(), timeout=120,
     )
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    if made:
+        assert proc.stderr.startswith("error: cannot write wf")
+        assert proc.stdout.startswith("== productivity-optimal setpoints ==")
+        assert "closed-loop" not in proc.stdout
+    else:
+        assert proc.stdout == ""
     assert (tmp_path / "file").read_text() == "keep\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_write_failure_exits_2(tmp_path, capsys):
@@ -436,6 +456,20 @@ def test_simulate_integration_fault_exits_3(tmp_path):
     rc = main(["simulate", "--set", "plant.M_x=1e200", "--out", str(out)])
     assert rc == EXIT_INTEGRATION
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["fl", "ip"])
+def test_overflowing_state_is_one_fault_line(tmp_path, kind):
+    """A state that overflows the light kernel ends as exit 3 with exactly
+    one "integration fault:" line: numpy prints no warning before it."""
+    argv = ["--controller", kind, "--set", "x0=1e308", "--set", "duration_h=0.5"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbrsim", "simulate", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**_env(), "PYTHONWARNINGS": "default"},
+    )
+    assert proc.returncode == EXIT_INTEGRATION
+    assert proc.stderr.startswith("integration fault: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
 def test_module_entry_point():

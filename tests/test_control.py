@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from pbrsim.control import (
     X_FLOOR,
     ActuatorBounds,
-    EstimationWindow,
-    EstimatorNotReady,
     FlConfig,
     FlController,
     IpConfig,
@@ -42,11 +40,11 @@ def test_actuator_bounds_validation():
 
 
 def test_ip_control_arithmetic():
-    """u = -(F - ydot_r + k_p e) / a, checked by hand."""
+    """u = -(F + k_p e) / a, checked by hand."""
     cfg = IpConfig(a=0.2)
-    assert ip_control(1.0, 0.5, 0.4, cfg) == pytest.approx(-12.5, rel=1e-14)
+    assert ip_control(0.5, 0.4, cfg) == pytest.approx(-12.5, rel=1e-14)
     cfg = IpConfig()  # default a = -0.2
-    assert ip_control(0.02, 0.0, -0.01, cfg) == pytest.approx(-0.15, rel=1e-14)
+    assert ip_control(0.02, -0.01, cfg) == pytest.approx(-0.15, rel=1e-14)
 
 
 def test_ip_config_validation():
@@ -84,110 +82,112 @@ def test_fl_control_validation():
         FlConfig(lam=0.0)
 
 
-def test_window_mechanics():
-    w = EstimationWindow(3)
-    assert not w.full and len(w) == 0
-    w.push(0.0, 0.1, 1.0, 0.0, 0.0)
-    w.push(0.1, 0.1, 1.1, 0.0, 0.0)
-    assert not w.full
-    w.push(0.2, 0.1, 1.2, 0.0, 0.0)
-    assert w.full and len(w) == 3
-    w.push(0.3, 0.1, 1.3, 0.0, 0.0)  # ring: oldest sample dropped
-    t, u, y, e, ydr = w.arrays()
-    assert t[0] == 0.1 and t[-1] == 0.3
-    assert len(w) == 3
-
-
-def test_window_capacity_validation():
-    with pytest.raises(ValueError):
-        EstimationWindow(1)
-
-
-def test_open_estimator_not_ready():
-    w = EstimationWindow(4)
-    w.push(0.0, 0.1, 1.0, 0.0, 0.0)
-    with pytest.raises(EstimatorNotReady):
-        estimate_F_open(w, -0.2)
-    with pytest.raises(EstimatorNotReady):
-        estimate_F_closed(w, -0.2, KP)
+def test_estimators_reject_short_or_ragged_windows():
+    """Fewer than 2 samples, or signals of unequal length: ValueError."""
+    one = np.array([0.0])
+    two, three = np.array([0.0, 0.1]), np.array([0.0, 0.1, 0.2])
+    for t, u, y in ((one, one, one), (three, two, three), (three, three, two)):
+        with pytest.raises(ValueError):
+            estimate_F_open(t, u, y, -0.2)
+        with pytest.raises(ValueError):
+            estimate_F_closed(t, u, y, -0.2, KP)
 
 
 def _linear_window(n_intervals, F0, a, u0, Ts):
-    """Exact open-loop record of ydot = F0 + a u with constant input."""
-    w = EstimationWindow(n_intervals + 1)
-    for k in range(n_intervals + 1):
-        t = k * Ts
-        y = 2.0 + (F0 + a * u0) * t
-        w.push(t, u0, y, y - 2.0, 0.0)
-    return w
+    """Exact open-loop record (t, u, y) of ydot = F0 + a u with constant input."""
+    t = np.arange(n_intervals + 1) * Ts
+    return t, np.full_like(t, u0), 2.0 + (F0 + a * u0) * t
 
 
 def test_open_estimator_exact_on_linear_data():
     """Product integration recovers a constant F from exact linear data."""
     F0, a, u0 = 0.5, -0.2, 0.3
     for n in (16, 64):
-        w = _linear_window(n, F0, a, u0, TAU / n)
-        f = estimate_F_open(w, a)
+        f = estimate_F_open(*_linear_window(n, F0, a, u0, TAU / n), a)
         assert abs(f - F0) / F0 <= 1e-6
         assert abs(f - F0) / F0 <= 1e-12  # actually machine precision
 
 
 def test_open_estimator_pure_slope():
     """With u = 0 the estimate is just the line's slope."""
-    w = EstimationWindow(17)
-    for k in range(17):
-        t = k * 0.1
-        w.push(t, 0.0, 5.0 + 0.25 * t, 0.0, 0.0)
-    assert estimate_F_open(w, -0.2) == pytest.approx(0.25, abs=1e-12)
+    t = np.arange(17) * 0.1
+    assert estimate_F_open(t, 0.0 * t, 5.0 + 0.25 * t, -0.2) == pytest.approx(0.25, abs=1e-12)
 
 
 def _loop_consistent_window(n_intervals, F0, a, e0, Ts):
     """Closed-loop record: ultra-local plant driven by the law with true F.
 
     ZOH input makes y exactly piecewise linear, so quadrature error is the
-    only error source for either estimator.
+    only error source for either estimator.  Returns arrays (t, u, y, e).
     """
     y_r = 1.0
     y = y_r + e0
-    w = EstimationWindow(n_intervals + 1)
+    rows = []
     t = 0.0
     for k in range(n_intervals + 1):
         e = y - y_r
-        u = -(F0 - 0.0 + KP * e) / a
-        w.push(t, u, y, e, 0.0)
+        u = -(F0 + KP * e) / a
+        rows.append((t, u, y, e))
         y = y + (F0 + a * u) * Ts
         t += Ts
-    return w
+    return np.array(rows).T
 
 
 def test_both_estimators_on_loop_consistent_data():
     """One window of in-loop data recovers F within 2% for both forms."""
     F0, a, e0 = 0.5, -0.2, 0.05
-    w = _loop_consistent_window(16, F0, a, e0, TAU / 16)
-    assert abs(estimate_F_open(w, a) - F0) / F0 <= 1e-12
-    assert abs(estimate_F_closed(w, a, KP) - F0) / F0 <= 0.02
+    t, u, y, e = _loop_consistent_window(16, F0, a, e0, TAU / 16)
+    assert abs(estimate_F_open(t, u, y, a) - F0) / F0 <= 1e-12
+    assert abs(estimate_F_closed(t, u, e, a, KP) - F0) / F0 <= 0.02
 
 
 def test_closed_estimator_refines_with_sampling():
     """The closed form's bias shrinks with the sampling period."""
     F0, a, e0 = 0.5, -0.2, 0.05
-    w = _loop_consistent_window(64, F0, a, e0, TAU / 64)
-    assert abs(estimate_F_closed(w, a, KP) - F0) / F0 <= 5e-3
+    t, u, _, e = _loop_consistent_window(64, F0, a, e0, TAU / 64)
+    assert abs(estimate_F_closed(t, u, e, a, KP) - F0) / F0 <= 5e-3
 
 
 def test_closed_estimator_equilibrium_identity():
     """Flat record (e = 0, constant u) gives F = -a u exactly."""
     a, u0 = -0.2, 0.1
-    w = EstimationWindow(16)
-    for k in range(16):
-        w.push(k * 0.1, u0, 1.0, 0.0, 0.0)
-    assert estimate_F_closed(w, a, KP) == pytest.approx(-a * u0, abs=1e-14)
+    t = np.arange(16) * 0.1
+    flat = estimate_F_closed(t, np.full_like(t, u0), np.zeros_like(t), a, KP)
+    assert flat == pytest.approx(-a * u0, abs=1e-14)
 
 
 def test_ip_controller_window_spans_tau():
     """Default window: round(tau/T_s) + 1 samples span exactly tau."""
     ctl = IpController(IpConfig(), period_h=0.1)
-    assert ctl.window.capacity == 16  # 15 intervals * 0.1 h = 1.5 h
+    assert ctl.rows.maxlen == 16  # 15 intervals * 0.1 h = 1.5 h
+
+
+def test_ip_controller_window_too_short_or_long():
+    """A window under 2 samples, or too long to count, is refused."""
+    with pytest.raises(ValueError, match="under 2 samples"):
+        IpController(IpConfig(tau_h=0.01), period_h=0.1)
+    for tau_h, period_h in ((1e308, 1e-10), (1e300, 0.1)):
+        with pytest.raises(ValueError, match="too long to count"):
+            IpController(IpConfig(tau_h=tau_h), period_h=period_h)
+
+
+def test_ip_controller_estimates_on_its_last_rows():
+    """F = 0 until 16 samples are held; from then on every estimate is the
+    open estimator on the 16 (t, applied, y) samples before it, the oldest
+    dropped as each new one arrives."""
+    ctl = IpController(IpConfig(), period_h=0.1)
+    rows, f_hist = [], []
+    y = 0.3
+    for k in range(40):
+        t = k * 0.1
+        d = ctl.step(t, y, 0.38, 600.0)
+        f_hist.append(ctl.f_estimate)
+        rows.append((t, d, y))
+        y += (0.02 - 0.2 * d) * 0.1 + 0.001 * np.sin(k)
+    assert f_hist[:16] == [0.0] * 16
+    for k in range(16, 40):
+        t, u, yk = np.array(rows[k - 16 : k]).T
+        assert f_hist[k] == estimate_F_open(t, u, yk, ctl.config.a)
 
 
 def test_ip_controller_warmup_zero_f():
@@ -240,9 +240,9 @@ def test_ip_loop_closed_estimator_freezes():
 
 def test_controllers_reject_non_monotone_clock():
     fl = FlController(FlConfig())
-    fl.step(0.0, 0.3, 0.38, 0.0, 600.0)
+    fl.step(0.0, 0.3, 0.38, 600.0)
     with pytest.raises(ValueError):
-        fl.step(0.0, 0.3, 0.38, 0.0, 600.0)
+        fl.step(0.0, 0.3, 0.38, 600.0)
     ip = IpController(IpConfig())
     ip.step(0.0, 0.3, 0.38, 0.0)
     with pytest.raises(ValueError):
@@ -252,7 +252,7 @@ def test_controllers_reject_non_monotone_clock():
 def test_fl_controller_saturates():
     """Far below the reference the raw command is negative: clipped to 0."""
     fl = FlController(FlConfig())
-    assert fl.step(0.0, 0.05, 0.38, 0.0, 600.0) == 0.0
+    assert fl.step(0.0, 0.05, 0.38, 600.0) == 0.0
 
 
 @settings(max_examples=100)
