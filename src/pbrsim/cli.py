@@ -14,7 +14,9 @@ import functools
 import json
 import math
 import sys
+import time
 import typing
+import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -33,17 +35,17 @@ from .scenarios import (
     compute_metrics,
     robustness_sweep,
     run_scenario,
+    time_to_band,
 )
 from .steady_state import Q0_VALID_RANGE, OperatingPoint, setpoint_map
 
-__all__ = [
-    "main", "ConfigError", "check_out", "writing", "scenario_to_config", "scenario_from_config"
-]
+__all__ = ["main", "ConfigError", "scenario_to_config", "scenario_from_config"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INTEGRATION = 3
 
+MAP_STEPS = 10  # setpoint-map grid points by default
 # Each map point is one setpoint solve (several ms), so a larger --steps
 # would run for many minutes before writing anything.
 MAX_MAP_STEPS = 1000
@@ -209,12 +211,15 @@ def load_scenario(args: argparse.Namespace) -> Scenario:
         cfg = scenario_to_config(builtin)
 
     scenario = scenario_from_config(apply_overrides(cfg, args.set or []))
-    if args.seed is not None:
-        try:
-            scenario = replace(scenario, noise=replace(scenario.noise, seed=args.seed))
-        except ValueError as exc:
-            raise ConfigError(f"--seed: {exc}") from exc
-    return scenario
+    return scenario if args.seed is None else _seeded(scenario, args.seed)
+
+
+def _seeded(scenario: Scenario, seed: int) -> Scenario:
+    """The scenario with noise seed --seed."""
+    try:
+        return replace(scenario, noise=replace(scenario.noise, seed=seed))
+    except ValueError as exc:
+        raise ConfigError(f"--seed: {exc}") from exc
 
 
 # --- CSV writers ---------------------------------------------------------------
@@ -268,7 +273,7 @@ def write_sweep_summary(path: Path, cells: Sequence[SweepCell]) -> None:
 # --- output locations ----------------------------------------------------------
 
 
-def check_out(path: Path, is_dir: bool) -> None:
+def _check_out(path: Path, is_dir: bool) -> None:
     """Refuse an output location that cannot be written, before anything runs.
 
     path must be a directory if is_dir, else a file, or not exist yet with
@@ -290,12 +295,38 @@ def check_out(path: Path, is_dir: bool) -> None:
 
 
 @contextlib.contextmanager
-def writing(path: Path) -> Iterator[None]:
+def _writing(path: Path) -> Iterator[None]:
     """Report a failed write under path as a config error, not a traceback."""
     try:
         yield
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_run(out: Path, trace: SimulationTrace, metrics: TrackingMetrics, tag: str = "") -> None:
+    """Write trace<tag>.csv and metrics<tag>.csv under out."""
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        write_trace_csv(out / f"trace{tag}.csv", trace)
+        write_metrics_csv(out / f"metrics{tag}.csv", metrics)
+
+
+def _write_sweep(out: Path, cells: Sequence[SweepCell], prefix: str = "") -> None:
+    """Write trace_<prefix><controller>_mu<mu_0>.csv for each cell that ran,
+    and <prefix>summary.csv, under out."""
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        for cell in cells:
+            if cell.trace is not None:
+                name = f"trace_{prefix}{cell.controller_kind}_mu{cell.mu_0:g}.csv"
+                write_trace_csv(out / name, cell.trace)
+        write_sweep_summary(out / f"{prefix}summary.csv", cells)
+
+
+def _write_map(path: Path, points: Sequence[OperatingPoint]) -> None:
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_map_csv(path, points)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -304,31 +335,28 @@ def writing(path: Path) -> Iterator[None]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args)
     out = Path(args.out)
-    check_out(out, is_dir=True)
+    _check_out(out, is_dir=True)
     trace = run_scenario(scenario)  # run fully before writing any file
-    metrics = compute_metrics(trace)
-    with writing(out):
-        out.mkdir(parents=True, exist_ok=True)
-        write_trace_csv(out / "trace.csv", trace)
-        write_metrics_csv(out / "metrics.csv", metrics)
+    _write_run(out, trace, compute_metrics(trace))
     print(f"wrote {out / 'trace.csv'} and {out / 'metrics.csv'}")
     return EXIT_OK
 
 
-def cmd_setpoint_map(args: argparse.Namespace) -> int:
-    lo, hi, steps = args.q0_min, args.q0_max, args.steps
+def _map_grid(lo: float, hi: float, steps: int) -> list[float]:
+    """steps evenly spaced light levels from lo to hi."""
     q_min, q_max = Q0_VALID_RANGE
     if not (q_min <= lo < hi <= q_max):
         raise ConfigError(f"need {q_min:g} <= q0-min < q0-max <= {q_max:g}, got [{lo}, {hi}]")
     if not 2 <= steps <= MAX_MAP_STEPS:
         raise ConfigError(f"steps must lie in [2, {MAX_MAP_STEPS}], got {steps}")
+    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+
+
+def cmd_setpoint_map(args: argparse.Namespace) -> int:
+    grid = _map_grid(args.q0_min, args.q0_max, args.steps)
     path = Path(args.out)
-    check_out(path, is_dir=False)
-    grid = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-    points = setpoint_map(grid)
-    with writing(path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_map_csv(path, points)
+    _check_out(path, is_dir=False)
+    _write_map(path, setpoint_map(grid))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -339,20 +367,74 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for mu_0 in mu0_values:
         if not (math.isfinite(mu_0) and mu_0 > 0):
             raise ConfigError(f"--mu0 must be finite and positive, got {mu_0}")
+    labels = [f"{mu_0:g}" for mu_0 in mu0_values]  # as in the trace file names
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"--mu0 values share a file label: {' '.join(labels)}")
     out = Path(args.out)
-    check_out(out, is_dir=True)
+    _check_out(out, is_dir=True)
     cells = robustness_sweep(base, mu0_values)
-    with writing(out):
-        out.mkdir(parents=True, exist_ok=True)
-        for cell in cells:
-            if cell.trace is not None:
-                write_trace_csv(
-                    out / f"trace_{cell.controller_kind}_mu{cell.mu_0:g}.csv", cell.trace
-                )
-        write_sweep_summary(out / "summary.csv", cells)
+    _write_sweep(out, cells)
     n_ok = sum(1 for c in cells if c.trace is not None)
     print(f"wrote {out / 'summary.csv'} ({n_ok}/{len(cells)} cells ok)")
     return EXIT_OK if n_ok else EXIT_INTEGRATION
+
+
+def _hours(value: float | None) -> str:
+    return f"{value:8.2f}" if value is not None else "   never"
+
+
+def cmd_campaigns(args: argparse.Namespace) -> int:
+    """The study end to end: the setpoint map, each built-in scenario under
+    each controller, and the paper-4.1 sweep, as `setpoint-map`, `simulate`
+    and `sweep` write them at their defaults, with a table of each."""
+    out = Path(args.out)
+    _check_out(out, is_dir=True)
+    runs = {  # built before any solve, so a bad --seed stops first
+        (name, kind): _seeded(builder(kind), args.seed)
+        for name, builder in BUILTIN_SCENARIOS.items()
+        for kind in CONTROLLERS
+    }
+    t_start = time.perf_counter()
+
+    print("== productivity-optimal setpoints ==")
+    points = setpoint_map(_map_grid(*Q0_VALID_RANGE, MAP_STEPS))
+    print(f"{'q0':>6} {'X*':>8} {'D*':>8} {'P*':>10}")
+    for op in points:
+        print(f"{op.q0:6.0f} {op.x_star:8.4f} {op.d_star:8.4f} {op.productivity:10.6f}")
+    _write_map(out / "setpoint_map.csv", points)
+
+    print("\n== closed-loop campaigns ==")
+    print(
+        f"{'scenario':>10} {'ctrl':>4} {'offset':>10} {'iae':>8}"
+        f" {'settle':>8} {'batch':>6} {'reattach':>8}"
+    )
+    for (name, kind), scenario in runs.items():
+        trace = run_scenario(scenario)
+        m = compute_metrics(trace)
+        _write_run(out, trace, m, f"_{name.replace('.', '_').replace('-', '_')}_{kind}")
+        # hours to re-enter the band after paper-4.1's setpoint drop at t = 30 h
+        reattach = _hours(time_to_band(trace, 30.0)) if name == "paper-4.1" else f"{'n/a':>8}"
+        print(
+            f"{name:>10} {kind:>4} {m.steady_state_offset:10.2e} {m.iae:8.4f}"
+            f" {_hours(m.settle_time_to_2pct)} {m.batch_phase_duration:6.1f} {reattach}"
+        )
+
+    cells = robustness_sweep(runs["paper-4.1", "ip"])  # the base `sweep` runs
+    _write_sweep(out, cells, "sweep_")
+    print("\n== robustness sweep (controller-model mu_0) ==")
+    print(f"{'ctrl':>4} {'mu_0':>6} {'offset':>10} {'iae':>8} {'batch':>6}")
+    for cell in cells:
+        m = cell.metrics
+        if m is None:
+            print(f"{cell.controller_kind:>4} {cell.mu_0:6.2f}  failed: {cell.error}")
+        else:
+            print(
+                f"{cell.controller_kind:>4} {cell.mu_0:6.2f}"
+                f" {m.steady_state_offset:10.2e} {m.iae:8.4f} {m.batch_phase_duration:6.1f}"
+            )
+
+    print(f"\nall outputs in {out}/ ({time.perf_counter() - t_start:.1f} s)")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument(
         "--steps",
         type=int,
-        default=10,
+        default=MAP_STEPS,
         help=f"grid points, 2 to {MAX_MAP_STEPS} (default: %(default)s)",
     )
     p_map.add_argument(
@@ -424,12 +506,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--out", default=".", help="output directory (default: %(default)s)")
     p_sweep.set_defaults(func=cmd_sweep)
+
+    p_camp = sub.add_parser(
+        "campaigns",
+        help="setpoint map, both built-ins under both controllers and the mu_0 "
+        "sweep, with a table of each",
+    )
+    p_camp.add_argument("--out", default="results", help="output directory (default: %(default)s)")
+    p_camp.add_argument(
+        "--seed", type=int, default=0, help="measurement noise seed (default: %(default)s)"
+    )
+    p_camp.set_defaults(func=cmd_campaigns)
     return parser
+
+
+def _warning_line(message: Warning | str, *args: Any, **kwargs: Any) -> str:
+    """A warning as one "warning:" line, without its source file and line."""
+    return f"warning: {message}\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = _warning_line
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -438,6 +538,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IntegrationError as exc:
         print(f"integration fault: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

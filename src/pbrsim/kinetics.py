@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 SECONDS_PER_HOUR = 3600.0
+N_NODES = 101  # depth nodes of the Simpson mean
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,9 @@ class FullModelParams:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
-    def rate(self, X: float, q0: float, geom: Geometry, n_nodes: int) -> float:
+    def rate(self, X: float, q0: float, geom: Geometry) -> float:
         """Volumetric growth rate r_X in kg/m3/h (see growth_rate_full)."""
-        return growth_rate_full(X, q0, self, geom, n_nodes)
+        return growth_rate_full(X, q0, self, geom)
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,8 @@ class SimplifiedModelParams:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
-    def rate(self, X: float, q0: float, geom: Geometry, n_nodes: int) -> float:
-        """Volumetric growth rate in kg/m3/h (see growth_rate_simplified);
-        n_nodes is unused, the lumped model has a closed form."""
+    def rate(self, X: float, q0: float, geom: Geometry) -> float:
+        """Volumetric growth rate in kg/m3/h (see growth_rate_simplified)."""
         return growth_rate_simplified(X, q0, self, geom)
 
 
@@ -129,7 +129,7 @@ def mean_oxygen_rate(
     q0: float,
     p: FullModelParams = FullModelParams(),
     geom: Geometry = Geometry(),
-    n_nodes: int = 101,
+    n_nodes: int = N_NODES,
 ) -> float:
     """Depth-averaged net O2 rate in mol O2/kg/h (composite Simpson)."""
     if n_nodes < 3 or n_nodes % 2 == 0:
@@ -154,7 +154,7 @@ def growth_rate_full(
     q0: float,
     p: FullModelParams = FullModelParams(),
     geom: Geometry = Geometry(),
-    n_nodes: int = 101,
+    n_nodes: int = N_NODES,
 ) -> float:
     """Volumetric biomass growth rate r_X in kg/m3/h under the full model."""
     if X == 0:

@@ -158,12 +158,11 @@ def plant_derivative(
     q0: float,
     params: FullModelParams | SimplifiedModelParams = FullModelParams(),
     geom: Geometry = Geometry(),
-    n_nodes: int = 101,
 ) -> float:
     """dX/dt in kg/m3/h at dilution rate D (1/h)."""
     if D < 0:
         raise ValueError(f"D must be nonnegative, got {D}")
-    return params.rate(X, q0, geom, n_nodes) - D * X
+    return params.rate(X, q0, geom) - D * X
 
 
 def step(
@@ -175,7 +174,6 @@ def step(
     params: FullModelParams | SimplifiedModelParams = FullModelParams(),
     geom: Geometry = Geometry(),
     substeps: int = 10,
-    n_nodes: int = 101,
 ) -> float:
     """Biomass X after dt hours from time t under constant D (zero-order hold).
 
@@ -191,7 +189,7 @@ def step(
         q0 = light_at(tau, profile)
         # max(x, 0.0), but a NaN stage becomes 0.0 rather than reach the rate:
         # its NaN slope already makes the new X NaN, which raises below.
-        return plant_derivative(x if x >= 0.0 else 0.0, D, q0, params, geom, n_nodes)
+        return plant_derivative(x if x >= 0.0 else 0.0, D, q0, params, geom)
 
     for i in range(substeps):
         t0 = t + i * h

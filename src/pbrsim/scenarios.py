@@ -110,15 +110,12 @@ class Scenario:
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     bounds: ActuatorBounds = field(default_factory=ActuatorBounds)
-    n_nodes: int = 101
 
     def __post_init__(self) -> None:
         if self.duration_h <= 0:
             raise ValueError("duration_h must be positive")
         if not self.x0 > 0:
             raise ValueError("x0 must be positive")
-        if self.n_nodes < 3 or self.n_nodes % 2 == 0:
-            raise ValueError(f"n_nodes must be odd and >= 3, got {self.n_nodes}")
         periods = self.duration_h / self.sampling.period_h
         if not periods <= MAX_SAMPLES:
             raise ValueError(f"duration_h / sampling.period_h is {periods:g}, over {MAX_SAMPLES}")
@@ -200,7 +197,6 @@ def run_scenario(scenario: Scenario) -> SimulationTrace:
                 s.plant,
                 s.geometry,
                 s.sampling.substeps,
-                s.n_nodes,
             )
     return tr
 

@@ -77,7 +77,6 @@ def optimal_setpoint(
     q0: float,
     p: FullModelParams = FullModelParams(),
     geom: Geometry = Geometry(),
-    n_nodes: int = 101,
 ) -> OperatingPoint:
     """Biomass setpoint maximizing steady-state productivity at light q0.
 
@@ -91,7 +90,7 @@ def optimal_setpoint(
         raise ValueError(f"q0={q0} outside the supported range {Q0_VALID_RANGE}")
 
     def productivity(x: float) -> float:
-        return growth_rate_full(x, q0, p, geom, n_nodes)
+        return growth_rate_full(x, q0, p, geom)
 
     grid = np.linspace(X_MIN, X_MAX, GRID_POINTS)
     values = np.array([productivity(x) for x in grid])
@@ -126,7 +125,6 @@ def setpoint_map(
     q0_values: Sequence[float],
     p: FullModelParams = FullModelParams(),
     geom: Geometry = Geometry(),
-    n_nodes: int = 101,
 ) -> list[OperatingPoint]:
     """Optimal operating points over a grid of light levels.
 
@@ -134,7 +132,7 @@ def setpoint_map(
     non-monotone map is reported as a warning (it usually means the model
     constants were overridden into odd territory).
     """
-    points = [optimal_setpoint(q0, p, geom, n_nodes) for q0 in q0_values]
+    points = [optimal_setpoint(q0, p, geom) for q0 in q0_values]
     xs = [op.x_star for op in points]
     qs = [op.q0 for op in points]
     for i in range(1, len(points)):

@@ -114,7 +114,7 @@ def _fl_steady_state_error(cell) -> float:
     x_bar = float(np.mean(tr.x_true[tail]))
     q0 = float(np.mean(tr.q0[tail]))
     r_hat = growth_rate_simplified(x_bar, q0, s.controller.sp, s.geometry)
-    r = growth_rate_full(x_bar, q0, s.plant, s.geometry, s.n_nodes)
+    r = growth_rate_full(x_bar, q0, s.plant, s.geometry)
     return (r_hat - r) / s.controller.lam
 
 

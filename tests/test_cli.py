@@ -277,6 +277,7 @@ def test_config_rejects_builtin_flags(tmp_path, capsys):
         ["--mu0", "nan"],
         ["--mu0", "inf"],
         ["--reference", "map", "--set", "light.points=[[0,1500]]"],
+        ["--mu0", "0.07", "--mu0", "0.070000001"],  # one trace file name
     ],
 )
 def test_sweep_config_errors_exit_2(tmp_path, capsys, args):
@@ -381,32 +382,54 @@ def test_output_and_steps_boundary_exits_2(tmp_path, capsys, monkeypatch, argv):
 @pytest.mark.parametrize(
     "argv", [["--out", "file"], ["--out", "out", "--seed", "-1"], ["--out", "wf"]]
 )
-def test_run_campaigns_boundary_exits_2(tmp_path, argv):
-    """scripts/run_campaigns.py refuses an --out file and a negative --seed
-    with an error line before any solve, and writes nothing.  Under --out wf
-    a directory sits where the map CSV goes: that write fails after the map
-    solve, so the map table is printed, but it is an error line too, not a
-    traceback, and the campaigns after it never run."""
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_campaigns.py"
+def test_run_campaigns_boundary_exits_2(tmp_path, capsys, monkeypatch, argv):
+    """`campaigns` refuses an --out file and a negative --seed with an error
+    line before any solve, and writes nothing.  Under --out wf a directory
+    sits where the map CSV goes: that write fails after the map solve, so the
+    map table is printed, but it is an error line too, not a traceback, and
+    the campaigns after it never run."""
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "file").write_text("keep\n")
     made = argv == ["--out", "wf"]
     if made:
         (tmp_path / "wf" / "setpoint_map.csv").mkdir(parents=True)
     before = sorted(tmp_path.rglob("*"))
-    proc = subprocess.run(
-        [sys.executable, str(script), *argv], capture_output=True, text=True,
-        cwd=tmp_path, env=_env(), timeout=120,
-    )
-    assert proc.returncode == EXIT_CONFIG
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert main(["campaigns", *argv]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "Traceback" not in err
     if made:
-        assert proc.stderr.startswith("error: cannot write wf")
-        assert proc.stdout.startswith("== productivity-optimal setpoints ==")
-        assert "closed-loop" not in proc.stdout
+        assert err.startswith("error: cannot write wf")
+        assert out.startswith("== productivity-optimal setpoints ==")
+        assert "closed-loop" not in out
     else:
-        assert proc.stdout == ""
+        assert out == ""
     assert (tmp_path / "file").read_text() == "keep\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_campaigns_write_what_the_subcommands_write(tmp_path, capsys):
+    """`campaigns` writes its 16 files with the bytes that `setpoint-map`,
+    `simulate` and `sweep` write at the same seed."""
+    camp, sim, sweep = tmp_path / "camp", tmp_path / "sim", tmp_path / "sweep"
+    assert main(["campaigns", "--out", str(camp), "--seed", "0"]) == EXIT_OK
+    runs = [f"{s}_{c}" for s in ("paper_4_1", "paper_4_2") for c in ("fl", "ip")]
+    mu0s = ("0.07", "0.14", "0.21")
+    assert sorted(p.name for p in camp.iterdir()) == sorted([
+        "setpoint_map.csv", "sweep_summary.csv",
+        *(f"trace_sweep_{c}_mu{m}.csv" for c in ("fl", "ip") for m in mu0s),
+        *(f"{kind}_{run}.csv" for kind in ("trace", "metrics") for run in runs),
+    ])
+    assert main(["setpoint-map", "--out", str(tmp_path / "map.csv")]) == EXIT_OK
+    assert main(["simulate", "--seed", "0", "--out", str(sim)]) == EXIT_OK
+    assert main(["sweep", "--seed", "0", "--out", str(sweep)]) == EXIT_OK
+    capsys.readouterr()
+    for ours, theirs in (
+        ("setpoint_map.csv", tmp_path / "map.csv"),
+        ("trace_paper_4_1_ip.csv", sim / "trace.csv"),
+        ("metrics_paper_4_1_ip.csv", sim / "metrics.csv"),
+        ("sweep_summary.csv", sweep / "summary.csv"),
+    ):
+        assert (camp / ours).read_bytes() == theirs.read_bytes(), ours
 
 
 def test_write_failure_exits_2(tmp_path, capsys):
@@ -472,9 +495,24 @@ def test_overflowing_state_is_one_fault_line(tmp_path, kind):
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
+def test_short_run_warning_is_one_line(tmp_path):
+    """The short-run warning reaches stderr as one "warning:" line, without
+    the file, line number and source line of the code that raised it."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbrsim", "simulate", "--set", "duration_h=0.5",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**_env(), "PYTHONWARNINGS": "default"},
+    )
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == (
+        "warning: run shorter than 10.0 h; offset averaged over the final 0.1 h\n"
+    )
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "pbrsim", "--help"], capture_output=True, text=True
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "sweep" in proc.stdout
+    assert "campaigns" in proc.stdout

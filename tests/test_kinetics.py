@@ -174,8 +174,8 @@ def test_growth_rate_dispatch():
     full = FullModelParams()
     simp = SimplifiedModelParams()
     geom = Geometry()
-    assert full.rate(0.3, 600.0, geom, 101) == growth_rate_full(0.3, 600.0, full)
-    assert simp.rate(0.3, 600.0, geom, 101) == growth_rate_simplified(0.3, 600.0, simp)
+    assert full.rate(0.3, 600.0, geom) == growth_rate_full(0.3, 600.0, full)
+    assert simp.rate(0.3, 600.0, geom) == growth_rate_simplified(0.3, 600.0, simp)
 
 
 def test_specific_growth_rate_consistency():
