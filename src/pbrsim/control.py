@@ -151,15 +151,18 @@ def estimate_F_open(t: np.ndarray, u: np.ndarray, y: np.ndarray, a: float) -> fl
     """
     sigma = _elapsed(t, u, y)
     T = sigma[-1]
-    p, q, h = sigma[:-1], sigma[1:], np.diff(sigma)
+    p, q = sigma[:-1], sigma[1:]
+    h = q - p
     mid = 0.5 * (p + q)
     half = h / (2.0 * math.sqrt(3.0))
     lo, hi = mid - half, mid + half
-    slope = (y[1:] - y[:-1]) / h
-    y_lo = y[:-1] + (lo - p) * slope
-    y_hi = y[:-1] + (hi - p) * slope
-    int_y = np.sum(0.5 * h * ((T - 2.0 * lo) * y_lo + (T - 2.0 * hi) * y_hi))
-    int_u = np.sum(0.5 * h * (lo * (T - lo) + hi * (T - hi)) * u[:-1])
+    y0 = y[:-1]
+    slope = (y[1:] - y0) / h
+    y_lo = y0 + (lo - p) * slope
+    y_hi = y0 + (hi - p) * slope
+    # np.add.reduce is np.sum's own pairwise reduction, without its wrapper.
+    int_y = np.add.reduce(0.5 * h * ((T - 2.0 * lo) * y_lo + (T - 2.0 * hi) * y_hi))
+    int_u = np.add.reduce(0.5 * h * (lo * (T - lo) + hi * (T - hi)) * u[:-1])
     return float(-6.0 / T**3 * (int_y + a * int_u))
 
 
@@ -175,10 +178,10 @@ def estimate_F_closed(t: np.ndarray, u: np.ndarray, e: np.ndarray, a: float, k_p
     """
     sigma = _elapsed(t, u, e)
     T = sigma[-1]
-    h = np.diff(sigma)
+    h = sigma[1:] - sigma[:-1]
     s = 0.0 - k_p * e  # 0.0 - keeps a zero error +0.0
-    int_s = np.sum(0.5 * h * (s[:-1] + s[1:]))
-    int_u = np.sum(h * u[:-1])
+    int_s = np.add.reduce(0.5 * h * (s[:-1] + s[1:]))
+    int_u = np.add.reduce(h * u[:-1])
     return float((int_s - a * int_u) / T)
 
 

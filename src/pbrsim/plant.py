@@ -4,7 +4,9 @@ The reactor is a chemostat in biomass: dX/dt = r_X(X, q0) - D * X, where the
 dilution rate D is the single manipulated input.  Integration uses a fixed
 step Runge-Kutta 4 scheme with the control held constant over the sampling
 period (zero-order hold) while the light schedule is evaluated at the actual
-stage times, so intra-sample light changes are seen by the integrator.
+stage times, so intra-sample light changes are seen by the integrator.  A
+light that holds its value over a whole period (profile.held_until) is
+evaluated once for that period: every stage would see the same bits.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ class PiecewiseConstant:
     Each entry is (start_time_h, value).  A new value takes effect strictly
     after its start time, so the sample taken exactly at a switch still sees
     the previous value.  Called as a reference, ref(t, q0), it ignores q0.
+    Values must be positive and start times strictly increasing, not NaN:
+    the lookups bisect them.
     """
 
     q0_range: ClassVar[tuple[float, float]] = (0.0, inf)  # light it serves as a reference at
@@ -56,15 +60,20 @@ class PiecewiseConstant:
         if pts[0][0] != 0.0:
             raise ValueError("first point must start at t = 0")
         starts = tuple(t for t, _ in pts)
-        if any(b <= a for a, b in zip(starts, starts[1:])):
+        if any(not b > a for a, b in zip(starts, starts[1:])):
             raise ValueError("start times must be strictly increasing")
-        if any(v <= 0 for _, v in pts):
+        if any(not v > 0 for _, v in pts):
             raise ValueError("values must be positive")
         object.__setattr__(self, "_starts", starts)
 
     def __call__(self, t: float, q0: float = 0.0) -> float:
         idx = bisect_left(self._starts, t)  # first point starting at or after t
         return self.points[max(idx - 1, 0)][1]
+
+    def held_until(self, t: float) -> float:
+        """Latest time T with self(tau) == self(t) for every tau in [t, T]."""
+        j = max(bisect_left(self._starts, t), 1)
+        return self._starts[j] if j < len(self._starts) else inf
 
     @property
     def value_range(self) -> tuple[float, float]:
@@ -82,11 +91,11 @@ class DayNightLight:
     day_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.period_h <= 0:
+        if not self.period_h > 0:
             raise ValueError("period_h must be positive")
         if not 0 < self.day_fraction <= 1:
             raise ValueError("day_fraction must lie in (0, 1]")
-        if self.floor <= 0 or self.peak < self.floor:
+        if not (self.floor > 0 and self.peak >= self.floor):
             raise ValueError("need 0 < floor <= peak")
 
     def __call__(self, t: float) -> float:
@@ -95,6 +104,10 @@ class DayNightLight:
             return self.floor
         lift = sin(pi * phase / self.day_fraction)
         return self.floor + (self.peak - self.floor) * max(lift, 0.0)
+
+    def held_until(self, t: float) -> float:
+        """t itself: the light is not treated as held, not even at night."""
+        return t
 
     @property
     def value_range(self) -> tuple[float, float]:
@@ -109,7 +122,7 @@ LIGHT_STEP_PROFILE = PiecewiseConstant(((0.0, 600.0), (30.0, 100.0)))
 
 def light_at(t: float, profile: LightProfile) -> float:
     """Incident photon flux q0 at time t (hours)."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     return profile(t)
 
@@ -122,7 +135,7 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.relative_std < 0:
+        if not self.relative_std >= 0:
             raise ValueError("relative_std must be nonnegative")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
@@ -136,7 +149,7 @@ class SamplingConfig:
     substeps: int = 10  # RK4 steps per sampling period
 
     def __post_init__(self) -> None:
-        if self.period_h <= 0:
+        if not self.period_h > 0:
             raise ValueError("period_h must be positive")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
@@ -177,16 +190,25 @@ def step(
 ) -> float:
     """Biomass X after dt hours from time t under constant D (zero-order hold).
 
+    The light is evaluated at each RK4 stage time, or once, at t, when the
+    profile holds its value up to the last stage time (profile.held_until).
     Biomass is clamped at zero from below: the vessel cannot hold negative
     concentration, and RK4 stage excursions below zero are cut the same way.
-    Raises IntegrationError if the state stops being finite.
+    Raises ValueError for a bad t, dt or substeps before any stage runs, and
+    IntegrationError if the state stops being finite.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if substeps < 1:
+        raise ValueError(f"substeps must be >= 1, got {substeps}")
     h = dt / substeps
+    # Every stage time lies in [t, t_last], so a light held that long gives
+    # each stage the q0 it has at t.
+    t_last = (t + (substeps - 1) * h) + h
+    held_q0 = light_at(t, profile) if t_last <= profile.held_until(t) else None
 
     def f(x: float, tau: float) -> float:
-        q0 = light_at(tau, profile)
+        q0 = light_at(tau, profile) if held_q0 is None else held_q0
         # max(x, 0.0), but a NaN stage becomes 0.0 rather than reach the rate:
         # its NaN slope already makes the new X NaN, which raises below.
         return plant_derivative(x if x >= 0.0 else 0.0, D, q0, params, geom)

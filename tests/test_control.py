@@ -1,5 +1,7 @@
 """Controllers and online F estimation: arithmetic pins and convergence."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,62 @@ def test_closed_estimator_equilibrium_identity():
     t = np.arange(16) * 0.1
     flat = estimate_F_closed(t, np.full_like(t, u0), np.zeros_like(t), a, KP)
     assert flat == pytest.approx(-a * u0, abs=1e-14)
+
+
+def _open_oracle(t, u, y, a):
+    """estimate_F_open as first written, with np.sum and np.diff."""
+    sigma = t - t[0]
+    T = sigma[-1]
+    p, q, h = sigma[:-1], sigma[1:], np.diff(sigma)
+    mid = 0.5 * (p + q)
+    half = h / (2.0 * math.sqrt(3.0))
+    lo, hi = mid - half, mid + half
+    slope = (y[1:] - y[:-1]) / h
+    y_lo = y[:-1] + (lo - p) * slope
+    y_hi = y[:-1] + (hi - p) * slope
+    int_y = np.sum(0.5 * h * ((T - 2.0 * lo) * y_lo + (T - 2.0 * hi) * y_hi))
+    int_u = np.sum(0.5 * h * (lo * (T - lo) + hi * (T - hi)) * u[:-1])
+    return float(-6.0 / T**3 * (int_y + a * int_u))
+
+
+def _closed_oracle(t, u, e, a, k_p):
+    """estimate_F_closed as first written, with np.sum and np.diff."""
+    sigma = t - t[0]
+    T = sigma[-1]
+    h = np.diff(sigma)
+    s = 0.0 - k_p * e
+    int_s = np.sum(0.5 * h * (s[:-1] + s[1:]))
+    int_u = np.sum(h * u[:-1])
+    return float((int_s - a * int_u) / T)
+
+
+@st.composite
+def _windows(draw):
+    """(t, u, y, e) of 2 to 64 samples; t strictly increases, e is often 0."""
+    n = draw(st.integers(min_value=2, max_value=64))
+
+    def column(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    gaps = column(st.floats(min_value=1e-3, max_value=1.0))
+    t = draw(st.floats(min_value=0.0, max_value=100.0)) + np.cumsum(gaps)
+    u = column(st.floats(min_value=0.0, max_value=0.5))
+    y = column(st.floats(min_value=0.0, max_value=2.0))
+    e = column(st.one_of(st.just(0.0), st.floats(min_value=-1.0, max_value=1.0)))
+    return t, u, y, e
+
+
+def _same_float(x, y):
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window=_windows(), a=st.sampled_from([-0.2, 0.3]), k_p=st.sampled_from([0.5, 5.0]))
+def test_estimators_equal_their_first_formulas(window, a, k_p):
+    """np.add.reduce and a slice difference give np.sum's and np.diff's bits."""
+    t, u, y, e = window
+    assert _same_float(estimate_F_open(t, u, y, a), _open_oracle(t, u, y, a))
+    assert _same_float(estimate_F_closed(t, u, e, a, k_p), _closed_oracle(t, u, e, a, k_p))
 
 
 def test_ip_controller_window_spans_tau():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbrsim.kinetics import FullModelParams
+from pbrsim import plant
+from pbrsim.kinetics import FullModelParams, SimplifiedModelParams
 from pbrsim.plant import (
     LIGHT_STEP_PROFILE,
     DayNightLight,
@@ -42,6 +43,43 @@ def test_light_negative_time():
         light_at(-0.1, LIGHT_STEP_PROFILE)
 
 
+def test_light_nan_time():
+    with pytest.raises(ValueError):
+        light_at(math.nan, LIGHT_STEP_PROFILE)
+
+
+def test_piecewise_held_until():
+    """The hold ends at the next switch at or after t (the start at 0 is no
+    switch), and never after the last one."""
+    p3 = PiecewiseConstant(((0.0, 1.0), (1.0, 2.0), (2.0, 3.0)))
+    assert [p3.held_until(t) for t in (0.0, 0.5, 1.0, 1.5, 2.0)] == [1.0, 1.0, 1.0, 2.0, 2.0]
+    assert p3.held_until(math.nextafter(2.0, math.inf)) == math.inf
+    assert CONST_600.held_until(0.0) == CONST_600.held_until(1e9) == math.inf
+    assert LIGHT_STEP_PROFILE.held_until(29.9) == LIGHT_STEP_PROFILE.held_until(30.0) == 30.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    starts=st.lists(st.floats(min_value=1e-6, max_value=10.0), max_size=5, unique=True),
+    t=st.floats(min_value=0.0, max_value=12.0),
+)
+def test_piecewise_holds_up_to_held_until(starts, t):
+    """The value at t holds through held_until(t) and changes just after it."""
+    pts = [(0.0, 1.0)] + [(s, 2.0 + i) for i, s in enumerate(sorted(starts))]
+    profile = PiecewiseConstant(tuple(pts))
+    end = profile.held_until(t)
+    assert end >= t
+    if end < math.inf:
+        for tau in (end, 0.5 * (t + end), math.nextafter(end, t)):
+            assert profile(tau) == profile(t)
+        assert profile(math.nextafter(end, math.inf)) != profile(t)
+
+
+def test_day_night_never_held():
+    dn = DayNightLight()
+    assert [dn.held_until(t) for t in (0.0, 6.0, 18.0)] == [0.0, 6.0, 18.0]
+
+
 def test_piecewise_light_validation():
     with pytest.raises(ValueError):
         PiecewiseConstant(())
@@ -72,6 +110,24 @@ def test_day_night_validation():
         DayNightLight(day_fraction=0.0)
     with pytest.raises(ValueError):
         DayNightLight(floor=200.0, peak=100.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: PiecewiseConstant(((0.0, 1.0), (math.nan, 2.0))), id="schedule-start"),
+        pytest.param(lambda: PiecewiseConstant(((0.0, math.nan),)), id="schedule-value"),
+        pytest.param(lambda: PiecewiseConstant(((0.0, 1.0), (1.0, math.nan))), id="schedule-later"),
+        pytest.param(lambda: DayNightLight(period_h=math.nan), id="daynight-period"),
+        pytest.param(lambda: DayNightLight(floor=math.nan), id="daynight-floor"),
+        pytest.param(lambda: DayNightLight(peak=math.nan), id="daynight-peak"),
+        pytest.param(lambda: SamplingConfig(period_h=math.nan), id="sampling-period"),
+        pytest.param(lambda: NoiseConfig(relative_std=math.nan), id="noise-std"),
+    ],
+)
+def test_configs_reject_nan(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_plant_derivative_negative_dilution():
@@ -142,6 +198,126 @@ def test_small_inoculum_grows():
 def test_step_validation():
     with pytest.raises(ValueError):
         step(0.3, 0.0, 0.1, CONST_600, 0.0)
+
+
+@pytest.fixture
+def no_stage(monkeypatch):
+    """Fail the test if step reaches the plant's right-hand side."""
+
+    def never(*args):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(plant, "plant_derivative", never)
+
+
+def test_step_rejects_nan_dt(no_stage):
+    with pytest.raises(ValueError, match="dt"):
+        step(0.3, 0.0, 0.05, LIGHT_STEP_PROFILE, math.nan, SimplifiedModelParams())
+
+
+def test_step_rejects_zero_substeps(no_stage):
+    with pytest.raises(ValueError, match="substeps"):
+        step(0.3, 0.0, 0.05, LIGHT_STEP_PROFILE, 0.1, SimplifiedModelParams(), substeps=0)
+
+
+def test_step_rejects_nan_time(no_stage):
+    with pytest.raises(ValueError, match="t must be"):
+        step(0.3, math.nan, 0.05, LIGHT_STEP_PROFILE, 0.1, SimplifiedModelParams())
+
+
+def _per_stage_step(X, t, D, profile, dt, params, substeps):
+    """RK4 with the light looked up at every stage time: step's oracle."""
+    h = dt / substeps
+
+    def f(x, tau):
+        return plant_derivative(x if x >= 0.0 else 0.0, D, light_at(tau, profile), params)
+
+    for i in range(substeps):
+        t0 = t + i * h
+        k1 = f(X, t0)
+        k2 = f(X + 0.5 * h * k1, t0 + 0.5 * h)
+        k3 = f(X + 0.5 * h * k2, t0 + 0.5 * h)
+        k4 = f(X + h * k3, t0 + h)
+        X = max(X + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0)
+    return X
+
+
+def _switch_times(t, dt, substeps):
+    """Switches at t, inside the period, at a midpoint stage time, at the
+    last stage time and just past it, as step computes those times."""
+    h = dt / substeps
+    last = (t + (substeps - 1) * h) + h
+    mid = (t + (substeps // 2) * h) + 0.5 * h
+    return [t, t + 0.37 * dt, mid, last, math.nextafter(last, math.inf)]
+
+
+@pytest.mark.parametrize("params", [FullModelParams(), SimplifiedModelParams()],
+                         ids=["full", "simplified"])
+@pytest.mark.parametrize("substeps", [1, 2, 10])
+@pytest.mark.parametrize("t", [0.0, 299 * 0.1])
+def test_held_light_matches_per_stage_light(params, substeps, t):
+    """step equals a per-stage RK4 bit for bit wherever the switch falls."""
+    dt = 0.1
+    switches = [s for s in _switch_times(t, dt, substeps) if s > 0.0]
+    profiles = [CONST_600] + [PiecewiseConstant(((0.0, 600.0), (s, 100.0))) for s in switches]
+    for profile in profiles:
+        for x0, D in ((0.3, 0.05), (1.2, 0.0)):
+            got = step(x0, t, D, profile, dt, params, substeps=substeps)
+            assert got == _per_stage_step(x0, t, D, profile, dt, params, substeps)
+
+
+@st.composite
+def _held_cases(draw):
+    t = draw(st.floats(min_value=0.0, max_value=5.0))
+    dt = draw(st.floats(min_value=1e-3, max_value=1.0))
+    substeps = draw(st.integers(min_value=1, max_value=10))
+    near = [s for s in _switch_times(t, dt, substeps) if s > 0.0]
+    anywhere = st.floats(min_value=1e-6, max_value=7.0)
+    starts = draw(st.lists(st.one_of(st.sampled_from(near), anywhere) if near else anywhere,
+                           max_size=4, unique=True))
+    values = draw(st.lists(st.floats(min_value=50.0, max_value=1000.0),
+                           min_size=len(starts) + 1, max_size=len(starts) + 1))
+    profile = PiecewiseConstant(tuple(zip([0.0, *sorted(starts)], values)))
+    return t, dt, substeps, profile
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_held_cases(),
+    x0=st.floats(min_value=0.0, max_value=2.0),
+    D=st.floats(min_value=0.0, max_value=0.5),
+)
+def test_held_light_matches_per_stage_light_on_any_schedule(case, x0, D):
+    t, dt, substeps, profile = case
+    params = SimplifiedModelParams()
+    got = step(x0, t, D, profile, dt, params, substeps=substeps)
+    assert got == _per_stage_step(x0, t, D, profile, dt, params, substeps)
+
+
+def _count_light_calls(monkeypatch):
+    calls = []
+
+    def counted(t, profile):
+        calls.append(t)
+        return light_at(t, profile)
+
+    monkeypatch.setattr(plant, "light_at", counted)
+    return calls
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 10])
+def test_light_evaluations_per_period(monkeypatch, substeps):
+    """Once for a held period; at all 4 * substeps stages across a switch."""
+    calls = _count_light_calls(monkeypatch)
+    sp = SimplifiedModelParams()
+    step(0.3, 10.0, 0.05, LIGHT_STEP_PROFILE, 0.1, sp, substeps=substeps)
+    assert len(calls) == 1
+    calls.clear()
+    step(0.3, 29.95, 0.05, LIGHT_STEP_PROFILE, 0.1, sp, substeps=substeps)
+    assert len(calls) == 4 * substeps
+    calls.clear()
+    step(0.3, 10.0, 0.05, DayNightLight(), 0.1, sp, substeps=substeps)
+    assert len(calls) == 4 * substeps
 
 
 def test_integration_error_carries_context():
