@@ -169,21 +169,30 @@ def _parse_scalar(text: str) -> Any:
 
 
 def apply_overrides(cfg: dict[str, Any], pairs: Sequence[str]) -> dict[str, Any]:
-    """Apply --set dotted.key=value overrides; keys must already exist."""
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
+    """Apply --set dotted.key=value overrides; keys must already exist.  A kind
+    switch, <field>.kind=<tag>, goes first and resets the field to the new
+    type's defaults, whose keys the other overrides then set."""
+    split = [pair.partition("=") for pair in pairs]
+    for key, sep, value in sorted(split, key=lambda kv: not kv[0].endswith(".kind")):
         if not sep:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
+            raise ConfigError(f"--set expects key=value, got {key!r}")
+        *path, leaf = key.split(".")
         node: Any = cfg
-        parts = key.split(".")
-        for part in parts[:-1]:
+        for part in (*path, leaf):
             if not isinstance(node, dict) or part not in node:
                 raise ConfigError(f"--set references unknown key {key!r}")
-            node = node[part]
-        leaf = parts[-1]
-        if not isinstance(node, dict) or leaf not in node:
-            raise ConfigError(f"--set references unknown key {key!r}")
-        node[leaf] = _parse_scalar(value)
+            parent, node = node, node[part]
+        new = _parse_scalar(value)
+        kinds = KINDS.get(path[-1], {}) if path and leaf == "kind" else {}
+        if isinstance(new, str) and new in kinds and new != node:
+            try:
+                fresh = _encode(kinds[new](), kinds)
+            except TypeError:
+                raise ConfigError(f"--set {key}={value}: {new} has no defaults") from None
+            parent.clear()
+            parent.update(fresh)
+        else:
+            parent[leaf] = new
     return cfg
 
 

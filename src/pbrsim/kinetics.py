@@ -13,9 +13,8 @@ hour, so the O2 balance carries an explicit seconds-to-hours conversion.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -26,6 +25,7 @@ from .radiative import (
     irradiance_at_depth,
     mean_irradiance_simplified,
     optical_coefficients,
+    _two_flux,
 )
 
 __all__ = [
@@ -38,7 +38,22 @@ __all__ = [
 ]
 
 SECONDS_PER_HOUR = 3600.0
-N_NODES = 101  # depth nodes of the Simpson mean
+# Below this optical thickness delta*L the closed-form depth mean cancels, and
+# the kernel takes an 8-node Gauss-Legendre rule on [0, 1] (nodes, weights).
+_THIN_SLAB = 1e-3
+_GL_NODES = np.array([0.019855071751231912, 0.10166676129318664, 0.2372337950418355,
+                      0.4082826787521751, 0.5917173212478248, 0.7627662049581645,
+                      0.8983332387068134, 0.9801449282487681])
+_GL_WEIGHTS = np.array([0.05061426814518853, 0.11119051722668721, 0.15685332293894344,
+                        0.18134189168918083, 0.18134189168918083, 0.15685332293894344,
+                        0.11119051722668721, 0.05061426814518853])
+
+
+def _check_positive(params: object) -> None:
+    """Every constant of a rate model must be positive; NaN fails too."""
+    for f in fields(params):
+        if not getattr(params, f.name) > 0:
+            raise ValueError(f"{f.name} must be positive, got {getattr(params, f.name)}")
 
 
 @dataclass(frozen=True)
@@ -56,17 +71,7 @@ class FullModelParams:
     M_x: float = 24e-3  # C-molar mass of biomass, kg/C-mol
 
     def __post_init__(self) -> None:
-        for name in (
-            "K",
-            "K_R",
-            "rho_m",
-            "phi_prime",
-            "resp_rate",
-            "nu_O2_X",
-            "M_x",
-        ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        _check_positive(self)
 
     def rate(self, X: float, q0: float, geom: Geometry) -> float:
         """Volumetric growth rate r_X in kg/m3/h (see growth_rate_full)."""
@@ -87,9 +92,7 @@ class SimplifiedModelParams:
     K_II: float = 500.0  # photoinhibition constant, umol/m2/s
 
     def __post_init__(self) -> None:
-        for name in ("mu_0", "mu_r", "alpha_hat", "E_a_hat", "K_I", "K_II"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        _check_positive(self)
 
     def rate(self, X: float, q0: float, geom: Geometry) -> float:
         """Volumetric growth rate in kg/m3/h (see growth_rate_simplified)."""
@@ -108,32 +111,33 @@ def local_oxygen_rate(G, E_a: float, p: FullModelParams = FullModelParams()):
     return (photo - resp) * SECONDS_PER_HOUR
 
 
-@functools.lru_cache(maxsize=None, typed=True)
-def _depth_grid(depth: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes z over [0, depth] and their composite Simpson weights.
+def _mean_inverse(c: float, A: float, B: float, B_L: float, thickness: float) -> float:
+    """Depth mean of 1 / (c + G) for G = A w - B / w, w = exp(-delta z).
 
-    Built once per (depth, n_nodes); typed, so a float n_nodes is never
-    served the grid of the equal int.
+    In w, it is the integral of dw / (A w^2 + c w - B) over [w_L, 1], divided
+    by delta L.  With s = sqrt(c^2 + 4AB) and the roots w1 = 2B / (c + s) and
+    w2 = -(c + s) / (2A), that is ln[(1 - w1)(w_L - w2) / ((w_L - w1)(1 - w2))]
+    / (delta L s).  Each logarithm is taken in a form that neither overflows
+    nor cancels: with B_L = B / w_L, ln(w_L - w1) = -delta L + log1p(-w1 / w_L).
     """
-    z = np.linspace(0.0, depth, n_nodes)
-    weights = np.ones(n_nodes)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    z.flags.writeable = False
-    weights.flags.writeable = False
-    return z, weights
+    s = math.sqrt(c * c + 4.0 * A * B)
+    cs = c + s
+    log_ratio = (
+        math.log1p(-2.0 * B / cs) + thickness - math.log1p(-2.0 * B_L / cs)
+        + math.log1p(math.expm1(-thickness) * 2.0 * A / (2.0 * A + cs))
+    )
+    return log_ratio / (thickness * s)
 
 
 def mean_oxygen_rate(
-    X: float,
-    q0: float,
-    p: FullModelParams = FullModelParams(),
-    geom: Geometry = Geometry(),
-    n_nodes: int = N_NODES,
+    X: float, q0: float, p: FullModelParams = FullModelParams(), geom: Geometry = Geometry()
 ) -> float:
-    """Depth-averaged net O2 rate in mol O2/kg/h (composite Simpson)."""
-    if n_nodes < 3 or n_nodes % 2 == 0:
-        raise ValueError(f"n_nodes must be odd and >= 3, got {n_nodes}")
+    """Depth-averaged net O2 rate in mol O2/kg/h, in closed form.
+
+    K G / (K + G) = K - K^2 / (K + G), so the mean needs only the depth means
+    of 1 / (c + G) at c = K and c = K_R (_mean_inverse).  In a slab thinner
+    than _THIN_SLAB, Gauss-Legendre on the profile is exact to rounding.
+    """
     if not X >= 0:  # NaN fails it too
         raise ValueError(f"X must be nonnegative, got {X}")
     if not q0 >= 0:
@@ -141,25 +145,31 @@ def mean_oxygen_rate(
     if q0 == 0:
         # Dark culture: uninhibited respiration only.
         return float(-p.resp_rate * SECONDS_PER_HOUR)
-    E_a = optical_coefficients(q0).E_a
-    z, weights = _depth_grid(geom.depth, n_nodes)
-    G = irradiance_at_depth(z, X, q0, geom)
-    values = local_oxygen_rate(G, E_a, p)
-    # Simpson mean = (h/3) * sum(w*y) / L with h = L/(n-1), so L cancels.
-    return float(weights @ values / (3.0 * (n_nodes - 1)))
+    props = optical_coefficients(q0)
+    E_a = props.E_a
+    delta, alpha = _two_flux(X, props)
+    thickness = delta * geom.depth
+    if thickness < _THIN_SLAB:
+        G = irradiance_at_depth(_GL_NODES * geom.depth, X, q0, geom, props)
+        return float(_GL_WEIGHTS @ local_oxygen_rate(G, E_a, p))
+    # The two-flux profile of irradiance_at_depth, written as A w - B / w.
+    w_L = math.exp(-thickness)
+    den = (1.0 + alpha) ** 2 - (1.0 - alpha) ** 2 * w_L * w_L
+    A = 2.0 * q0 * (1.0 + alpha) / den
+    B_L = 2.0 * q0 * (1.0 - alpha) * w_L / den
+    K, K_R = p.K, p.K_R
+    photo = K - K * K * _mean_inverse(K, A, B_L * w_L, B_L, thickness)
+    resp = K_R * _mean_inverse(K_R, A, B_L * w_L, B_L, thickness)
+    return (p.rho_m * p.phi_prime * E_a * photo - p.resp_rate * resp) * SECONDS_PER_HOUR
 
 
 def growth_rate_full(
-    X: float,
-    q0: float,
-    p: FullModelParams = FullModelParams(),
-    geom: Geometry = Geometry(),
-    n_nodes: int = N_NODES,
+    X: float, q0: float, p: FullModelParams = FullModelParams(), geom: Geometry = Geometry()
 ) -> float:
     """Volumetric biomass growth rate r_X in kg/m3/h under the full model."""
     if X == 0:
         return 0.0
-    return mean_oxygen_rate(X, q0, p, geom, n_nodes) * p.M_x * X / p.nu_O2_X
+    return mean_oxygen_rate(X, q0, p, geom) * p.M_x * X / p.nu_O2_X
 
 
 def growth_rate_simplified(

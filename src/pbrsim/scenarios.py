@@ -76,9 +76,7 @@ class MapReference:
     """
 
     q0_range: ClassVar[tuple[float, float]] = Q0_VALID_RANGE  # light it can solve at
-    _cache: dict[float, float] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _cache: dict[float, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def value_at(self, q0: float) -> float:
         if q0 not in self._cache:
@@ -103,9 +101,7 @@ class Scenario:
     light: LightProfile
     reference: Reference
     controller: FlConfig | IpConfig
-    plant: FullModelParams | SimplifiedModelParams = field(
-        default_factory=FullModelParams
-    )
+    plant: FullModelParams | SimplifiedModelParams = field(default_factory=FullModelParams)
     geometry: Geometry = field(default_factory=Geometry)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
@@ -121,9 +117,7 @@ class Scenario:
             raise ValueError(f"duration_h / sampling.period_h is {periods:g}, over {MAX_SAMPLES}")
         n = round(periods)
         if n < 1 or abs(n * self.sampling.period_h - self.duration_h) > 1e-9:
-            raise ValueError(
-                "duration_h must be a whole number of sampling periods"
-            )
+            raise ValueError("duration_h must be a whole number of sampling periods")
         lo, hi = self.light.value_range
         if not hi < self.plant.q0_max:
             raise ValueError(
@@ -188,16 +182,8 @@ def run_scenario(scenario: Scenario) -> SimulationTrace:
         tr.q0[k] = q0
         tr.f_est[k] = controller.f_estimate
         if k < n:
-            X = step(
-                X,
-                t,
-                d,
-                s.light,
-                s.sampling.period_h,
-                s.plant,
-                s.geometry,
-                s.sampling.substeps,
-            )
+            X = step(X, t, d, s.light, s.sampling.period_h, s.plant, s.geometry,
+                     s.sampling.substeps)
     return tr
 
 
@@ -346,20 +332,14 @@ def robustness_sweep(
     """
     cells: list[SweepCell] = []
     for kind, config_type in CONTROLLERS.items():
-        kind_base = (
-            base.controller if isinstance(base.controller, config_type) else config_type()
-        )
+        kind_base = base.controller if isinstance(base.controller, config_type) else config_type()
         for mu_0 in mu0_values:
             cfg = kind_base.with_model_rate(mu_0)
-            cell_scenario = replace(
-                base, name=f"{base.name}[{kind},mu0={mu_0:g}]", controller=cfg
-            )
+            cell_scenario = replace(base, name=f"{base.name}[{kind},mu0={mu_0:g}]", controller=cfg)
             try:
                 trace = run_scenario(cell_scenario)
                 metrics = compute_metrics(trace)
                 cells.append(SweepCell(kind, mu_0, cell_scenario, trace, metrics))
             except IntegrationError as exc:
-                cells.append(
-                    SweepCell(kind, mu_0, cell_scenario, None, None, error=str(exc))
-                )
+                cells.append(SweepCell(kind, mu_0, cell_scenario, None, None, error=str(exc)))
     return cells

@@ -92,7 +92,8 @@ def optimal_setpoint(
     def productivity(x: float) -> float:
         return growth_rate_full(x, q0, p, geom)
 
-    grid = np.linspace(X_MIN, X_MAX, GRID_POINTS)
+    # Python floats: the kernel's scalar math is slower on np.float64.
+    grid = np.linspace(X_MIN, X_MAX, GRID_POINTS).tolist()
     values = np.array([productivity(x) for x in grid])
     if np.all(values <= 0):
         raise NoAdmissibleSetpointError(
@@ -133,13 +134,8 @@ def setpoint_map(
     constants were overridden into odd territory).
     """
     points = [optimal_setpoint(q0, p, geom) for q0 in q0_values]
-    xs = [op.x_star for op in points]
-    qs = [op.q0 for op in points]
-    for i in range(1, len(points)):
-        rising_light = qs[i] > qs[i - 1]
-        if rising_light and xs[i] < xs[i - 1] - X_TOL:
-            warnings.warn(
-                f"setpoint map not monotone: x*({qs[i]:.6g}) < x*({qs[i-1]:.6g})",
-                stacklevel=2,
-            )
+    for prev, op in zip(points, points[1:]):
+        if op.q0 > prev.q0 and op.x_star < prev.x_star - X_TOL:
+            msg = f"setpoint map not monotone: x*({op.q0:.6g}) < x*({prev.q0:.6g})"
+            warnings.warn(msg, stacklevel=2)
     return points

@@ -26,6 +26,9 @@ from pbrsim.cli import (
     scenario_to_config,
     write_sweep_summary,
 )
+from pbrsim.control import FlConfig, IpConfig
+from pbrsim.kinetics import FullModelParams, SimplifiedModelParams
+from pbrsim.plant import DayNightLight
 from pbrsim.scenarios import (
     MapReference,
     SweepCell,
@@ -104,6 +107,43 @@ def test_set_unknown_key_rejected(tmp_path):
 
 def test_set_requires_assignment(tmp_path):
     assert main(["simulate", "--set", "controller.sp.mu_0", "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "builtin, sets, field, expected",
+    [
+        (light_step_scenario(), ["plant.kind=simplified"], "plant", SimplifiedModelParams()),
+        (replace(light_step_scenario(), plant=SimplifiedModelParams()), ["plant.kind=full"],
+         "plant", FullModelParams()),
+        (light_step_scenario(), ["plant.mu_0=0.2", "plant.kind=simplified"], "plant",
+         SimplifiedModelParams(mu_0=0.2)),
+        (light_step_scenario(controller="fl"), ["controller.kind=ip"], "controller", IpConfig()),
+        (light_step_scenario(), ["controller.lam=2.0", "controller.kind=fl"], "controller",
+         FlConfig(lam=2.0)),
+        (light_step_scenario(), ["reference.kind=map"], "reference", MapReference()),
+        (light_step_scenario(), ["light.kind=day_night"], "light", DayNightLight()),
+        (day_night_scenario(), ["light.kind=day_night", "light.peak=900"], "light",
+         replace(DayNightLight(), peak=900.0)),
+    ],
+)
+def test_set_kind_switch_rebuilds_from_defaults(builtin, sets, field, expected):
+    """<field>.kind=<tag> applies first and starts the field from the new
+    type's defaults; the other keys then set that type's fields."""
+    s = scenario_from_config(apply_overrides(scenario_to_config(builtin), sets))
+    assert getattr(s, field) == expected
+    assert s.geometry == builtin.geometry and s.noise == builtin.noise
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--scenario", "paper-4.2", "--set", "light.kind=piecewise"],
+        ["--reference", "map", "--set", "reference.kind=schedule"],
+    ],
+)
+def test_set_kind_switch_without_defaults_exits_2(tmp_path, capsys, flags):
+    assert main(["simulate", *flags, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert flags[-1] in capsys.readouterr().err
 
 
 def test_malformed_config_rejected(tmp_path):

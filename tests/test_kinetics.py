@@ -1,4 +1,5 @@
-"""Growth kinetics: frozen oracles, quadrature convergence, model dispatch."""
+"""Growth kinetics: frozen oracles, the Simpson oracle of the closed-form
+kernel, model dispatch."""
 
 import math
 
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbrsim import kinetics
 from pbrsim.kinetics import (
     SECONDS_PER_HOUR,
     FullModelParams,
@@ -18,6 +18,7 @@ from pbrsim.kinetics import (
     mean_oxygen_rate,
 )
 from pbrsim.radiative import (
+    Q0_OPTICS_MAX,
     Geometry,
     irradiance_at_depth,
     optical_coefficients,
@@ -56,44 +57,81 @@ def test_local_rate_vectorized():
 def test_mean_oxygen_rate_frozen_oracle():
     """<J_O2> at X = 0.3, q0 = 600 against adaptive-quadrature reference."""
     # 50-digit adaptive quadrature of the two-flux integrand: 3.1102529983154459
-    val = mean_oxygen_rate(0.3, 600.0, n_nodes=101)
+    val = mean_oxygen_rate(0.3, 600.0)
     assert val == pytest.approx(3.1102529983154459, rel=5e-9)
 
 
+def _simpson_mean_oxygen_rate(X, q0, n_nodes, geom=Geometry()):
+    """Composite Simpson mean of the local O2 rate over the two-flux profile."""
+    z = np.linspace(0.0, geom.depth, n_nodes)
+    weights = np.ones(n_nodes)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    G = irradiance_at_depth(z, X, q0, geom)
+    values = local_oxygen_rate(G, optical_coefficients(q0).E_a)
+    return float(weights @ values / (3.0 * (n_nodes - 1)))
+
+
+def _rel_gap(X, q0, n_nodes=20001, geom=Geometry()):
+    exact = mean_oxygen_rate(X, q0, FullModelParams(), geom)
+    return abs(exact - _simpson_mean_oxygen_rate(X, q0, n_nodes, geom)) / abs(exact)
+
+
 def test_mean_oxygen_rate_grid_doubling():
-    """Simpson doubling error <= 1e-8 over the steady operating envelope."""
+    """The kernel meets a 20,001-node Simpson mean over the steady operating
+    envelope."""
     pairs = [(0.05, 100.0), (0.17, 100.0), (0.25, 100.0), (0.3, 300.0),
              (0.17, 600.0), (0.3, 600.0), (0.4, 600.0), (0.47, 600.0),
              (0.3, 1000.0), (0.47, 1000.0)]
     for X, q0 in pairs:
-        a1 = mean_oxygen_rate(X, q0, n_nodes=101)
-        a2 = mean_oxygen_rate(X, q0, n_nodes=201)
-        assert abs(a1 - a2) / abs(a2) <= 1e-8, (X, q0)
+        assert _rel_gap(X, q0) <= 1e-11, (X, q0)
 
 
-def test_mean_oxygen_rate_validation():
-    with pytest.raises(ValueError):
-        mean_oxygen_rate(0.3, 600.0, n_nodes=100)  # even
-    with pytest.raises(ValueError):
-        mean_oxygen_rate(0.3, 600.0, n_nodes=1)
-    for bad in (-0.1, math.nan):
-        with pytest.raises(ValueError):
-            mean_oxygen_rate(bad, 600.0)
-        with pytest.raises(ValueError):
-            growth_rate_simplified(bad, 600.0)
-    for bad in (-10.0, math.nan):
-        with pytest.raises(ValueError):
-            mean_oxygen_rate(0.3, bad)
+def test_mean_oxygen_rate_matches_simpson_oracle():
+    """The closed form meets a 20,001-node Simpson mean from the optically
+    empty to the optically thick slab, and from the least positive light to
+    the edge of the optical correlations."""
+    Xs = [0.0, *np.logspace(-14, -3, 12).tolist(), *np.linspace(1e-3, 20.0, 15).tolist()]
+    q0s = [5e-324, 1e-300, 1e-100, 1e-10, 1.0, 100.0, 600.0, 1000.0, 1e4,
+           0.999 * Q0_OPTICS_MAX]
+    for X in Xs:
+        for q0 in q0s:
+            assert _rel_gap(X, q0) <= 1e-11, (X, q0)
+
+
+@pytest.mark.parametrize("depth", [0.05, 0.1])
+def test_mean_oxygen_rate_thin_slab_edge(depth):
+    """Just below and just above an optical thickness of 1e-3, where the
+    kernel switches from Gauss-Legendre to the closed form, both meet the
+    oracle and each other."""
+    geom = Geometry(depth)
+    for q0 in (5e-324, 100.0, 600.0, 0.999 * Q0_OPTICS_MAX):
+        props = optical_coefficients(q0)
+        diffuse = props.E_a + 2.0 * props.b * props.E_s
+        X_edge = 1e-3 / (math.sqrt(props.E_a * diffuse) * depth)
+        below, above = X_edge * (1.0 - 1e-9), X_edge * (1.0 + 1e-9)
+        for X in (below, above):
+            assert _rel_gap(X, q0, geom=geom) <= 1e-11, (X, q0)
+        a = mean_oxygen_rate(below, q0, FullModelParams(), geom)
+        b = mean_oxygen_rate(above, q0, FullModelParams(), geom)
+        assert abs(a - b) <= 1e-11 * abs(b), q0
+
+
+def test_simpson_converges_to_kernel_at_h4():
+    """Each tenfold refinement of Simpson's grid cuts its gap to the kernel
+    about 1e4-fold: the h^4 rate, so the kernel is its limit."""
+    for X, q0 in ((3.0, 600.0), (5.0, 600.0), (5.0, 100.0)):
+        gaps = [_rel_gap(X, q0, n) for n in (101, 1001, 10001)]
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 10**3.7 <= coarse / fine <= 10**4.3, (X, q0, gaps)
 
 
 def _reference_mean_oxygen_rate(X, q0, p, geom, n_nodes):
     """The kernel as first written: a fresh grid, fresh Simpson weights and
-    the np.any range check on every call, with the two-flux profile inline."""
+    the two-flux profile inline."""
     if q0 == 0:
         return float(-p.resp_rate * SECONDS_PER_HOUR)
-    E_a = optical_coefficients(q0).E_a
     z = np.linspace(0.0, geom.depth, n_nodes)
-    assert not (np.any(z < 0) or np.any(z > geom.depth))
     props = optical_coefficients(q0)
     diffuse = props.E_a + 2.0 * props.b * props.E_s
     delta, alpha = X * math.sqrt(props.E_a * diffuse), math.sqrt(props.E_a / diffuse)
@@ -105,45 +143,55 @@ def _reference_mean_oxygen_rate(X, q0, p, geom, n_nodes):
         num = up * np.exp(-delta * z) - down * np.exp(-delta * (2.0 * L - z))
         den = up * up - down * down * math.exp(-2.0 * delta * L)
         G = 2.0 * q0 * num / den
-    values = local_oxygen_rate(G, E_a, p)
+    values = local_oxygen_rate(G, props.E_a, p)
     weights = np.ones(n_nodes)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return float(weights @ values / (3.0 * (n_nodes - 1)))
 
 
+def _refined_reference(X, q0, p, geom, n_nodes):
+    """Halve the reference pipeline's step from n_nodes nodes until two
+    grids agree to 1e-10, then take the Richardson limit of the pair."""
+    coarse = _reference_mean_oxygen_rate(X, q0, p, geom, n_nodes)
+    while n_nodes < 2**17:
+        n_nodes = 2 * n_nodes - 1
+        fine = _reference_mean_oxygen_rate(X, q0, p, geom, n_nodes)
+        if abs(fine - coarse) <= 1e-10 * abs(fine):
+            return fine + (fine - coarse) / 15.0
+        coarse = fine
+    raise AssertionError(f"reference did not converge at X={X}, q0={q0}")
+
+
 @pytest.mark.parametrize("depth", [0.05, 0.1])
 @pytest.mark.parametrize("n_nodes", [3, 5, 101, 201])
 def test_mean_oxygen_rate_equals_reference_pipeline(depth, n_nodes):
-    """The shared-grid kernel gives the same bits as the per-call pipeline."""
+    """The closed-form kernel is the limit of the Simpson pipeline it
+    replaced, refined from any starting grid, on both slab depths."""
     p, geom = FullModelParams(), Geometry(depth)
     rng = np.random.default_rng(n_nodes)
     pairs = [(0.0, 600.0), (0.3, 0.0), (0.0, 0.0), (2.0, 1000.0)]
     pairs += zip(rng.uniform(0.0, 2.0, 200).tolist(), rng.uniform(0.0, 2000.0, 200).tolist())
     for X, q0 in pairs:
-        expected = _reference_mean_oxygen_rate(X, q0, p, geom, n_nodes)
-        assert mean_oxygen_rate(X, q0, p, geom, n_nodes) == expected, (X, q0)
+        expected = _refined_reference(X, q0, p, geom, n_nodes)
+        got = mean_oxygen_rate(X, q0, p, geom)
+        assert abs(got - expected) <= 1e-11 * abs(expected), (X, q0)
 
 
-def test_depth_grid_is_shared_and_read_only():
-    """The cached grid and weights cannot be written, and the profile built
-    on the grid is a new array, never the grid itself."""
-    mean_oxygen_rate(0.3, 600.0)
-    z, weights = kinetics._depth_grid(Geometry().depth, 101)
-    assert kinetics._depth_grid(Geometry().depth, 101)[0] is z
-    for arr in (z, weights):
-        assert not arr.flags.writeable
+def test_mean_oxygen_rate_validation():
+    for bad in (-0.1, math.nan):
         with pytest.raises(ValueError):
-            arr[0] = 1.0
-    for X, q0 in ((0.3, 600.0), (0.0, 600.0), (0.3, 0.0)):
-        G = irradiance_at_depth(z, X, q0)
-        assert G is not z and not np.shares_memory(G, z)
-        assert G.flags.writeable
+            mean_oxygen_rate(bad, 600.0)
+        with pytest.raises(ValueError):
+            growth_rate_simplified(bad, 600.0)
+    for bad in (-10.0, math.nan, Q0_OPTICS_MAX):
+        with pytest.raises(ValueError):
+            mean_oxygen_rate(0.3, bad)
 
 
 def test_growth_rate_full_frozen():
     assert growth_rate_full(0.3, 600.0) == pytest.approx(
-        0.01892968856547314, rel=1e-12
+        0.018929688578082183, rel=1e-12
     )
 
 

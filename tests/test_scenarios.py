@@ -84,11 +84,11 @@ def test_nominal_metrics_pins(nominal_traces):
     """Benchmark metrics, seed 0 (regression pins)."""
     _, fl = nominal_traces["fl"]
     _, ip = nominal_traces["ip"]
-    assert fl.steady_state_offset == pytest.approx(-0.0015021597191064238, rel=1e-9)
-    assert fl.iae == pytest.approx(1.579511600647107, rel=1e-9)
+    assert fl.steady_state_offset == pytest.approx(-0.0015021597232269623, rel=1e-9)
+    assert fl.iae == pytest.approx(1.5795116000924554, rel=1e-9)
     assert fl.batch_phase_duration == pytest.approx(10.9, abs=1e-9)
-    assert ip.steady_state_offset == pytest.approx(0.0003958863676408137, rel=1e-9)
-    assert ip.iae == pytest.approx(1.5335918614311237, rel=1e-9)
+    assert ip.steady_state_offset == pytest.approx(0.0003958863673379198, rel=1e-9)
+    assert ip.iae == pytest.approx(1.533591861052555, rel=1e-9)
     assert ip.batch_phase_duration == pytest.approx(11.6, abs=1e-9)
     # the model-free loop tracks tighter than the model-based one here
     assert ip.iae < fl.iae
@@ -177,9 +177,9 @@ def test_sweep_fl_offset_grows_with_mismatch(sweep_41):
     """FL tail offset increases away from the nominal rate scale."""
     fl = {c.mu_0: c.metrics.steady_state_offset for c in sweep_41
           if c.controller_kind == "fl"}
-    assert fl[0.07] == pytest.approx(-0.00498486199832574, rel=1e-9)
-    assert fl[0.14] == pytest.approx(-0.0015021597191064238, rel=1e-9)
-    assert fl[0.21] == pytest.approx(0.0018965223945365897, rel=1e-9)
+    assert fl[0.07] == pytest.approx(-0.004984862002780506, rel=1e-9)
+    assert fl[0.14] == pytest.approx(-0.0015021597232269623, rel=1e-9)
+    assert fl[0.21] == pytest.approx(0.0018965223907292908, rel=1e-9)
     assert abs(fl[0.07]) > abs(fl[0.14])
     assert abs(fl[0.21]) > abs(fl[0.14])
     # under-modelled growth -> under-dilution -> culture rides high (and
@@ -201,8 +201,8 @@ def test_first_stretch_dichotomy(sweep_41):
     by_cell = {
         (c.controller_kind, c.mu_0): stretch_offset(c.trace) for c in sweep_41
     }
-    assert by_cell[("fl", 0.07)] == pytest.approx(-0.012186186056122877, rel=1e-9)
-    assert by_cell[("fl", 0.21)] == pytest.approx(0.012716770209938479, rel=1e-9)
+    assert by_cell[("fl", 0.07)] == pytest.approx(-0.012186186078252352, rel=1e-9)
+    assert by_cell[("fl", 0.21)] == pytest.approx(0.012716770189020366, rel=1e-9)
     assert abs(by_cell[("fl", 0.07)]) > 0.01
     assert abs(by_cell[("fl", 0.21)]) > 0.01
     for mu0 in MU0_SWEEP_VALUES:
@@ -222,8 +222,8 @@ def test_sweep_isolates_failing_cells():
 def test_day_night_tracking():
     """Fixed setpoint under the day/night cycle: tight tracking after 10 h."""
     for kind, pin_offset, pin_iae in (
-        ("fl", -0.0015421392039851084, 0.11948288157850245),
-        ("ip", 0.00030217059863357846, 0.04191093530115132),
+        ("fl", -0.0015421392083745328, 0.11948288173735976),
+        ("ip", 0.0003021705983716422, 0.041910935299780794),
     ):
         tr = run_scenario(day_night_scenario(controller=kind, seed=0))
         m = compute_metrics(tr)

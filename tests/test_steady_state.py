@@ -60,7 +60,7 @@ def test_productivity_identity():
 
 def test_equilibrium_dilution_matches_specific_growth():
     d = growth_rate_full(0.38, 600.0) / 0.38
-    assert d == pytest.approx(0.051997689320243276, rel=1e-12)
+    assert d == pytest.approx(0.05199768938012274, rel=1e-12)
 
 
 def test_equilibrium_derivative_vanishes():
@@ -107,3 +107,24 @@ def test_no_admissible_setpoint():
     dead = FullModelParams(resp_rate=3.19e-1)
     with pytest.raises(NoAdmissibleSetpointError):
         optimal_setpoint(600.0, dead)
+
+
+def test_setpoint_scan_type_leaves_bits(monkeypatch):
+    """The scan hands the kernel Python floats; with every X an np.float64,
+    as a numpy grid gives, the setpoints carry the same bits."""
+    from pbrsim import steady_state
+
+    rng = np.random.default_rng(11)
+    q0s = [100.0 + 900.0 * i / 45 for i in range(46)]
+    q0s += [100.0 + 100.0 * i for i in range(10)]
+    q0s += rng.uniform(*Q0_VALID_RANGE, 1000).tolist()
+    ops = [optimal_setpoint(q0) for q0 in q0s]
+    assert all(type(op.x_star) is float for op in ops)
+    monkeypatch.setattr(
+        steady_state,
+        "growth_rate_full",
+        lambda x, q0, p, geom: growth_rate_full(np.float64(x), q0, p, geom),
+    )
+    for q0, op in zip(q0s, ops):
+        ref = optimal_setpoint(q0)
+        assert (op.x_star, op.productivity) == (ref.x_star, ref.productivity), q0
