@@ -67,7 +67,7 @@ class FlConfig:
     sp: SimplifiedModelParams = field(default_factory=SimplifiedModelParams)
 
     def __post_init__(self) -> None:
-        if self.lam <= 0:
+        if not self.lam > 0:  # NaN fails it too
             raise ValueError("lam must be positive")
 
     def build(self, bounds: ActuatorBounds, geom: Geometry, period_h: float) -> "FlController":
@@ -89,11 +89,11 @@ class IpConfig:
     estimator: str = "open"  # "open": from (u, y) data; "closed": reference form
 
     def __post_init__(self) -> None:
-        if self.a == 0:
+        if not abs(self.a) > 0:  # NaN fails it too
             raise ValueError("a must be nonzero")
-        if self.k_p <= 0:
+        if not self.k_p > 0:
             raise ValueError("k_p must be positive")
-        if self.tau_h <= 0:
+        if not self.tau_h > 0:
             raise ValueError("tau_h must be positive")
         if self.estimator not in ("open", "closed"):
             raise ValueError(f"unknown estimator variant: {self.estimator!r}")

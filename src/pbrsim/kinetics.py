@@ -17,12 +17,10 @@ import math
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
-import numpy as np
-
 from .radiative import (
+    _CLEAR_SLAB_THICKNESS,
     Q0_OPTICS_MAX,
     Geometry,
-    irradiance_at_depth,
     mean_irradiance_simplified,
     optical_coefficients,
     _two_flux,
@@ -38,15 +36,6 @@ __all__ = [
 ]
 
 SECONDS_PER_HOUR = 3600.0
-# Below this optical thickness delta*L the closed-form depth mean cancels, and
-# the kernel takes an 8-node Gauss-Legendre rule on [0, 1] (nodes, weights).
-_THIN_SLAB = 1e-3
-_GL_NODES = np.array([0.019855071751231912, 0.10166676129318664, 0.2372337950418355,
-                      0.4082826787521751, 0.5917173212478248, 0.7627662049581645,
-                      0.8983332387068134, 0.9801449282487681])
-_GL_WEIGHTS = np.array([0.05061426814518853, 0.11119051722668721, 0.15685332293894344,
-                        0.18134189168918083, 0.18134189168918083, 0.15685332293894344,
-                        0.11119051722668721, 0.05061426814518853])
 
 
 def _check_positive(params: object) -> None:
@@ -111,22 +100,25 @@ def local_oxygen_rate(G, E_a: float, p: FullModelParams = FullModelParams()):
     return (photo - resp) * SECONDS_PER_HOUR
 
 
-def _mean_inverse(c: float, A: float, B: float, B_L: float, thickness: float) -> float:
+def _mean_inverse(
+    c: float, two_A: float, four_AB: float, B_L: float, G_L: float, em: float, thickness: float
+) -> float:
     """Depth mean of 1 / (c + G) for G = A w - B / w, w = exp(-delta z).
 
     In w, it is the integral of dw / (A w^2 + c w - B) over [w_L, 1], divided
-    by delta L.  With s = sqrt(c^2 + 4AB) and the roots w1 = 2B / (c + s) and
-    w2 = -(c + s) / (2A), that is ln[(1 - w1)(w_L - w2) / ((w_L - w1)(1 - w2))]
-    / (delta L s).  Each logarithm is taken in a form that neither overflows
-    nor cancels: with B_L = B / w_L, ln(w_L - w1) = -delta L + log1p(-w1 / w_L).
+    by delta L.  With s = sqrt(c^2 + 4AB) that is
+    (1 + (ln R + ln(1 - em 2A / (2A + c + s))) / delta L) / s, where
+    em = 1 - w_L and R - 1 = em (B_L + 2AB / (c + s)) / (G_L + c), with
+    B_L = B / w_L and G_L = G(L).  Every operand of R - 1 is nonnegative, so
+    nothing cancels in a thin slab, and an opaque one gives 1 / c.
     """
-    s = math.sqrt(c * c + 4.0 * A * B)
+    s = math.sqrt(c * c + four_AB)
     cs = c + s
-    log_ratio = (
-        math.log1p(-2.0 * B / cs) + thickness - math.log1p(-2.0 * B_L / cs)
-        + math.log1p(math.expm1(-thickness) * 2.0 * A / (2.0 * A + cs))
+    log_sum = (
+        math.log1p(em * (B_L + 0.5 * four_AB / cs) / (G_L + c))
+        + math.log1p(-em * two_A / (two_A + cs))
     )
-    return log_ratio / (thickness * s)
+    return (1.0 + log_sum / thickness) / s
 
 
 def mean_oxygen_rate(
@@ -135,8 +127,8 @@ def mean_oxygen_rate(
     """Depth-averaged net O2 rate in mol O2/kg/h, in closed form.
 
     K G / (K + G) = K - K^2 / (K + G), so the mean needs only the depth means
-    of 1 / (c + G) at c = K and c = K_R (_mean_inverse).  In a slab thinner
-    than _THIN_SLAB, Gauss-Legendre on the profile is exact to rounding.
+    of 1 / (c + G) at c = K and c = K_R (_mean_inverse).  A slab thinner than
+    radiative's clear-slab thickness sees q0 throughout.
     """
     if not X >= 0:  # NaN fails it too
         raise ValueError(f"X must be nonnegative, got {X}")
@@ -149,17 +141,19 @@ def mean_oxygen_rate(
     E_a = props.E_a
     delta, alpha = _two_flux(X, props)
     thickness = delta * geom.depth
-    if thickness < _THIN_SLAB:
-        G = irradiance_at_depth(_GL_NODES * geom.depth, X, q0, geom, props)
-        return float(_GL_WEIGHTS @ local_oxygen_rate(G, E_a, p))
+    if thickness < _CLEAR_SLAB_THICKNESS:
+        return local_oxygen_rate(q0, E_a, p)
     # The two-flux profile of irradiance_at_depth, written as A w - B / w.
     w_L = math.exp(-thickness)
     den = (1.0 + alpha) ** 2 - (1.0 - alpha) ** 2 * w_L * w_L
-    A = 2.0 * q0 * (1.0 + alpha) / den
+    two_A = 4.0 * q0 * (1.0 + alpha) / den
     B_L = 2.0 * q0 * (1.0 - alpha) * w_L / den
+    four_AB = 2.0 * two_A * B_L * w_L
+    G_L = 4.0 * q0 * alpha * w_L / den
+    em = -math.expm1(-thickness)
     K, K_R = p.K, p.K_R
-    photo = K - K * K * _mean_inverse(K, A, B_L * w_L, B_L, thickness)
-    resp = K_R * _mean_inverse(K_R, A, B_L * w_L, B_L, thickness)
+    photo = K - K * K * _mean_inverse(K, two_A, four_AB, B_L, G_L, em, thickness)
+    resp = K_R * _mean_inverse(K_R, two_A, four_AB, B_L, G_L, em, thickness)
     return (p.rho_m * p.phi_prime * E_a * photo - p.resp_rate * resp) * SECONDS_PER_HOUR
 
 

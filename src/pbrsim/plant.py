@@ -151,8 +151,8 @@ class SamplingConfig:
     def __post_init__(self) -> None:
         if not self.period_h > 0:
             raise ValueError("period_h must be positive")
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
+        if not (isinstance(self.substeps, int) and self.substeps >= 1):
+            raise ValueError(f"substeps must be an integer >= 1, got {self.substeps!r}")
 
 
 class IntegrationError(RuntimeError):

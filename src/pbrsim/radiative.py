@@ -120,6 +120,9 @@ def irradiance_at_depth(
     depth = geom.depth
     if delta * depth < _CLEAR_SLAB_THICKNESS:
         out = q0 * np.ones_like(z)
+    elif math.isinf(delta):
+        # The opaque limit: exp(-delta z) would be NaN at z = 0.
+        out = np.where(z == 0, 2.0 * q0 / (1.0 + alpha), 0.0)
     else:
         # Negative exponents only, so G stays finite for optically thick
         # cultures where exp(delta*L) would overflow.

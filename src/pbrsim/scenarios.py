@@ -14,6 +14,7 @@ feedback to absorb.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar
@@ -108,10 +109,10 @@ class Scenario:
     bounds: ActuatorBounds = field(default_factory=ActuatorBounds)
 
     def __post_init__(self) -> None:
-        if self.duration_h <= 0:
+        if not self.duration_h > 0:  # NaN fails it too
             raise ValueError("duration_h must be positive")
-        if not self.x0 > 0:
-            raise ValueError("x0 must be positive")
+        if not 0 < self.x0 < math.inf:
+            raise ValueError(f"x0 must be positive and finite, got {self.x0}")
         periods = self.duration_h / self.sampling.period_h
         if not periods <= MAX_SAMPLES:
             raise ValueError(f"duration_h / sampling.period_h is {periods:g}, over {MAX_SAMPLES}")

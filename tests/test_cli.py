@@ -1,5 +1,6 @@
 """Command-line interface: file contracts, determinism, and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -447,18 +448,35 @@ def test_run_campaigns_boundary_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+# SHA-256 of each file `pbrsim campaigns --seed 0` writes.  A change that moves
+# output bits on purpose updates these pins and lists the files that moved.
+CAMPAIGN_SHA256 = {
+    "metrics_paper_4_1_fl.csv": "28182ede5ec849b740dbd3a0093d8f436117c11ec91ea812f19b487213e6bc2b",
+    "metrics_paper_4_1_ip.csv": "546ed44072d27f3b6b8b411bdbbefaa7008da83625225551b8097f5f0ba4ad70",
+    "metrics_paper_4_2_fl.csv": "8acb8f55c21c33d30370e87b99d3861c9630613df32f5221d29d5f11c557f8ab",
+    "metrics_paper_4_2_ip.csv": "63b52149d694964af7efe209d22f784e5dccae2cef84d78981d046aa16a9cf3d",
+    "setpoint_map.csv": "41f7b1209ff8f72032dc74be0451b965c11b200bf541eb8268adc04144128c0a",
+    "sweep_summary.csv": "1c10f8bb88d562162e65016346a8180b8994ad6126c1a0a6661e54bc519d5e76",
+    "trace_paper_4_1_fl.csv": "ecd1f864b8445a5e472c8b13bb311af51349da2818c6fdfa08248bb1a054e5ac",
+    "trace_paper_4_1_ip.csv": "2379f1beeaafd741550139b6e4196ad6f91c074c13e628bfda31825f10a8f501",
+    "trace_paper_4_2_fl.csv": "dc3373550f6d49dd8ac257b536b5305ba1096599e806fc00a6be693fdef031b1",
+    "trace_paper_4_2_ip.csv": "6c6aa65da57b04e8371619d693c7d7946a16c9839d14e443d8f4d75b35dcbc7e",
+    "trace_sweep_fl_mu0.07.csv": "38727e992af126c986d05900e16cf4a5bd759d6690128010eba18aeef2a4a9f3",
+    "trace_sweep_fl_mu0.14.csv": "ecd1f864b8445a5e472c8b13bb311af51349da2818c6fdfa08248bb1a054e5ac",
+    "trace_sweep_fl_mu0.21.csv": "f353a363a33a81cf38b14c1bd935708b7645735c45a7ea39169498d939964099",
+    "trace_sweep_ip_mu0.07.csv": "2379f1beeaafd741550139b6e4196ad6f91c074c13e628bfda31825f10a8f501",
+    "trace_sweep_ip_mu0.14.csv": "2379f1beeaafd741550139b6e4196ad6f91c074c13e628bfda31825f10a8f501",
+    "trace_sweep_ip_mu0.21.csv": "2379f1beeaafd741550139b6e4196ad6f91c074c13e628bfda31825f10a8f501",
+}
+
+
 def test_campaigns_write_what_the_subcommands_write(tmp_path, capsys):
-    """`campaigns` writes its 16 files with the bytes that `setpoint-map`,
-    `simulate` and `sweep` write at the same seed."""
+    """`campaigns` writes its 16 files with the pinned bytes, which are the
+    bytes that `setpoint-map`, `simulate` and `sweep` write at the same seed."""
     camp, sim, sweep = tmp_path / "camp", tmp_path / "sim", tmp_path / "sweep"
     assert main(["campaigns", "--out", str(camp), "--seed", "0"]) == EXIT_OK
-    runs = [f"{s}_{c}" for s in ("paper_4_1", "paper_4_2") for c in ("fl", "ip")]
-    mu0s = ("0.07", "0.14", "0.21")
-    assert sorted(p.name for p in camp.iterdir()) == sorted([
-        "setpoint_map.csv", "sweep_summary.csv",
-        *(f"trace_sweep_{c}_mu{m}.csv" for c in ("fl", "ip") for m in mu0s),
-        *(f"{kind}_{run}.csv" for kind in ("trace", "metrics") for run in runs),
-    ])
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in camp.iterdir()}
+    assert digests == CAMPAIGN_SHA256
     assert main(["setpoint-map", "--out", str(tmp_path / "map.csv")]) == EXIT_OK
     assert main(["simulate", "--seed", "0", "--out", str(sim)]) == EXIT_OK
     assert main(["sweep", "--seed", "0", "--out", str(sweep)]) == EXIT_OK

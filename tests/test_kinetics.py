@@ -2,10 +2,11 @@
 kernel, model dispatch."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pbrsim.kinetics import (
@@ -30,6 +31,9 @@ def test_dark_rate_is_uninhibited_respiration():
     p = FullModelParams()
     assert mean_oxygen_rate(0.3, 0.0, p) == -p.resp_rate * SECONDS_PER_HOUR
     assert mean_oxygen_rate(0.3, 0.0, p) == pytest.approx(-1.1484, rel=1e-14)
+    for X in (1e306, 1e308, sys.float_info.max):  # opaque: dark behind the lit face
+        for q0 in (100.0, 600.0, 1000.0):
+            assert mean_oxygen_rate(X, q0, p) == -p.resp_rate * SECONDS_PER_HOUR, (X, q0)
     assert local_oxygen_rate(0.0, 157.0, p) == pytest.approx(
         -p.resp_rate * SECONDS_PER_HOUR, rel=1e-14
     )
@@ -101,9 +105,8 @@ def test_mean_oxygen_rate_matches_simpson_oracle():
 
 @pytest.mark.parametrize("depth", [0.05, 0.1])
 def test_mean_oxygen_rate_thin_slab_edge(depth):
-    """Just below and just above an optical thickness of 1e-3, where the
-    kernel switches from Gauss-Legendre to the closed form, both meet the
-    oracle and each other."""
+    """Just below and just above an optical thickness of 1e-3, the closed
+    form meets the oracle and has no seam: both sides agree to 1e-11."""
     geom = Geometry(depth)
     for q0 in (5e-324, 100.0, 600.0, 0.999 * Q0_OPTICS_MAX):
         props = optical_coefficients(q0)
@@ -251,9 +254,12 @@ def test_params_validation():
 
 @settings(max_examples=150)
 @given(
-    X=st.floats(min_value=0.0, max_value=2.0),
+    X=st.floats(min_value=0.0, max_value=sys.float_info.max),
     q0=st.floats(min_value=0.0, max_value=1000.0),
 )
+@example(X=1e306, q0=100.0)
+@example(X=1e308, q0=600.0)
+@example(X=sys.float_info.max, q0=1000.0)
 def test_growth_rate_finite_and_bounded(X, q0):
     """Rates stay finite; the specific rate never exceeds the photo plateau."""
     p = FullModelParams()

@@ -1,6 +1,7 @@
 """Plant integration, light schedules, and the measurement channel."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbrsim import plant
+from pbrsim.control import FlConfig, IpConfig
 from pbrsim.kinetics import FullModelParams, SimplifiedModelParams
 from pbrsim.plant import (
     LIGHT_STEP_PROFILE,
@@ -21,6 +23,7 @@ from pbrsim.plant import (
     plant_derivative,
     step,
 )
+from pbrsim.scenarios import light_step_scenario
 from pbrsim.steady_state import optimal_setpoint
 
 CONST_600 = PiecewiseConstant(((0.0, 600.0),))
@@ -113,20 +116,31 @@ def test_day_night_validation():
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, match",
     [
-        pytest.param(lambda: PiecewiseConstant(((0.0, 1.0), (math.nan, 2.0))), id="schedule-start"),
-        pytest.param(lambda: PiecewiseConstant(((0.0, math.nan),)), id="schedule-value"),
-        pytest.param(lambda: PiecewiseConstant(((0.0, 1.0), (1.0, math.nan))), id="schedule-later"),
-        pytest.param(lambda: DayNightLight(period_h=math.nan), id="daynight-period"),
-        pytest.param(lambda: DayNightLight(floor=math.nan), id="daynight-floor"),
-        pytest.param(lambda: DayNightLight(peak=math.nan), id="daynight-peak"),
-        pytest.param(lambda: SamplingConfig(period_h=math.nan), id="sampling-period"),
-        pytest.param(lambda: NoiseConfig(relative_std=math.nan), id="noise-std"),
+        pytest.param(lambda: PiecewiseConstant(((0.0, 1.0), (math.nan, 2.0))), "increasing",
+                     id="schedule-start"),
+        pytest.param(lambda: PiecewiseConstant(((0.0, math.nan),)), "positive", id="schedule-value"),
+        pytest.param(lambda: PiecewiseConstant(((0.0, 1.0), (1.0, math.nan))), "positive",
+                     id="schedule-later"),
+        pytest.param(lambda: DayNightLight(period_h=math.nan), "positive", id="daynight-period"),
+        pytest.param(lambda: DayNightLight(floor=math.nan), "floor", id="daynight-floor"),
+        pytest.param(lambda: DayNightLight(peak=math.nan), "peak", id="daynight-peak"),
+        pytest.param(lambda: SamplingConfig(period_h=math.nan), "positive", id="sampling-period"),
+        pytest.param(lambda: SamplingConfig(substeps=1.5), "integer", id="sampling-substeps"),
+        pytest.param(lambda: NoiseConfig(relative_std=math.nan), "nonnegative", id="noise-std"),
+        pytest.param(lambda: FlConfig(lam=math.nan), "lam must be positive", id="fl-lam"),
+        pytest.param(lambda: IpConfig(a=math.nan), "a must be nonzero", id="ip-a"),
+        pytest.param(lambda: IpConfig(k_p=math.nan), "k_p must be positive", id="ip-k_p"),
+        pytest.param(lambda: IpConfig(tau_h=math.nan), "tau_h must be positive", id="ip-tau_h"),
+        pytest.param(lambda: replace(light_step_scenario(), x0=math.inf), "x0 must be positive",
+                     id="scenario-x0"),
+        pytest.param(lambda: replace(light_step_scenario(), duration_h=math.nan),
+                     "duration_h must be positive", id="scenario-duration"),
     ],
 )
-def test_configs_reject_nan(build):
-    with pytest.raises(ValueError):
+def test_configs_reject_nan(build, match):
+    with pytest.raises(ValueError, match=match):
         build()
 
 

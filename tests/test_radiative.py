@@ -1,10 +1,11 @@
 """Two-flux light attenuation: frozen values, limits, and invariants."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -176,9 +177,12 @@ def test_geometry_validation():
 @settings(max_examples=200)
 @given(
     z=st.floats(min_value=0.0, max_value=L),
-    X=st.floats(min_value=0.0, max_value=2.0),
+    X=st.floats(min_value=0.0, max_value=sys.float_info.max),
     q0=st.floats(min_value=1.0, max_value=1e5),
 )
+@example(z=0.0, X=1e306, q0=600.0)
+@example(z=0.0, X=1e308, q0=600.0)
+@example(z=0.0, X=sys.float_info.max, q0=600.0)
 def test_irradiance_bounded(z, X, q0):
     """0 <= G(z) <= 2 q0 everywhere the correlations are valid."""
     g = irradiance_at_depth(z, X, q0)
