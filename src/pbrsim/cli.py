@@ -9,7 +9,6 @@ notation so reruns can be diffed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -19,7 +18,7 @@ import typing
 import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from .kinetics import FullModelParams, SimplifiedModelParams
 from .plant import DayNightLight, IntegrationError, PiecewiseConstant
@@ -52,7 +51,7 @@ MAX_MAP_STEPS = 1000
 
 TRACE_HEADER = ",".join(f.name for f in fields(SimulationTrace))
 METRICS_HEADER = "offset,iae,settle_time,batch_duration"
-SWEEP_HEADER = "controller,mu0,offset,iae,settle_time,batch_duration,status"
+SWEEP_HEADER = f"controller,mu0,{METRICS_HEADER},status"
 MAP_HEADER = "q0,x_star,d_star,productivity"
 
 
@@ -157,13 +156,9 @@ def scenario_from_config(cfg: dict[str, Any]) -> Scenario:
     return _decode(Scenario, cfg, "")
 
 
-def _reject_constant(token: str) -> Any:
-    raise ConfigError(f"non-finite number {token} in config")
-
-
 def _parse_scalar(text: str) -> Any:
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text)
     except json.JSONDecodeError:
         return text
 
@@ -203,7 +198,7 @@ def load_scenario(args: argparse.Namespace) -> Scenario:
             raise ConfigError("--controller and --reference apply to built-in scenarios only")
         path = Path(args.config)
         try:
-            cfg = json.loads(path.read_text(), parse_constant=_reject_constant)
+            cfg = json.loads(path.read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -242,8 +237,13 @@ def _field(x: float | str | None) -> str:
 
 
 def _write_csv(path: Path, header: str, rows: Iterable[Sequence[Any]]) -> None:
+    """The one file writer: makes path's directory; an OSError is a ConfigError."""
     lines = [header, *(",".join(map(_field, row)) for row in rows)]
-    path.write_text("\n".join(lines) + "\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def write_trace_csv(path: Path, trace: SimulationTrace) -> None:
@@ -303,39 +303,14 @@ def _check_out(path: Path, is_dir: bool) -> None:
         raise ConfigError(f"--out {path} cannot be checked: {exc}") from exc
 
 
-@contextlib.contextmanager
-def _writing(path: Path) -> Iterator[None]:
-    """Report a failed write under path as a config error, not a traceback."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_run(out: Path, trace: SimulationTrace, metrics: TrackingMetrics, tag: str = "") -> None:
-    """Write trace<tag>.csv and metrics<tag>.csv under out."""
-    with _writing(out):
-        out.mkdir(parents=True, exist_ok=True)
-        write_trace_csv(out / f"trace{tag}.csv", trace)
-        write_metrics_csv(out / f"metrics{tag}.csv", metrics)
-
-
 def _write_sweep(out: Path, cells: Sequence[SweepCell], prefix: str = "") -> None:
     """Write trace_<prefix><controller>_mu<mu_0>.csv for each cell that ran,
     and <prefix>summary.csv, under out."""
-    with _writing(out):
-        out.mkdir(parents=True, exist_ok=True)
-        for cell in cells:
-            if cell.trace is not None:
-                name = f"trace_{prefix}{cell.controller_kind}_mu{cell.mu_0:g}.csv"
-                write_trace_csv(out / name, cell.trace)
-        write_sweep_summary(out / f"{prefix}summary.csv", cells)
-
-
-def _write_map(path: Path, points: Sequence[OperatingPoint]) -> None:
-    with _writing(path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_map_csv(path, points)
+    for cell in cells:
+        if cell.trace is not None:
+            name = f"trace_{prefix}{cell.controller_kind}_mu{cell.mu_0:g}.csv"
+            write_trace_csv(out / name, cell.trace)
+    write_sweep_summary(out / f"{prefix}summary.csv", cells)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -346,7 +321,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     _check_out(out, is_dir=True)
     trace = run_scenario(scenario)  # run fully before writing any file
-    _write_run(out, trace, compute_metrics(trace))
+    metrics = compute_metrics(trace)
+    write_trace_csv(out / "trace.csv", trace)
+    write_metrics_csv(out / "metrics.csv", metrics)
     print(f"wrote {out / 'trace.csv'} and {out / 'metrics.csv'}")
     return EXIT_OK
 
@@ -365,7 +342,7 @@ def cmd_setpoint_map(args: argparse.Namespace) -> int:
     grid = _map_grid(args.q0_min, args.q0_max, args.steps)
     path = Path(args.out)
     _check_out(path, is_dir=False)
-    _write_map(path, setpoint_map(grid))
+    write_map_csv(path, setpoint_map(grid))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -410,7 +387,7 @@ def cmd_campaigns(args: argparse.Namespace) -> int:
     print(f"{'q0':>6} {'X*':>8} {'D*':>8} {'P*':>10}")
     for op in points:
         print(f"{op.q0:6.0f} {op.x_star:8.4f} {op.d_star:8.4f} {op.productivity:10.6f}")
-    _write_map(out / "setpoint_map.csv", points)
+    write_map_csv(out / "setpoint_map.csv", points)
 
     print("\n== closed-loop campaigns ==")
     print(
@@ -420,7 +397,9 @@ def cmd_campaigns(args: argparse.Namespace) -> int:
     for (name, kind), scenario in runs.items():
         trace = run_scenario(scenario)
         m = compute_metrics(trace)
-        _write_run(out, trace, m, f"_{name.replace('.', '_').replace('-', '_')}_{kind}")
+        tag = f"{name.replace('.', '_').replace('-', '_')}_{kind}"
+        write_trace_csv(out / f"trace_{tag}.csv", trace)
+        write_metrics_csv(out / f"metrics_{tag}.csv", m)
         # hours to re-enter the band after paper-4.1's setpoint drop at t = 30 h
         reattach = _hours(time_to_band(trace, 30.0)) if name == "paper-4.1" else f"{'n/a':>8}"
         print(

@@ -137,8 +137,8 @@ class NoiseConfig:
     def __post_init__(self) -> None:
         if not self.relative_std >= 0:
             raise ValueError("relative_std must be nonnegative")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -199,8 +199,8 @@ def step(
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
+    if not (isinstance(substeps, int) and substeps >= 1):
+        raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
     h = dt / substeps
     # Every stage time lies in [t, t_last], so a light held that long gives
     # each stage the q0 it has at t.

@@ -47,6 +47,7 @@ __all__ = [
     "SweepCell",
     "CONTROLLERS",
     "MAX_SAMPLES",
+    "MAX_RK4_STEPS",
     "MU0_SWEEP_VALUES",
     "BUILTIN_SCENARIOS",
     "light_step_scenario",
@@ -65,6 +66,8 @@ CONTROLLERS: dict[str, type] = {"fl": FlConfig, "ip": IpConfig}
 
 # Most sampling periods in one run; its seven float64 trace columns take ~56 MB.
 MAX_SAMPLES = 10**6
+# Most RK4 steps (periods x substeps) in one run: MAX_SAMPLES at 10 substeps.
+MAX_RK4_STEPS = 10**7
 
 
 @dataclass
@@ -116,6 +119,9 @@ class Scenario:
         periods = self.duration_h / self.sampling.period_h
         if not periods <= MAX_SAMPLES:
             raise ValueError(f"duration_h / sampling.period_h is {periods:g}, over {MAX_SAMPLES}")
+        rk4_steps = periods * self.sampling.substeps
+        if not rk4_steps <= MAX_RK4_STEPS:
+            raise ValueError(f"periods x sampling.substeps is {rk4_steps:g}, over {MAX_RK4_STEPS}")
         n = round(periods)
         if n < 1 or abs(n * self.sampling.period_h - self.duration_h) > 1e-9:
             raise ValueError("duration_h must be a whole number of sampling periods")

@@ -1,6 +1,6 @@
 """The package's interfaces: no type dispatch on a model, controller or
-reference, one step call for both controllers, and every name the traced
-benchmark reads still exists."""
+reference, one step call for both controllers, one file writer in the CLI,
+and every name the traced benchmark reads still exists."""
 
 import ast
 import importlib
@@ -25,6 +25,8 @@ FAMILY_TYPES = {
     "DayNightLight",
     "MapReference",
 }
+# Calls that make a directory or write a file; in cli.py only _write_csv makes them.
+WRITE_CALLS = {"mkdir", "write_text", "write_bytes", "open"}
 # Tracer queries in perfbench/run.py whose string arguments are labels.
 TRACER_QUERIES = {"calls", "calls_inside", "percentile", "total"}
 
@@ -62,6 +64,31 @@ def test_type_test_finder_sees_both_forms():
         {"FullModelParams"},
         {"MapReference"},
     ]
+
+
+def _write_calls(tree: ast.AST) -> set[ast.Call]:
+    """Each call of a WRITE_CALLS name, as a method or as a plain function."""
+    return {
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in WRITE_CALLS
+    }
+
+
+def test_cli_writes_files_in_one_place():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    (writer,) = (
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_write_csv"
+    )
+    assert _write_calls(writer)
+    assert sorted(call.lineno for call in _write_calls(tree) - _write_calls(writer)) == []
+
+
+def test_write_call_finder_sees_both_forms():
+    tree = ast.parse("open(p, 'w')\nout.mkdir()\np.read_text()\nPath(p).write_bytes(b)\n")
+    assert sorted(call.lineno for call in _write_calls(tree)) == [1, 2, 4]
 
 
 def _benchmark_labels() -> set[str]:

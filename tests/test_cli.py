@@ -100,6 +100,22 @@ def test_set_override_controller_mu0(tmp_path):
     assert offset == pytest.approx(0.0018965223945365897, rel=1e-6)
 
 
+def test_seed_and_controller_precedence_over_set(tmp_path):
+    """--seed applies after every --set and --controller before them, so in
+    each pair the later flag wins: the trace is byte-equal to its run alone."""
+
+    def trace(name, *flags):
+        assert main(["simulate", *flags, "--out", str(tmp_path / name)]) == EXIT_OK
+        return (tmp_path / name / "trace.csv").read_bytes()
+
+    seed_3 = trace("seed", "--seed", "3")
+    assert trace("seed_after_set", "--set", "noise.seed=5", "--seed", "3") == seed_3
+    assert trace("set_seed", "--set", "noise.seed=5") != seed_3
+    kind_ip = trace("kind", "--set", "controller.kind=ip")
+    assert trace("fl_then_kind", "--controller", "fl", "--set", "controller.kind=ip") == kind_ip
+    assert trace("controller", "--controller", "fl") != kind_ip
+
+
 def test_set_unknown_key_rejected(tmp_path):
     rc = main(["simulate", "--set", "controller.bogus=1", "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
@@ -237,6 +253,7 @@ def test_config_round_trip(tmp_path):
             for period in ("1e-300", "1e-9")
         ),
         ["--set", "controller.tau_h=0.01"],
+        ["--set", "sampling.substeps=1000000000"],
     ],
 )
 def test_config_boundary_exits_2(tmp_path, capsys, args):

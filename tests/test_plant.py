@@ -129,6 +129,8 @@ def test_day_night_validation():
         pytest.param(lambda: SamplingConfig(period_h=math.nan), "positive", id="sampling-period"),
         pytest.param(lambda: SamplingConfig(substeps=1.5), "integer", id="sampling-substeps"),
         pytest.param(lambda: NoiseConfig(relative_std=math.nan), "nonnegative", id="noise-std"),
+        pytest.param(lambda: NoiseConfig(seed=math.nan), "integer", id="noise-seed-nan"),
+        pytest.param(lambda: NoiseConfig(seed=1.5), "integer", id="noise-seed-fraction"),
         pytest.param(lambda: FlConfig(lam=math.nan), "lam must be positive", id="fl-lam"),
         pytest.param(lambda: IpConfig(a=math.nan), "a must be nonzero", id="ip-a"),
         pytest.param(lambda: IpConfig(k_p=math.nan), "k_p must be positive", id="ip-k_p"),
@@ -229,9 +231,10 @@ def test_step_rejects_nan_dt(no_stage):
         step(0.3, 0.0, 0.05, LIGHT_STEP_PROFILE, math.nan, SimplifiedModelParams())
 
 
-def test_step_rejects_zero_substeps(no_stage):
+@pytest.mark.parametrize("substeps", [0, 1.5])
+def test_step_rejects_zero_substeps(no_stage, substeps):
     with pytest.raises(ValueError, match="substeps"):
-        step(0.3, 0.0, 0.05, LIGHT_STEP_PROFILE, 0.1, SimplifiedModelParams(), substeps=0)
+        step(0.3, 0.0, 0.05, LIGHT_STEP_PROFILE, 0.1, SimplifiedModelParams(), substeps=substeps)
 
 
 def test_step_rejects_nan_time(no_stage):
