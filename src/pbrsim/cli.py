@@ -16,7 +16,7 @@ import sys
 import time
 import typing
 import warnings
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import astuple, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -52,7 +52,7 @@ MAX_MAP_STEPS = 1000
 TRACE_HEADER = ",".join(f.name for f in fields(SimulationTrace))
 METRICS_HEADER = "offset,iae,settle_time,batch_duration"
 SWEEP_HEADER = f"controller,mu0,{METRICS_HEADER},status"
-MAP_HEADER = "q0,x_star,d_star,productivity"
+MAP_HEADER = ",".join(f.name for f in fields(OperatingPoint))
 
 
 class ConfigError(ValueError):
@@ -192,7 +192,11 @@ def apply_overrides(cfg: dict[str, Any], pairs: Sequence[str]) -> dict[str, Any]
 
 
 def load_scenario(args: argparse.Namespace) -> Scenario:
-    """Resolve the scenario from --config or --scenario plus overrides."""
+    """Resolve the scenario from --config or --scenario plus overrides; the
+    flags --controller K and --reference map are kind switches put first."""
+    switches = [f"controller.kind={args.controller}"] if args.controller else []
+    if args.reference == "map":
+        switches.append("reference.kind=map")
     if args.config:
         if args.controller or args.reference:
             raise ConfigError("--controller and --reference apply to built-in scenarios only")
@@ -208,13 +212,9 @@ def load_scenario(args: argparse.Namespace) -> Scenario:
         if name not in BUILTIN_SCENARIOS:
             known = ", ".join(sorted(BUILTIN_SCENARIOS))
             raise ConfigError(f"unknown scenario {name!r} (built-ins: {known})")
-        builder = BUILTIN_SCENARIOS[name]
-        builtin = builder(args.controller) if args.controller else builder()
-        if args.reference == "map":
-            builtin = replace(builtin, reference=MapReference())
-        cfg = scenario_to_config(builtin)
+        cfg = scenario_to_config(BUILTIN_SCENARIOS[name]())
 
-    scenario = scenario_from_config(apply_overrides(cfg, args.set or []))
+    scenario = scenario_from_config(apply_overrides(cfg, [*switches, *(args.set or [])]))
     return scenario if args.seed is None else _seeded(scenario, args.seed)
 
 
@@ -261,8 +261,7 @@ def write_metrics_csv(path: Path, m: TrackingMetrics) -> None:
 
 
 def write_map_csv(path: Path, points: Sequence[OperatingPoint]) -> None:
-    rows = [(op.q0, op.x_star, op.d_star, op.productivity) for op in points]
-    _write_csv(path, MAP_HEADER, rows)
+    _write_csv(path, MAP_HEADER, map(astuple, points))
 
 
 def write_sweep_summary(path: Path, cells: Sequence[SweepCell]) -> None:
@@ -329,13 +328,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _map_grid(lo: float, hi: float, steps: int) -> list[float]:
-    """steps evenly spaced light levels from lo to hi."""
+    """steps evenly spaced light levels from lo to hi, ending at hi itself."""
     q_min, q_max = Q0_VALID_RANGE
     if not (q_min <= lo < hi <= q_max):
         raise ConfigError(f"need {q_min:g} <= q0-min < q0-max <= {q_max:g}, got [{lo}, {hi}]")
     if not 2 <= steps <= MAX_MAP_STEPS:
         raise ConfigError(f"steps must lie in [2, {MAX_MAP_STEPS}], got {steps}")
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps - 1)] + [hi]
 
 
 def cmd_setpoint_map(args: argparse.Namespace) -> int:

@@ -100,12 +100,7 @@ def irradiance_at_depth(
     linear in q0, as the two-flux solution is in its boundary flux).
     """
     z = np.asarray(z, dtype=float)
-    # One NaN-ignoring reduction per bound: NaN entries pass, as they fail
-    # both comparisons, and an empty z passes.
-    if (
-        np.fmin.reduce(z, axis=None, initial=np.inf) < 0
-        or np.fmax.reduce(z, axis=None, initial=-np.inf) > geom.depth
-    ):
+    if np.any(z < 0) or np.any(z > geom.depth):
         raise ValueError("z must lie within [0, depth]")
     if not q0 >= 0:  # NaN fails it too
         raise ValueError(f"q0 must be nonnegative, got {q0}")

@@ -69,6 +69,9 @@ MAX_SAMPLES = 10**6
 # Most RK4 steps (periods x substeps) in one run: MAX_SAMPLES at 10 substeps.
 MAX_RK4_STEPS = 10**7
 
+OFFSET_WINDOW_H = 10.0  # tail window the steady-state offset is averaged over
+BAND = 0.02  # relative band of the settle time and time_to_band
+
 
 @dataclass
 class MapReference:
@@ -209,15 +212,15 @@ def _trapz(y: np.ndarray, x: np.ndarray) -> float:
     return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
 
 
-def compute_metrics(trace: SimulationTrace, offset_window_h: float = 10.0) -> TrackingMetrics:
+def compute_metrics(trace: SimulationTrace) -> TrackingMetrics:
     """Tracking summaries; the offset is noise-free (uses the true state)."""
     t = trace.t
     horizon = float(t[-1])
-    window = offset_window_h
-    if horizon < offset_window_h:
+    window = OFFSET_WINDOW_H
+    if horizon < OFFSET_WINDOW_H:
         window = 0.2 * horizon
         warnings.warn(
-            f"run shorter than {offset_window_h} h; offset averaged over "
+            f"run shorter than {OFFSET_WINDOW_H} h; offset averaged over "
             f"the final {window:.3g} h",
             stacklevel=2,
         )
@@ -226,7 +229,7 @@ def compute_metrics(trace: SimulationTrace, offset_window_h: float = 10.0) -> Tr
     offset = float(np.mean(err[tail]))
     iae = _trapz(np.abs(err), t)
 
-    inside = np.abs(err) <= 0.02 * trace.y_ref
+    inside = np.abs(err) <= BAND * trace.y_ref
     if inside.all():
         settle: float | None = 0.0
     elif inside[-1]:
@@ -247,9 +250,9 @@ def compute_metrics(trace: SimulationTrace, offset_window_h: float = 10.0) -> Tr
     )
 
 
-def time_to_band(trace: SimulationTrace, t_from: float, band: float = 0.02) -> float | None:
+def time_to_band(trace: SimulationTrace, t_from: float) -> float | None:
     """Hours after t_from until the true state first enters the relative
-    band around the reference; None if it never does.
+    BAND around the reference; None if it never does.
 
     Only samples strictly after t_from count, so when t_from is a reference
     switch instant the band is measured against the new value (switches take
@@ -257,7 +260,7 @@ def time_to_band(trace: SimulationTrace, t_from: float, band: float = 0.02) -> f
     """
     mask = trace.t > t_from + 1e-9
     err = np.abs(trace.y_ref - trace.x_true)[mask]
-    inside = err <= band * trace.y_ref[mask]
+    inside = err <= BAND * trace.y_ref[mask]
     hit = np.flatnonzero(inside)
     if not hit.size:
         return None

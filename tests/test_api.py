@@ -1,14 +1,17 @@
 """The package's interfaces: no type dispatch on a model, controller or
 reference, one step call for both controllers, one file writer in the CLI,
-and every name the traced benchmark reads still exists."""
+every name the traced benchmark reads still exists, and the package
+exports what its modules export."""
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
+import pbrsim
 from pbrsim.control import FlController, IpController
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -123,3 +126,19 @@ def test_controllers_share_one_step_signature():
     """Both controllers are driven by the same call, step(t, y_meas, y_r, q0)."""
     names = [list(inspect.signature(c.step).parameters) for c in (FlController, IpController)]
     assert names == [["self", "t", "y_meas", "y_r", "q0"]] * 2
+
+
+@pytest.mark.parametrize(
+    "module", ["control", "kinetics", "plant", "radiative", "scenarios", "steady_state"]
+)
+def test_package_exports_each_module_all(module):
+    """`import pbrsim` gives every name in each model module's __all__."""
+    mod = importlib.import_module(f"pbrsim.{module}")
+    assert all(getattr(pbrsim, name) is getattr(mod, name) for name in mod.__all__)
+
+
+def test_readme_python_example_runs(capsys):
+    """README's Python API example runs as written against the package."""
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert "TrackingMetrics(" in capsys.readouterr().out

@@ -116,6 +116,30 @@ def test_seed_and_controller_precedence_over_set(tmp_path):
     assert trace("controller", "--controller", "fl") != kind_ip
 
 
+@pytest.mark.parametrize("scenario", ["paper-4.1", "paper-4.2"])
+@pytest.mark.parametrize("controller", [None, "fl", "ip"])
+@pytest.mark.parametrize("reference", [None, "anchors", "map"])
+@pytest.mark.parametrize("tail", [[], ["controller.kind=fl"], ["controller.kind=ip"]])
+def test_builtin_flags_are_kind_switches(scenario, controller, reference, tail):
+    """--controller K and --reference map load the scenario that --set
+    controller.kind=K and --set reference.kind=map load, before any --set."""
+    flags, sets = ["--scenario", scenario], []
+    if controller:
+        flags += ["--controller", controller]
+        sets.append(f"controller.kind={controller}")
+    if reference:
+        flags += ["--reference", reference]
+    if reference == "map":
+        sets.append("reference.kind=map")
+
+    def load(*argv):
+        args = cli.build_parser().parse_args(["simulate", *argv])
+        return cli.load_scenario(args)
+
+    with_flags = load(*flags, *(f"--set={kv}" for kv in tail))
+    assert with_flags == load("--scenario", scenario, *(f"--set={kv}" for kv in sets + tail))
+
+
 def test_set_unknown_key_rejected(tmp_path):
     rc = main(["simulate", "--set", "controller.bogus=1", "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
@@ -397,6 +421,16 @@ def test_setpoint_map_output(tmp_path):
     by_q0 = {float(r[0]): float(r[1]) for r in rows}
     assert by_q0[600.0] == pytest.approx(0.39845345173368407, abs=1e-4)
     assert by_q0[100.0] == pytest.approx(0.20182086195952736, abs=1e-4)
+
+
+@pytest.mark.parametrize("q0_min", ["280.76771029668345", "152.34630450118746"])
+def test_setpoint_map_grid_ends_at_q0_max(tmp_path, q0_min):
+    """The last grid point is --q0-max itself, not a sum that rounds above it."""
+    out = tmp_path / "map.csv"
+    argv = ["setpoint-map", "--q0-min", q0_min, "--q0-max", "1000", "--steps", "7"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    _, rows = _rows(out)
+    assert len(rows) == 7 and rows[-1][0] == "1.00000000e+03"
 
 
 def test_setpoint_map_range_validation(tmp_path):
