@@ -12,6 +12,11 @@ a a fixed gain chosen so that a * u matches the scale of y'.  Dilution
 removes biomass, so the default gain is negative.  The paper's law also adds
 the reference derivative, which is zero here: every reference is held between
 samples.  Only the model-based law reads q0.
+
+The window estimators take any strictly increasing sample times.  The
+controller samples on a uniform clock, on which each estimator is linear in
+the window's samples with fixed weights, so a step computes F as two
+weighted sums (an FIR filter) instead of calling an estimator.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import mul
 
 import numpy as np
 
@@ -185,9 +191,50 @@ def estimate_F_closed(t: np.ndarray, u: np.ndarray, e: np.ndarray, a: float, k_p
     return float((int_s - a * int_u) / T)
 
 
+def _open_weights(n: int, period_h: float, a: float) -> tuple[list[float], list[float]]:
+    """estimate_F_open on n samples period_h apart, as weights on (y, u).
+
+    Each interval adds its two Gauss-point terms, with y interpolated between
+    the interval's ends and u held from its start; the last u has weight 0.
+    """
+    T = (n - 1) * period_h
+    scale = -6.0 / T**3
+    frac_lo = 0.5 - 0.5 / math.sqrt(3.0)  # Gauss points as fractions of an interval
+    frac_hi = 0.5 + 0.5 / math.sqrt(3.0)
+    w_y, w_u = [0.0] * n, [0.0] * n
+    for i in range(n - 1):
+        lo, hi = (i + frac_lo) * period_h, (i + frac_hi) * period_h
+        g_lo = scale * 0.5 * period_h * (T - 2.0 * lo)
+        g_hi = scale * 0.5 * period_h * (T - 2.0 * hi)
+        w_y[i] += g_lo * (1.0 - frac_lo) + g_hi * (1.0 - frac_hi)
+        w_y[i + 1] += g_lo * frac_lo + g_hi * frac_hi
+        w_u[i] = scale * a * 0.5 * period_h * (lo * (T - lo) + hi * (T - hi))
+    return w_y, w_u
+
+
+def _closed_weights(
+    n: int, period_h: float, a: float, k_p: float
+) -> tuple[list[float], list[float]]:
+    """estimate_F_closed on n samples period_h apart, as weights on (e, u).
+
+    The trapezoid rule on e times -k_p, and the held u times -a, each over T.
+    """
+    T = (n - 1) * period_h
+    half_e = -k_p * 0.5 * period_h / T
+    held_u = -a * period_h / T
+    w_e, w_u = [0.0] * n, [0.0] * n
+    for i in range(n - 1):
+        w_e[i] += half_e
+        w_e[i + 1] += half_e
+        w_u[i] = held_u
+    return w_e, w_u
+
+
 def _check_clock(last_t: float | None, t: float) -> float:
     """Return t as the new last sample time; the clock must strictly increase."""
-    if last_t is not None and t <= last_t:
+    if not math.isfinite(t):
+        raise ValueError(f"controller sample time must be finite, got {t}")
+    if last_t is not None and not t > last_t:
         raise ValueError(f"non-monotone controller clock: {t} after {last_t}")
     return t
 
@@ -217,10 +264,17 @@ class FlController:
 class IpController:
     """Sampled intelligent-proportional controller with online F estimation.
 
-    Its window, rows, holds the last round(tau_h / period_h) + 1 samples
-    (t, u, y, e), spanning tau_h; until it first fills, F = 0.  The applied
-    (saturated) command enters the window: it is the input the plant saw, and
-    during saturation the only fresh information for the closed-form estimate.
+    Samples come on a uniform clock: each after the first must be period_h
+    after the last, to within 1e-9 * period_h, or step raises ValueError.
+    The window holds the last n = round(tau_h / period_h) + 1 samples,
+    spanning tau_h: u_window the applied inputs and x_window the measurements
+    (open estimator) or tracking errors (closed).  Until it first fills,
+    F = 0.  Then the estimator's weights on that uniform window are built
+    once, and each estimate is sum(w_x * x) + sum(w_u * u), equal to
+    estimate_F_open or estimate_F_closed on the same samples up to rounding.
+    The applied (saturated) command enters the window: it is the input the
+    plant saw, and during saturation the only fresh information for the
+    closed-form estimate.
     """
 
     def __init__(
@@ -235,28 +289,44 @@ class IpController:
         self.bounds = bounds
         try:
             n = round(config.tau_h / period_h) + 1
-            self.rows: deque[tuple[float, float, float, float]] = deque(maxlen=n)
+            self.u_window: deque[float] = deque(maxlen=n)
         except OverflowError as exc:
             raise ValueError(f"tau_h={config.tau_h} h makes a window too long to count") from exc
         if n < 2:
             raise ValueError(f"tau_h={config.tau_h} h spans under 2 samples of {period_h} h")
+        self.x_window: deque[float] = deque(maxlen=n)
+        self.weights: tuple[list[float], list[float]] | None = None  # (w_x, w_u), once full
         self.f_estimate = 0.0
+        self._period_h = period_h
+        self._clock_tol = 1e-9 * period_h
+        self._x_is_error = config.estimator == "closed"
         self._last_t: float | None = None
+
+    def _build_weights(self) -> tuple[list[float], list[float]]:
+        n, cfg = self.u_window.maxlen, self.config
+        if self._x_is_error:
+            return _closed_weights(n, self._period_h, cfg.a, cfg.k_p)
+        return _open_weights(n, self._period_h, cfg.a)
 
     def step(self, t: float, y_meas: float, y_r: float, q0: float) -> float:
         """Return the applied dilution rate for this sampling instant."""
-        self._last_t = _check_clock(self._last_t, t)
+        last_t = self._last_t
+        if last_t is None:
+            _check_clock(None, t)
+        elif not abs(t - last_t - self._period_h) <= self._clock_tol:  # NaN fails it too
+            raise ValueError(f"sample at {t} h is not period_h={self._period_h} h after {last_t} h")
+        self._last_t = t
         e = y_meas - y_r
-        cfg = self.config
-        if len(self.rows) == self.rows.maxlen:
-            ts, us, ys, es = np.asarray(self.rows, dtype=float).T
-            if cfg.estimator == "open":
-                f_est = estimate_F_open(ts, us, ys, cfg.a)
-            else:
-                f_est = estimate_F_closed(ts, us, es, cfg.a, cfg.k_p)
+        us, xs = self.u_window, self.x_window
+        if len(us) == us.maxlen:
+            if self.weights is None:
+                self.weights = self._build_weights()
+            w_x, w_u = self.weights
+            f_est = sum(map(mul, w_x, xs)) + sum(map(mul, w_u, us))
         else:
             f_est = 0.0
-        applied = saturate(ip_control(f_est, e, cfg), self.bounds)
-        self.rows.append((t, applied, y_meas, e))
+        applied = saturate(ip_control(f_est, e, self.config), self.bounds)
+        us.append(applied)
+        xs.append(e if self._x_is_error else y_meas)
         self.f_estimate = f_est
         return applied

@@ -90,6 +90,17 @@ def test_fl_trace_has_empty_estimate_column(tmp_path):
     assert all(r[6] == "" for r in rows)
 
 
+def test_window_that_never_fills_runs_with_zero_estimate(tmp_path):
+    """tau_h=1e9 is a legal window of 10^10 samples: the run ends normally
+    with F = 0 in every row, and no weights are ever built for it."""
+    rc = main(["simulate", "--set", "controller.tau_h=1e9", "--set", "duration_h=12",
+               "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    _, rows = _rows(tmp_path / "trace.csv")
+    assert len(rows) == 121
+    assert all(float(r[6]) == 0.0 for r in rows)
+
+
 def test_set_override_controller_mu0(tmp_path):
     """Dotted override reaches the controller model's rate scale."""
     rc = main(["simulate", "--controller", "fl", "--set", "controller.sp.mu_0=0.21",

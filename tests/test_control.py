@@ -1,6 +1,8 @@
 """Controllers and online F estimation: arithmetic pins and convergence."""
 
 import math
+import tracemalloc
+from operator import mul
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from pbrsim.control import (
 )
 from pbrsim.kinetics import SimplifiedModelParams
 from pbrsim.radiative import mean_irradiance_simplified
+from pbrsim.scenarios import MAX_SAMPLES
 
 TAU = 1.5
 KP = 5.0
@@ -214,10 +217,68 @@ def test_estimators_equal_their_first_formulas(window, a, k_p):
     assert _same_float(estimate_F_closed(t, u, e, a, k_p), _closed_oracle(t, u, e, a, k_p))
 
 
+def _filled_weights(estimator, n, period_h, a, k_p):
+    """The weights an IpController builds on its first full window of n."""
+    cfg = IpConfig(a=a, k_p=k_p, tau_h=(n - 1) * period_h, estimator=estimator)
+    ctl = IpController(cfg, period_h=period_h)
+    for k in range(n + 1):
+        ctl.step(k * period_h, 0.3, 0.38, 0.0)
+    assert len(ctl.weights[0]) == len(ctl.weights[1]) == n
+    return ctl.weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=64),
+    period_h=st.floats(min_value=1e-3, max_value=2.0),
+    a=st.one_of(st.floats(min_value=-2.0, max_value=-1e-2), st.floats(min_value=1e-2, max_value=2.0)),
+    k_p=st.floats(min_value=1e-2, max_value=20.0),
+    data=st.data(),
+)
+def test_window_weights_equal_the_estimators(n, period_h, a, k_p, data):
+    """On a uniform window the weighted sums are the general-t estimators,
+    to 1e-13 of the window's scale (the largest term an estimate can hold)."""
+
+    def column(lo, hi):
+        return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    t = np.arange(n) * period_h
+    u, y, e = column(0.0, 0.5), column(0.0, 2.0), column(-1.0, 1.0)
+    T = t[-1]
+    u_scale = abs(a) * np.max(np.abs(u))
+
+    w_y, w_u = _filled_weights("open", n, period_h, a, k_p)
+    f = sum(map(mul, w_y, y)) + sum(map(mul, w_u, u))
+    scale = 3.0 * np.max(np.abs(y)) / T + u_scale
+    assert abs(f - estimate_F_open(t, u, y, a)) <= 1e-13 * scale
+
+    w_e, w_u = _filled_weights("closed", n, period_h, a, k_p)
+    f = sum(map(mul, w_e, e)) + sum(map(mul, w_u, u))
+    scale = k_p * np.max(np.abs(e)) + u_scale
+    assert abs(f - estimate_F_closed(t, u, e, a, k_p)) <= 1e-13 * scale
+
+
 def test_ip_controller_window_spans_tau():
     """Default window: round(tau/T_s) + 1 samples span exactly tau."""
     ctl = IpController(IpConfig(), period_h=0.1)
-    assert ctl.rows.maxlen == 16  # 15 intervals * 0.1 h = 1.5 h
+    assert ctl.u_window.maxlen == ctl.x_window.maxlen == 16  # 15 intervals * 0.1 h = 1.5 h
+
+
+def test_ip_controller_long_window_builds_no_weights():
+    """A window that never fills (10^10 samples) costs nothing to build or
+    run: the weights come only when the window first fills."""
+    tracemalloc.start()
+    try:
+        ctl = IpController(IpConfig(tau_h=1e9), period_h=0.1)
+        for k in range(100):
+            ctl.step(k * 0.1, 0.3, 0.38, 0.0)
+            assert ctl.f_estimate == 0.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctl.u_window.maxlen == 10**10 + 1
+    assert ctl.weights is None
+    assert peak < 100_000  # bytes; the weights alone would be ~160 GB
 
 
 def test_ip_controller_window_too_short_or_long():
@@ -231,8 +292,8 @@ def test_ip_controller_window_too_short_or_long():
 
 def test_ip_controller_estimates_on_its_last_rows():
     """F = 0 until 16 samples are held; from then on every estimate is the
-    open estimator on the 16 (t, applied, y) samples before it, the oldest
-    dropped as each new one arrives."""
+    open estimator's weighted sum over the 16 (applied, y) samples before
+    it, the oldest dropped as each new one arrives."""
     ctl = IpController(IpConfig(), period_h=0.1)
     rows, f_hist = [], []
     y = 0.3
@@ -240,12 +301,13 @@ def test_ip_controller_estimates_on_its_last_rows():
         t = k * 0.1
         d = ctl.step(t, y, 0.38, 600.0)
         f_hist.append(ctl.f_estimate)
-        rows.append((t, d, y))
+        rows.append((d, y))
         y += (0.02 - 0.2 * d) * 0.1 + 0.001 * np.sin(k)
     assert f_hist[:16] == [0.0] * 16
+    w_y, w_u = ctl.weights
     for k in range(16, 40):
-        t, u, yk = np.array(rows[k - 16 : k]).T
-        assert f_hist[k] == estimate_F_open(t, u, yk, ctl.config.a)
+        u, yk = zip(*rows[k - 16 : k])
+        assert f_hist[k] == sum(map(mul, w_y, yk)) + sum(map(mul, w_u, u))
 
 
 def test_ip_controller_warmup_zero_f():
@@ -305,6 +367,39 @@ def test_controllers_reject_non_monotone_clock():
     ip.step(0.0, 0.3, 0.38, 0.0)
     with pytest.raises(ValueError):
         ip.step(-0.1, 0.3, 0.38, 0.0)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: FlController(FlConfig()), lambda: IpController(IpConfig())], ids=["fl", "ip"]
+)
+def test_controllers_reject_nan_clock(make):
+    """A NaN sample time is refused, first or later, and leaves the clock
+    where it was: t = 0.0 cannot be replayed after a refused NaN."""
+    with pytest.raises(ValueError, match="finite"):
+        make().step(math.nan, 0.3, 0.38, 600.0)
+    ctl = make()
+    ctl.step(0.0, 0.3, 0.38, 600.0)
+    with pytest.raises(ValueError):
+        ctl.step(math.nan, 0.3, 0.38, 600.0)
+    with pytest.raises(ValueError):
+        ctl.step(0.0, 0.3, 0.38, 600.0)
+
+
+@pytest.mark.parametrize("period_h", [0.1, 0.07, 1 / 3, 1e-3])
+def test_ip_controller_keeps_the_sample_clock(period_h):
+    """Samples k * period_h pass up to k = MAX_SAMPLES; a sample off the
+    clock by more than 1e-9 * period_h raises."""
+    k = np.arange(MAX_SAMPLES + 1)
+    t = k * period_h
+    assert np.max(np.abs(t[1:] - t[:-1] - period_h)) <= 1e-9 * period_h
+    ctl = IpController(IpConfig(), period_h=period_h)
+    for j in range(MAX_SAMPLES - 100, MAX_SAMPLES + 1):
+        ctl.step(j * period_h, 0.3, 0.38, 0.0)
+    last = MAX_SAMPLES * period_h
+    for off in (2e-9, -2e-9, 1.0, -1.0, 0.5):
+        with pytest.raises(ValueError, match="not period_h"):
+            ctl.step(last + period_h * (1.0 + off), 0.3, 0.38, 0.0)
+    ctl.step(last + period_h, 0.3, 0.38, 0.0)
 
 
 def test_fl_controller_saturates():
