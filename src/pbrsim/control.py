@@ -283,8 +283,8 @@ class IpController:
         bounds: ActuatorBounds = ActuatorBounds(),
         period_h: float = 0.1,
     ) -> None:
-        if period_h <= 0:
-            raise ValueError("period_h must be positive")
+        if not period_h > 0:  # NaN fails it too
+            raise ValueError(f"period_h must be positive, got {period_h}")
         self.config = config
         self.bounds = bounds
         try:

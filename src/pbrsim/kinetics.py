@@ -13,6 +13,7 @@ hour, so the O2 balance carries an explicit seconds-to-hours conversion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import ClassVar
@@ -121,6 +122,18 @@ def _mean_inverse(
     return (1.0 + log_sum / thickness) / s
 
 
+@functools.lru_cache(maxsize=1)
+def _light(q0: float) -> tuple[float, ...]:
+    """E_a, extinction per unit X, alpha, 1 +- alpha and (1 +- alpha)^2 at q0.
+
+    One entry: q0 holds over a setpoint solve, a held light's period and a night.
+    """
+    props = optical_coefficients(q0)
+    extinction, alpha = _two_flux(props)
+    up, down = 1.0 + alpha, 1.0 - alpha
+    return props.E_a, extinction, alpha, up, down, up**2, down**2
+
+
 def mean_oxygen_rate(
     X: float, q0: float, p: FullModelParams = FullModelParams(), geom: Geometry = Geometry()
 ) -> float:
@@ -137,17 +150,15 @@ def mean_oxygen_rate(
     if q0 == 0:
         # Dark culture: uninhibited respiration only.
         return float(-p.resp_rate * SECONDS_PER_HOUR)
-    props = optical_coefficients(q0)
-    E_a = props.E_a
-    delta, alpha = _two_flux(X, props)
-    thickness = delta * geom.depth
+    E_a, extinction, alpha, up, down, up2, down2 = _light(q0)
+    thickness = X * extinction * geom.depth
     if thickness < _CLEAR_SLAB_THICKNESS:
         return local_oxygen_rate(q0, E_a, p)
     # The two-flux profile of irradiance_at_depth, written as A w - B / w.
     w_L = math.exp(-thickness)
-    den = (1.0 + alpha) ** 2 - (1.0 - alpha) ** 2 * w_L * w_L
-    two_A = 4.0 * q0 * (1.0 + alpha) / den
-    B_L = 2.0 * q0 * (1.0 - alpha) * w_L / den
+    den = up2 - down2 * w_L * w_L
+    two_A = 4.0 * q0 * up / den
+    B_L = 2.0 * q0 * down * w_L / den
     four_AB = 2.0 * two_A * B_L * w_L
     G_L = 4.0 * q0 * alpha * w_L / den
     em = -math.expm1(-thickness)

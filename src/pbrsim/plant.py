@@ -195,12 +195,15 @@ def step(
     Biomass is clamped at zero from below: the vessel cannot hold negative
     concentration, and RK4 stage excursions below zero are cut the same way.
     Raises ValueError for a bad t, dt or substeps before any stage runs, and
-    IntegrationError if the state stops being finite.
+    IntegrationError for a non-finite D (before any stage) or if the state
+    stops being finite.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if not (isinstance(substeps, int) and substeps >= 1):
         raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
+    if not isfinite(D):
+        raise IntegrationError("dilution command is not finite", t=t, X=X, D=D)
     h = dt / substeps
     # Every stage time lies in [t, t_last], so a light held that long gives
     # each stage the q0 it has at t.

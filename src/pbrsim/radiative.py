@@ -80,10 +80,10 @@ def optical_coefficients(q0: float) -> OpticalProps:
     return OpticalProps(E_a=E_a, E_s=E_s)
 
 
-def _two_flux(X: float, props: OpticalProps) -> tuple[float, float]:
-    """Extinction coefficient delta (1/m) and scattering modulus alpha."""
+def _two_flux(props: OpticalProps) -> tuple[float, float]:
+    """Extinction per unit biomass (m^2/kg, delta / X) and scattering modulus alpha."""
     diffuse = props.E_a + 2.0 * props.b * props.E_s
-    return X * math.sqrt(props.E_a * diffuse), math.sqrt(props.E_a / diffuse)
+    return math.sqrt(props.E_a * diffuse), math.sqrt(props.E_a / diffuse)
 
 
 def irradiance_at_depth(
@@ -111,7 +111,8 @@ def irradiance_at_depth(
         props = optical_coefficients(q0)
     if not X >= 0:
         raise ValueError(f"X must be nonnegative, got {X}")
-    delta, alpha = _two_flux(X, props)
+    extinction, alpha = _two_flux(props)
+    delta = X * extinction
     depth = geom.depth
     if delta * depth < _CLEAR_SLAB_THICKNESS:
         out = q0 * np.ones_like(z)

@@ -30,6 +30,12 @@ FAMILY_TYPES = {
 }
 # Calls that make a directory or write a file; in cli.py only _write_csv makes them.
 WRITE_CALLS = {"mkdir", "write_text", "write_bytes", "open"}
+# functools decorators that keep results between calls.
+CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+# Caches allowed more than one entry.  _field_types holds the resolved type
+# hints of each config class: about 1 ms of work in all and no model result,
+# while resolving them on every call would add ~1 ms to each config round trip.
+CACHE_EXEMPT = {"_field_types"}
 # Tracer queries in perfbench/run.py whose string arguments are labels.
 TRACER_QUERIES = {"calls", "calls_inside", "percentile", "total"}
 
@@ -92,6 +98,42 @@ def test_cli_writes_files_in_one_place():
 def test_write_call_finder_sees_both_forms():
     tree = ast.parse("open(p, 'w')\nout.mkdir()\np.read_text()\nPath(p).write_bytes(b)\n")
     assert sorted(call.lineno for call in _write_calls(tree)) == [1, 2, 4]
+
+
+def _caches(tree: ast.AST):
+    """(function name, decorator source) of each functools cache decorator,
+    written bare, called, or through the functools module."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "attr", getattr(target, "id", None)) in CACHE_DECORATORS:
+                    yield node.name, ast.unparse(dec)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_caches_hold_one_entry(path):
+    """A cache can carry at most one entry from one benchmark pass to the
+    next, so a gain measured over repeated passes is one a fresh run gets."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [
+        (name, dec) for name, dec in _caches(tree)
+        if name not in CACHE_EXEMPT and dec.split(".")[-1] != "lru_cache(maxsize=1)"
+    ] == []
+
+
+def test_cache_finder_sees_both_forms():
+    tree = ast.parse(
+        "@lru_cache(maxsize=1)\ndef a(q): pass\n"
+        "@functools.lru_cache(maxsize=None)\ndef b(q): pass\n"
+        "@functools.cache\ndef c(q): pass\n"
+        "@staticmethod\ndef d(q): pass\n"
+    )
+    assert list(_caches(tree)) == [
+        ("a", "lru_cache(maxsize=1)"),
+        ("b", "functools.lru_cache(maxsize=None)"),
+        ("c", "functools.cache"),
+    ]
 
 
 def _benchmark_labels() -> set[str]:

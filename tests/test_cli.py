@@ -615,6 +615,22 @@ def test_overflowing_state_is_one_fault_line(tmp_path, kind):
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
+def test_nan_dilution_command_is_a_fault_before_it_is_integrated(tmp_path):
+    """An infinite FL measurement makes a NaN command, which saturate passes
+    through; the plant refuses it before any RK4 stage, with no traceback."""
+    argv = ["--controller", "fl", "--set", "noise.relative_std=1.7e308", "--set", "duration_h=1"]
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbrsim", "simulate", *argv, "--out", str(out)],
+        capture_output=True, text=True, env=_env(),
+    )
+    assert proc.returncode == EXIT_INTEGRATION
+    assert proc.stderr.startswith("integration fault: dilution command is not finite (")
+    assert "D=nan" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_short_run_warning_is_one_line(tmp_path):
     """The short-run warning reaches stderr as one "warning:" line, without
     the file, line number and source line of the code that raised it."""

@@ -290,6 +290,13 @@ def test_ip_controller_window_too_short_or_long():
             IpController(IpConfig(tau_h=tau_h), period_h=period_h)
 
 
+@pytest.mark.parametrize("period_h", [math.nan, 0.0, -1.0])
+def test_ip_controller_period_must_be_positive(period_h):
+    """A NaN, zero or negative period is refused by name, before round()."""
+    with pytest.raises(ValueError, match=rf"period_h must be positive, got {period_h}"):
+        IpController(IpConfig(), period_h=period_h)
+
+
 def test_ip_controller_estimates_on_its_last_rows():
     """F = 0 until 16 samples are held; from then on every estimate is the
     open estimator's weighted sum over the 16 (applied, y) samples before

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pbrsim import kinetics
 from pbrsim.kinetics import (
     SECONDS_PER_HOUR,
     FullModelParams,
@@ -179,6 +180,71 @@ def test_mean_oxygen_rate_equals_reference_pipeline(depth, n_nodes):
         expected = _refined_reference(X, q0, p, geom, n_nodes)
         got = mean_oxygen_rate(X, q0, p, geom)
         assert abs(got - expected) <= 1e-11 * abs(expected), (X, q0)
+
+
+# mean_oxygen_rate at the default params and geometry, as computed before
+# the kernel kept its q0-only constants: (X, q0, float.hex of the rate).
+Q0_TOP = 0.999 * Q0_OPTICS_MAX
+RATE_BITS = [
+    (0.0, 600.0, "0x1.4535a66ab0999p+2"),
+    (1e-300, 600.0, "0x1.4535a66ab0999p+2"),
+    (1e-14, 600.0, "0x1.4535a66ab0999p+2"),  # clear slab
+    (1e-12, 600.0, "0x1.4535a66aafaabp+2"),  # just past it
+    (1e-9, 600.0, "0x1.4535a6670b74ep+2"),
+    (1e-4, 600.0, "0x1.453015b88d402p+2"),
+    (0.05, 100.0, "0x1.83a4494450ff7p+1"),
+    (0.3, 600.0, "0x1.8e1cc52f06803p+1"),
+    (0.3, 1000.0, "0x1.c78c50e10663cp+1"),
+    (1.0, 250.0, "-0x1.1fdfaca3d5aacp-4"),
+    (3.0, 600.0, "-0x1.3ed5af4273ecap-1"),
+    (30.0, 1500.0, "-0x1.13a2b2da3fe71p+0"),
+    (1e4, 600.0, "-0x1.25f3350a66e62p+0"),
+    (1e306, 600.0, "-0x1.25fd8adab9f56p+0"),  # opaque
+    (1e306, 5e-324, "-0x1.25fd8adab9f56p+0"),
+    (0.3, 5e-324, "-0x1.25fd8adab9f56p+0"),
+    (0.3, 1e-300, "-0x1.25fd8adab9f56p+0"),
+    (0.3, Q0_TOP, "0x1.0fea429de7111p-10"),
+    (1e-12, Q0_TOP, "0x1.115534626e64cp-10"),
+    (0.3, np.float64(600.0), "0x1.8e1cc52f06803p+1"),
+    (2.0, np.float64(37.5), "-0x1.f32061d3b4599p-1"),
+]
+
+
+@pytest.mark.parametrize("X, q0, bits", RATE_BITS)
+def test_mean_oxygen_rate_bits(X, q0, bits):
+    assert mean_oxygen_rate(X, q0).hex() == bits
+
+
+def test_mean_oxygen_rate_bits_alternating_lights():
+    """Each call gives the pinned bits whichever light the call before used."""
+    a, b = RATE_BITS[7], RATE_BITS[9]  # (0.3, 600), (1.0, 250)
+    for X, q0, bits in (a, b, a, a, b, b, a, RATE_BITS[8], a):
+        assert mean_oxygen_rate(X, q0).hex() == bits, (X, q0)
+
+
+def test_refused_light_leaves_the_next_rate():
+    """A q0 the optics refuse raises between two valid calls and changes
+    neither result."""
+    for X, q0, bits in RATE_BITS[7:10]:
+        assert mean_oxygen_rate(X, q0).hex() == bits
+        with pytest.raises(ValueError):
+            mean_oxygen_rate(X, Q0_OPTICS_MAX)
+        assert mean_oxygen_rate(X, q0).hex() == bits
+
+
+def test_optics_computed_once_per_new_light(monkeypatch):
+    """A run of calls at one q0 computes the cross sections once."""
+    calls = []
+
+    def counted(q0):
+        calls.append(q0)
+        return optical_coefficients(q0)
+
+    monkeypatch.setattr(kinetics, "optical_coefficients", counted)
+    for q0 in (613.25, 613.25, 613.5, 613.5, 613.5, 613.25):
+        for X in (0.1, 0.3, 0.7):
+            mean_oxygen_rate(X, q0)
+    assert calls == [613.25, 613.5, 613.25]
 
 
 def test_mean_oxygen_rate_validation():

@@ -242,6 +242,13 @@ def test_step_rejects_nan_time(no_stage):
         step(0.3, math.nan, 0.05, LIGHT_STEP_PROFILE, 0.1, SimplifiedModelParams())
 
 
+@pytest.mark.parametrize("D", [math.nan, math.inf, -math.inf])
+def test_step_refuses_a_non_finite_command(no_stage, D):
+    with pytest.raises(IntegrationError, match="dilution command is not finite") as err:
+        step(0.3, 0.5, D, LIGHT_STEP_PROFILE, 0.1, SimplifiedModelParams())
+    assert (err.value.t, err.value.X) == (0.5, 0.3) and err.value.D is D
+
+
 def _per_stage_step(X, t, D, profile, dt, params, substeps):
     """RK4 with the light looked up at every stage time: step's oracle."""
     h = dt / substeps
