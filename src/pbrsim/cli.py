@@ -159,7 +159,7 @@ def scenario_from_config(cfg: dict[str, Any]) -> Scenario:
 def _parse_scalar(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # bad JSON, over 4,300 digits, too deep
         return text
 
 
@@ -202,10 +202,10 @@ def load_scenario(args: argparse.Namespace) -> Scenario:
             raise ConfigError("--controller and --reference apply to built-in scenarios only")
         path = Path(args.config)
         try:
-            cfg = json.loads(path.read_text())
+            cfg = json.loads(path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also not UTF-8, or too deep
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     else:
         name = args.scenario

@@ -145,6 +145,30 @@ def _elapsed(t: np.ndarray, *signals: np.ndarray) -> np.ndarray:
     return t - t[0]
 
 
+def _open_terms(sigma: np.ndarray, y0, y1, u0) -> tuple[np.ndarray, np.ndarray]:
+    """estimate_F_open's per-interval integrals of y and of u, before -6/T^3;
+    y0, y1 and u0 are each interval's end values and held u, arrays or floats."""
+    T = sigma[-1]
+    p, q = sigma[:-1], sigma[1:]
+    h = q - p
+    mid = 0.5 * (p + q)
+    half = h / (2.0 * math.sqrt(3.0))
+    lo, hi = mid - half, mid + half
+    slope = (y1 - y0) / h
+    y_lo = y0 + (lo - p) * slope
+    y_hi = y0 + (hi - p) * slope
+    return (
+        0.5 * h * ((T - 2.0 * lo) * y_lo + (T - 2.0 * hi) * y_hi),
+        0.5 * h * (lo * (T - lo) + hi * (T - hi)) * u0,
+    )
+
+
+def _closed_terms(sigma: np.ndarray, s0, s1, u0) -> tuple[np.ndarray, np.ndarray]:
+    """estimate_F_closed's per-interval integrals: the trapezoid on s, held u."""
+    h = sigma[1:] - sigma[:-1]
+    return 0.5 * h * (s0 + s1), h * u0
+
+
 def estimate_F_open(t: np.ndarray, u: np.ndarray, y: np.ndarray, a: float) -> float:
     """Window estimate of F from input/output data alone.
 
@@ -156,20 +180,8 @@ def estimate_F_open(t: np.ndarray, u: np.ndarray, y: np.ndarray, a: float) -> fl
     constant u is recovered to rounding error.
     """
     sigma = _elapsed(t, u, y)
-    T = sigma[-1]
-    p, q = sigma[:-1], sigma[1:]
-    h = q - p
-    mid = 0.5 * (p + q)
-    half = h / (2.0 * math.sqrt(3.0))
-    lo, hi = mid - half, mid + half
-    y0 = y[:-1]
-    slope = (y[1:] - y0) / h
-    y_lo = y0 + (lo - p) * slope
-    y_hi = y0 + (hi - p) * slope
-    # np.add.reduce is np.sum's own pairwise reduction, without its wrapper.
-    int_y = np.add.reduce(0.5 * h * ((T - 2.0 * lo) * y_lo + (T - 2.0 * hi) * y_hi))
-    int_u = np.add.reduce(0.5 * h * (lo * (T - lo) + hi * (T - hi)) * u[:-1])
-    return float(-6.0 / T**3 * (int_y + a * int_u))
+    int_y, int_u = map(np.sum, _open_terms(sigma, y[:-1], y[1:], u[:-1]))
+    return float(-6.0 / sigma[-1] ** 3 * (int_y + a * int_u))
 
 
 def estimate_F_closed(t: np.ndarray, u: np.ndarray, e: np.ndarray, a: float, k_p: float) -> float:
@@ -183,51 +195,21 @@ def estimate_F_closed(t: np.ndarray, u: np.ndarray, e: np.ndarray, a: float, k_p
     the estimate drifts toward -k_p * <e> instead of F.
     """
     sigma = _elapsed(t, u, e)
-    T = sigma[-1]
-    h = sigma[1:] - sigma[:-1]
     s = 0.0 - k_p * e  # 0.0 - keeps a zero error +0.0
-    int_s = np.add.reduce(0.5 * h * (s[:-1] + s[1:]))
-    int_u = np.add.reduce(h * u[:-1])
-    return float((int_s - a * int_u) / T)
+    int_s, int_u = map(np.sum, _closed_terms(sigma, s[:-1], s[1:], u[:-1]))
+    return float((int_s - a * int_u) / sigma[-1])
 
 
-def _open_weights(n: int, period_h: float, a: float) -> tuple[list[float], list[float]]:
-    """estimate_F_open on n samples period_h apart, as weights on (y, u).
+def _window_weights(terms, sigma: np.ndarray, c_x: float, c_u: float) -> tuple[list, list]:
+    """The weights on (x, u) at times sigma of a terms function times (c_x, c_u).
 
-    Each interval adds its two Gauss-point terms, with y interpolated between
-    the interval's ends and u held from its start; the last u has weight 0.
+    The terms are linear in (x0, x1, u0), so at unit samples they give each
+    interval's weights on its two ends; the last u has weight 0.
     """
-    T = (n - 1) * period_h
-    scale = -6.0 / T**3
-    frac_lo = 0.5 - 0.5 / math.sqrt(3.0)  # Gauss points as fractions of an interval
-    frac_hi = 0.5 + 0.5 / math.sqrt(3.0)
-    w_y, w_u = [0.0] * n, [0.0] * n
-    for i in range(n - 1):
-        lo, hi = (i + frac_lo) * period_h, (i + frac_hi) * period_h
-        g_lo = scale * 0.5 * period_h * (T - 2.0 * lo)
-        g_hi = scale * 0.5 * period_h * (T - 2.0 * hi)
-        w_y[i] += g_lo * (1.0 - frac_lo) + g_hi * (1.0 - frac_hi)
-        w_y[i + 1] += g_lo * frac_lo + g_hi * frac_hi
-        w_u[i] = scale * a * 0.5 * period_h * (lo * (T - lo) + hi * (T - hi))
-    return w_y, w_u
-
-
-def _closed_weights(
-    n: int, period_h: float, a: float, k_p: float
-) -> tuple[list[float], list[float]]:
-    """estimate_F_closed on n samples period_h apart, as weights on (e, u).
-
-    The trapezoid rule on e times -k_p, and the held u times -a, each over T.
-    """
-    T = (n - 1) * period_h
-    half_e = -k_p * 0.5 * period_h / T
-    held_u = -a * period_h / T
-    w_e, w_u = [0.0] * n, [0.0] * n
-    for i in range(n - 1):
-        w_e[i] += half_e
-        w_e[i + 1] += half_e
-        w_u[i] = held_u
-    return w_e, w_u
+    x_start, u_start = terms(sigma, 1.0, 0.0, 1.0)
+    x_end, _ = terms(sigma, 0.0, 1.0, 0.0)
+    w_x = np.append(x_start, 0.0) + np.append(0.0, x_end)
+    return (c_x * w_x).tolist(), (c_u * np.append(u_start, 0.0)).tolist()
 
 
 def _check_clock(last_t: float | None, t: float) -> float:
@@ -269,8 +251,8 @@ class IpController:
     The window holds the last n = round(tau_h / period_h) + 1 samples,
     spanning tau_h: u_window the applied inputs and x_window the measurements
     (open estimator) or tracking errors (closed).  Until it first fills,
-    F = 0.  Then the estimator's weights on that uniform window are built
-    once, and each estimate is sum(w_x * x) + sum(w_u * u), equal to
+    F = 0.  Then the weights are read off the estimator's own per-interval
+    terms, once, and each estimate is sum(w_x * x) + sum(w_u * u), equal to
     estimate_F_open or estimate_F_closed on the same samples up to rounding.
     The applied (saturated) command enters the window: it is the input the
     plant saw, and during saturation the only fresh information for the
@@ -303,10 +285,11 @@ class IpController:
         self._last_t: float | None = None
 
     def _build_weights(self) -> tuple[list[float], list[float]]:
-        n, cfg = self.u_window.maxlen, self.config
+        cfg, sigma = self.config, np.arange(self.u_window.maxlen) * self._period_h
+        T = sigma[-1]
         if self._x_is_error:
-            return _closed_weights(n, self._period_h, cfg.a, cfg.k_p)
-        return _open_weights(n, self._period_h, cfg.a)
+            return _window_weights(_closed_terms, sigma, -cfg.k_p / T, -cfg.a / T)
+        return _window_weights(_open_terms, sigma, -6.0 / T**3, -6.0 / T**3 * cfg.a)
 
     def step(self, t: float, y_meas: float, y_r: float, q0: float) -> float:
         """Return the applied dilution rate for this sampling instant."""

@@ -207,6 +207,32 @@ def test_malformed_config_rejected(tmp_path):
     assert not out.exists()  # nothing partially written
 
 
+@pytest.mark.parametrize(
+    "config, value",
+    [
+        (b'{"x0": \xff}', None),  # not UTF-8
+        (b'{"x0": ' + b"9" * 5000 + b"}", None),  # over the 4,300-digit int limit
+        (b"[" * 200_000, None),  # nested deeper than the parser allows
+        (None, "9" * 5000),
+        (None, "[" * 5000),
+    ],
+    ids=["config-not-utf8", "config-5000-digits", "config-deep", "set-5000-digits", "set-deep"],
+)
+def test_text_the_json_reader_refuses_exits_2(tmp_path, capsys, config, value):
+    """Config text that Python's JSON reader refuses with something other
+    than a JSONDecodeError is a config error line too, and writes nothing."""
+    out = tmp_path / "out"
+    if config is None:
+        argv = ["--set", f"x0={value}"]
+    else:
+        (tmp_path / "bad.json").write_bytes(config)
+        argv = ["--config", str(tmp_path / "bad.json")]
+    assert main(["simulate", *argv, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_seed_with_malformed_config_rejected(tmp_path):
     """--seed on a config that is not an object, or whose noise section is
     not one, is a config error."""

@@ -258,6 +258,55 @@ def test_window_weights_equal_the_estimators(n, period_h, a, k_p, data):
     assert abs(f - estimate_F_closed(t, u, e, a, k_p)) <= 1e-13 * scale
 
 
+DEFAULT_WEIGHTS = {  # float.hex of entries 0, 1, 8, 14 and 15 of (w_x, w_u)
+    "open": (
+        ["-0x1.04ee2cc0a9e88p-3", "-0x1.d950c83fb72eap-3", "0x1.23456789abcddp-6",
+         "0x1.d950c83fb72e0p-3", "0x1.04ee2cc0a9e8ep-3"],
+        ["0x1.4dfda9ec5e9a3p-9", "0x1.d5eada3daec75p-8", "0x1.415e7f0963f51p-6",
+         "0x1.4dfda9ec5e987p-9", "0x0.0p+0"],
+    ),
+    "closed": (
+        ["-0x1.5555555555556p-3", "-0x1.5555555555556p-2", "-0x1.5555555555554p-2",
+         "-0x1.5555555555554p-2", "-0x1.555555555554ep-3"],
+        ["0x1.b4e81b4e81b4fp-7", "0x1.b4e81b4e81b4fp-7", "0x1.b4e81b4e81b4dp-7",
+         "0x1.b4e81b4e81b44p-7", "0x0.0p+0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("estimator", ["open", "closed"])
+def test_default_window_weights_pinned(estimator):
+    """The default controller's 16-sample weights, bit for bit: the
+    estimator's own per-interval terms read off at unit samples."""
+    weights = _filled_weights(estimator, 16, 0.1, IpConfig().a, IpConfig().k_p)
+    for w, pinned in zip(weights, DEFAULT_WEIGHTS[estimator]):
+        assert [w[i].hex() for i in (0, 1, 8, 14, 15)] == pinned
+
+
+@pytest.mark.parametrize("estimator", ["open", "closed"])
+def test_long_window_estimate_equals_the_estimator(estimator):
+    """A 10,001-sample window, filled through step, estimates what the
+    general-time estimator gives on the same samples, to 1e-13 of the
+    window's scale (the hypothesis test above stops at 64 samples)."""
+    n, period_h, cfg = 10_001, 0.1, IpConfig(tau_h=1000.0, estimator=estimator)
+    ctl = IpController(cfg, period_h=period_h)
+    rng = np.random.default_rng(0)
+    t, u, y = np.arange(n + 1) * period_h, [], 0.3 + 0.05 * rng.standard_normal(n + 1)
+    for k in range(n + 1):
+        u.append(ctl.step(t[k], y[k], 0.3, 0.0))  # u spans [0, 0.5]
+    assert ctl.u_window.maxlen == n and ctl.weights is not None
+    t, u, y = t[:n], np.array(u[:n]), y[:n]
+    u_scale = abs(cfg.a) * np.max(np.abs(u))
+    if estimator == "open":
+        expected = estimate_F_open(t, u, y, cfg.a)
+        scale = 3.0 * np.max(np.abs(y)) / t[-1] + u_scale
+    else:
+        e = y - 0.3
+        expected = estimate_F_closed(t, u, e, cfg.a, cfg.k_p)
+        scale = cfg.k_p * np.max(np.abs(e)) + u_scale
+    assert abs(ctl.f_estimate - expected) <= 1e-13 * scale
+
+
 def test_ip_controller_window_spans_tau():
     """Default window: round(tau/T_s) + 1 samples span exactly tau."""
     ctl = IpController(IpConfig(), period_h=0.1)
