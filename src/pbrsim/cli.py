@@ -100,6 +100,12 @@ def _encode(value: Any, kinds: dict[str, type] | None = None) -> Any:
     return value
 
 
+def _shown(value: Any) -> str:
+    """repr(value) for an error line, cut after 80 characters."""
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:80]}… ({len(text)} chars)"
+
+
 def _decode(tp: Any, value: Any, key: str) -> Any:
     """Build a value of type tp, or of the kind tagged in value when tp is a
     kind table, from its config form found at dotted key."""
@@ -110,18 +116,18 @@ def _decode(tp: Any, value: Any, key: str) -> Any:
                     return float(value)
             except OverflowError:  # an int beyond float range
                 pass
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        raise ConfigError(f"{key} must be a finite number, got {_shown(value)}")
     if tp in (int, str, bool):
         if type(value) is tp:
             return value
-        raise ConfigError(f"{key} must be of type {tp.__name__}, got {value!r}")
+        raise ConfigError(f"{key} must be of type {tp.__name__}, got {_shown(value)}")
     if typing.get_origin(tp) is tuple:
         args = typing.get_args(tp)
         if not isinstance(value, list):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
+            raise ConfigError(f"{key} must be a list, got {_shown(value)}")
         item_types = [args[0]] * len(value) if args[-1] is Ellipsis else args
         if len(item_types) != len(value):
-            raise ConfigError(f"{key} must have {len(args)} entries, got {value!r}")
+            raise ConfigError(f"{key} must have {len(args)} entries, got {_shown(value)}")
         return tuple(
             _decode(t, v, f"{key}[{i}]") for i, (t, v) in enumerate(zip(item_types, value))
         )
@@ -132,7 +138,7 @@ def _decode(tp: Any, value: Any, key: str) -> Any:
         value = {k: v for k, v in value.items() if k != "kind"}
         tp = tp[kind]
     if not isinstance(value, dict):
-        raise ConfigError(f"{key or 'config'} must be an object, got {value!r}")
+        raise ConfigError(f"{key or 'config'} must be an object, got {_shown(value)}")
     types = _field_types(tp)
     kwargs = {}
     for name, v in value.items():

@@ -16,13 +16,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 from .radiative import (
     _CLEAR_SLAB_THICKNESS,
     Q0_OPTICS_MAX,
     Geometry,
-    mean_irradiance_simplified,
+    _attenuation,
+    _exponential_mean,
     optical_coefficients,
     _two_flux,
 )
@@ -67,6 +68,11 @@ class FullModelParams:
         """Volumetric growth rate r_X in kg/m3/h (see growth_rate_full)."""
         return growth_rate_full(X, q0, self, geom)
 
+    def rate_at(self, q0: float, geom: Geometry) -> Callable[[float], float]:
+        """r_X at light q0 as a function of X alone (_light keeps q0's constants)."""
+        M_x, nu_O2_X = self.M_x, self.nu_O2_X
+        return lambda X: 0.0 if X == 0 else mean_oxygen_rate(X, q0, self, geom) * M_x * X / nu_O2_X
+
 
 @dataclass(frozen=True)
 class SimplifiedModelParams:
@@ -87,6 +93,19 @@ class SimplifiedModelParams:
     def rate(self, X: float, q0: float, geom: Geometry) -> float:
         """Volumetric growth rate in kg/m3/h (see growth_rate_simplified)."""
         return growth_rate_simplified(X, q0, self, geom)
+
+    def rate_at(self, q0: float, geom: Geometry) -> Callable[[float], float]:
+        """The Haldane rate at light q0 >= 0 as a function of X >= 0 alone."""
+        if not q0 >= 0:  # NaN fails it too
+            raise ValueError(f"q0 must be nonnegative, got {q0}")
+        attenuation, depth = _attenuation(self), geom.depth
+        mu_0, mu_r, K_I, K_II = self.mu_0, self.mu_r, self.K_I, self.K_II
+
+        def rate(X: float) -> float:
+            G_bar = _exponential_mean(q0, attenuation * X * depth)
+            return (mu_0 * G_bar / (K_I + G_bar + G_bar * G_bar / K_II) - mu_r) * X
+
+        return rate
 
 
 def local_oxygen_rate(G, E_a: float, p: FullModelParams = FullModelParams()):
@@ -172,9 +191,7 @@ def growth_rate_full(
     X: float, q0: float, p: FullModelParams = FullModelParams(), geom: Geometry = Geometry()
 ) -> float:
     """Volumetric biomass growth rate r_X in kg/m3/h under the full model."""
-    if X == 0:
-        return 0.0
-    return mean_oxygen_rate(X, q0, p, geom) * p.M_x * X / p.nu_O2_X
+    return p.rate_at(q0, geom)(X)
 
 
 def growth_rate_simplified(
@@ -186,7 +203,5 @@ def growth_rate_simplified(
     """Volumetric growth rate in kg/m3/h under the lumped Haldane model."""
     if not X >= 0:
         raise ValueError(f"X must be nonnegative, got {X}")
-    G_bar = mean_irradiance_simplified(X, q0, sp, geom)
-    mu = sp.mu_0 * G_bar / (sp.K_I + G_bar + G_bar * G_bar / sp.K_II) - sp.mu_r
-    return mu * X
+    return sp.rate_at(q0, geom)(X)
 

@@ -4,9 +4,9 @@ The reactor is a chemostat in biomass: dX/dt = r_X(X, q0) - D * X, where the
 dilution rate D is the single manipulated input.  Integration uses a fixed
 step Runge-Kutta 4 scheme with the control held constant over the sampling
 period (zero-order hold) while the light schedule is evaluated at the actual
-stage times, so intra-sample light changes are seen by the integrator.  A
-light that holds its value over a whole period (profile.held_until) is
-evaluated once for that period: every stage would see the same bits.
+stage times, so intra-sample light changes are seen by the integrator.  The
+model's rate is bound to the light once per distinct stage time, or once per
+period for a light that holds its value over it (profile.held_until).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import inf, isfinite, pi, sin
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -172,7 +172,7 @@ def plant_derivative(
     params: FullModelParams | SimplifiedModelParams = FullModelParams(),
     geom: Geometry = Geometry(),
 ) -> float:
-    """dX/dt in kg/m3/h at dilution rate D (1/h)."""
+    """dX/dt in kg/m3/h at dilution rate D (1/h): the reference for step's stages."""
     if D < 0:
         raise ValueError(f"D must be nonnegative, got {D}")
     return params.rate(X, q0, geom) - D * X
@@ -190,13 +190,13 @@ def step(
 ) -> float:
     """Biomass X after dt hours from time t under constant D (zero-order hold).
 
-    The light is evaluated at each RK4 stage time, or once, at t, when the
-    profile holds its value up to the last stage time (profile.held_until).
+    params.rate_at binds the light at each distinct RK4 stage time, or once, at
+    t, when the profile holds its value up to the last stage time (held_until).
     Biomass is clamped at zero from below: the vessel cannot hold negative
     concentration, and RK4 stage excursions below zero are cut the same way.
-    Raises ValueError for a bad t, dt or substeps before any stage runs, and
-    IntegrationError for a non-finite D (before any stage) or if the state
-    stops being finite.
+    Raises ValueError for a bad t, dt, substeps or D before any stage runs,
+    and IntegrationError for a non-finite D (before any stage) or if the
+    state stops being finite.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -204,24 +204,29 @@ def step(
         raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
     if not isfinite(D):
         raise IntegrationError("dilution command is not finite", t=t, X=X, D=D)
+    if D < 0:
+        raise ValueError(f"D must be nonnegative, got {D}")
     h = dt / substeps
     # Every stage time lies in [t, t_last], so a light held that long gives
     # each stage the q0 it has at t.
     t_last = (t + (substeps - 1) * h) + h
-    held_q0 = light_at(t, profile) if t_last <= profile.held_until(t) else None
+    held = params.rate_at(light_at(t, profile), geom) if t_last <= profile.held_until(t) else None
 
-    def f(x: float, tau: float) -> float:
-        q0 = light_at(tau, profile) if held_q0 is None else held_q0
+    def stage(rate: Callable[[float], float], x: float) -> float:
         # max(x, 0.0), but a NaN stage becomes 0.0 rather than reach the rate:
         # its NaN slope already makes the new X NaN, which raises below.
-        return plant_derivative(x if x >= 0.0 else 0.0, D, q0, params, geom)
+        x = x if x >= 0.0 else 0.0
+        return rate(x) - D * x
 
     for i in range(substeps):
         t0 = t + i * h
-        k1 = f(X, t0)
-        k2 = f(X + 0.5 * h * k1, t0 + 0.5 * h)
-        k3 = f(X + 0.5 * h * k2, t0 + 0.5 * h)
-        k4 = f(X + h * k3, t0 + h)
+        r0 = held or params.rate_at(light_at(t0, profile), geom)
+        r_mid = held or params.rate_at(light_at(t0 + 0.5 * h, profile), geom)
+        r1 = held or params.rate_at(light_at(t0 + h, profile), geom)
+        k1 = stage(r0, X)
+        k2 = stage(r_mid, X + 0.5 * h * k1)
+        k3 = stage(r_mid, X + 0.5 * h * k2)
+        k4 = stage(r1, X + h * k3)
         X = X + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not isfinite(X):
             raise IntegrationError("state became non-finite", t=t0 + h, X=X, D=D)

@@ -143,8 +143,16 @@ def mean_irradiance_simplified(
         raise ValueError(f"X must be nonnegative, got {X}")
     if not q0 >= 0:
         raise ValueError(f"q0 must be nonnegative, got {q0}")
-    attenuation = (1.0 + sp.alpha_hat) / (2.0 * sp.alpha_hat) * sp.E_a_hat
-    thickness = attenuation * X * geom.depth
+    return _exponential_mean(q0, _attenuation(sp) * X * geom.depth)
+
+
+def _attenuation(sp: "SimplifiedModelParams") -> float:
+    """c of the single-exponential law, per unit X: m^2/kg."""
+    return (1.0 + sp.alpha_hat) / (2.0 * sp.alpha_hat) * sp.E_a_hat
+
+
+def _exponential_mean(q0: float, thickness: float) -> float:
+    """Depth mean of q0 * exp(-thickness * z / L): q0 in a clear slab."""
     if thickness < _CLEAR_SLAB_THICKNESS:
         return float(q0)
     return q0 * (1.0 - math.exp(-thickness)) / thickness

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kinetics import FullModelParams, growth_rate_full
+from .kinetics import FullModelParams
 from .radiative import Geometry
 
 __all__ = [
@@ -89,9 +89,7 @@ def optimal_setpoint(
     if not lo_q0 <= q0 <= hi_q0:
         raise ValueError(f"q0={q0} outside the supported range {Q0_VALID_RANGE}")
 
-    def productivity(x: float) -> float:
-        return growth_rate_full(x, q0, p, geom)
-
+    productivity = p.rate_at(q0, geom)
     # Python floats: the kernel's scalar math is slower on np.float64.
     grid = np.linspace(X_MIN, X_MAX, GRID_POINTS).tolist()
     values = np.array([productivity(x) for x in grid])

@@ -1,5 +1,6 @@
 """The package's interfaces: no type dispatch on a model, controller or
-reference, one step call for both controllers, one file writer in the CLI,
+reference, one step call for both controllers, one rate_at call for both
+rate models, one file writer in the CLI,
 every name the traced benchmark reads still exists, and the package
 exports what its modules export."""
 
@@ -13,6 +14,7 @@ import pytest
 
 import pbrsim
 from pbrsim.control import FlController, IpController
+from pbrsim.kinetics import FullModelParams, SimplifiedModelParams
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pbrsim"
@@ -168,6 +170,13 @@ def test_controllers_share_one_step_signature():
     """Both controllers are driven by the same call, step(t, y_meas, y_r, q0)."""
     names = [list(inspect.signature(c.step).parameters) for c in (FlController, IpController)]
     assert names == [["self", "t", "y_meas", "y_r", "q0"]] * 2
+
+
+def test_rate_models_share_one_rate_at_signature():
+    """Both rate models bind their rate by the same call, rate_at(q0, geom)."""
+    names = [list(inspect.signature(m.rate_at).parameters)
+             for m in (FullModelParams, SimplifiedModelParams)]
+    assert names == [["self", "q0", "geom"]] * 2
 
 
 @pytest.mark.parametrize(

@@ -233,6 +233,23 @@ def test_text_the_json_reader_refuses_exits_2(tmp_path, capsys, config, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "setting, prefix",
+    [
+        ("x0=" + "[" * 5000, "error: x0 must be a finite number, got '[[["),
+        ("noise.seed=" + "7" * 5000, "error: noise.seed must be of type int, got '777"),
+    ],
+    ids=["x0-5000-brackets", "seed-5000-digits"],
+)
+def test_refused_value_is_cut_in_the_error_line(tmp_path, capsys, setting, prefix):
+    """A refused value shows its first 80 characters and its length, not all of it."""
+    out = tmp_path / "out"
+    assert main(["simulate", "--set", setting, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.endswith("… (5002 chars)\n")
+    assert len(err.encode()) < 200 and "Traceback" not in err
+
+
 def test_seed_with_malformed_config_rejected(tmp_path):
     """--seed on a config that is not an object, or whose noise section is
     not one, is a config error."""

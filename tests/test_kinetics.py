@@ -23,6 +23,7 @@ from pbrsim.radiative import (
     Q0_OPTICS_MAX,
     Geometry,
     irradiance_at_depth,
+    mean_irradiance_simplified,
     optical_coefficients,
 )
 
@@ -293,6 +294,45 @@ def test_growth_rate_dispatch():
     geom = Geometry()
     assert full.rate(0.3, 600.0, geom) == growth_rate_full(0.3, 600.0, full)
     assert simp.rate(0.3, 600.0, geom) == growth_rate_simplified(0.3, 600.0, simp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    X=st.one_of(st.just(0.0), st.just(1e-14), st.floats(min_value=0.0, max_value=20.0)),
+    q0=st.floats(min_value=0.0, max_value=1e5),
+)
+@example(X=1e-14, q0=600.0)  # a clear slab
+def test_bound_simplified_rate_is_the_rate(X, q0):
+    """rate_at(q0, geom)(X) == rate == growth_rate_simplified bit for bit,
+    and equals the Haldane response at the depth-mean light, in that order."""
+    sp, geom = SimplifiedModelParams(), Geometry()
+    G = mean_irradiance_simplified(X, q0, sp, geom)
+    oracle = (sp.mu_0 * G / (sp.K_I + G + G * G / sp.K_II) - sp.mu_r) * X
+    got = [sp.rate_at(q0, geom)(X), sp.rate(X, q0, geom), growth_rate_simplified(X, q0, sp, geom)]
+    assert [r.hex() for r in got] == [oracle.hex()] * 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    X=st.one_of(st.just(0.0), st.just(1e-16), st.floats(min_value=0.0, max_value=20.0)),
+    q0=st.floats(min_value=5e-324, max_value=math.nextafter(Q0_OPTICS_MAX, 0.0)),
+)
+@example(X=1e-16, q0=600.0)  # a clear slab
+@example(X=0.3, q0=5e-324)
+@example(X=20.0, q0=math.nextafter(Q0_OPTICS_MAX, 0.0))
+def test_bound_full_rate_is_the_rate(X, q0):
+    """rate_at(q0, geom)(X) == rate == growth_rate_full bit for bit, and
+    equals the mean O2 rate times M_x * X / nu_O2_X, in that order."""
+    p, geom = FullModelParams(), Geometry()
+    oracle = 0.0 if X == 0 else mean_oxygen_rate(X, q0, p, geom) * p.M_x * X / p.nu_O2_X
+    got = [p.rate_at(q0, geom)(X), p.rate(X, q0, geom), growth_rate_full(X, q0, p, geom)]
+    assert [r.hex() for r in got] == [oracle.hex()] * 3
+
+
+def test_bound_simplified_rate_refuses_a_bad_q0():
+    for bad in (-600.0, math.nan):
+        with pytest.raises(ValueError, match="q0 must be nonnegative"):
+            SimplifiedModelParams().rate_at(bad, Geometry())
 
 
 def test_specific_growth_rate_consistency():

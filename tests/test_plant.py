@@ -218,12 +218,22 @@ def test_step_validation():
 
 @pytest.fixture
 def no_stage(monkeypatch):
-    """Fail the test if step reaches the plant's right-hand side."""
+    """Fail the test if step binds either model's rate, which every stage needs."""
 
     def never(*args):
         raise AssertionError("a stage ran")
 
-    monkeypatch.setattr(plant, "plant_derivative", never)
+    for model in (FullModelParams, SimplifiedModelParams):
+        monkeypatch.setattr(model, "rate_at", never)
+
+
+@pytest.mark.parametrize("params", [FullModelParams(), SimplifiedModelParams()],
+                         ids=["full", "simplified"])
+@pytest.mark.parametrize("profile", [LIGHT_STEP_PROFILE, DayNightLight()], ids=["held", "daynight"])
+def test_no_stage_fixture_bites(no_stage, params, profile):
+    """A valid step under the fixture fails, so the checks below run first."""
+    with pytest.raises(AssertionError, match="a stage ran"):
+        step(0.3, 10.0, 0.05, profile, 0.1, params)
 
 
 def test_step_rejects_nan_dt(no_stage):
@@ -329,19 +339,57 @@ def _count_light_calls(monkeypatch):
     return calls
 
 
+def _stage_times(t, dt, substeps):
+    """The distinct stage times t0, t0 + h/2 and t0 + h of each substep, in
+    order, as step computes them."""
+    h = dt / substeps
+    starts = [t + i * h for i in range(substeps)]
+    return [tau for t0 in starts for tau in (t0, t0 + 0.5 * h, t0 + h)]
+
+
 @pytest.mark.parametrize("substeps", [1, 2, 10])
 def test_light_evaluations_per_period(monkeypatch, substeps):
-    """Once for a held period; at all 4 * substeps stages across a switch."""
+    """Once for a held period; at each distinct stage time, in order, across
+    a switch and under day/night light."""
     calls = _count_light_calls(monkeypatch)
     sp = SimplifiedModelParams()
     step(0.3, 10.0, 0.05, LIGHT_STEP_PROFILE, 0.1, sp, substeps=substeps)
     assert len(calls) == 1
     calls.clear()
     step(0.3, 29.95, 0.05, LIGHT_STEP_PROFILE, 0.1, sp, substeps=substeps)
-    assert len(calls) == 4 * substeps
+    assert calls == _stage_times(29.95, 0.1, substeps)
     calls.clear()
     step(0.3, 10.0, 0.05, DayNightLight(), 0.1, sp, substeps=substeps)
-    assert len(calls) == 4 * substeps
+    assert calls == _stage_times(10.0, 0.1, substeps)
+
+
+# step's results as the per-stage right-hand side gave them (a434ee1), as float.hex: both
+# models, held and switching light, day/night at noon and at night, and a
+# period whose last stage is clamped at X = 0 (D = 15 drives it below zero).
+STEP_PINS = [
+    ("full", "held", 10.0, 0.05, "step", 1, "0x1.339a0db9a6217p-2"),
+    ("full", "held", 10.0, 0.05, "step", 10, "0x1.339a0db9a6225p-2"),
+    ("full", "switch", 29.95, 0.05, "step", 1, "0x1.335f7d517ff04p-2"),
+    ("full", "switch", 29.95, 0.05, "step", 10, "0x1.32f0853c423cbp-2"),
+    ("full", "noon", 6.0, 0.05, "daynight", 10, "0x1.339a09a8da349p-2"),
+    ("full", "night", 18.0, 0.05, "daynight", 1, "0x1.323bf6e0147b9p-2"),
+    ("full", "clamped", 10.0, 15.0, "step", 1, "0x1.103d6b9273210p-4"),
+    ("simplified", "held", 10.0, 0.05, "step", 1, "0x1.336baca7e2b1dp-2"),
+    ("simplified", "held", 10.0, 0.05, "step", 10, "0x1.336baca7e2b1dp-2"),
+    ("simplified", "switch", 29.95, 0.05, "step", 1, "0x1.3337c932b6792p-2"),
+    ("simplified", "switch", 29.95, 0.05, "step", 10, "0x1.32d56af826831p-2"),
+    ("simplified", "noon", 6.0, 0.05, "daynight", 10, "0x1.336bab7d1c543p-2"),
+    ("simplified", "night", 18.0, 0.05, "daynight", 1, "0x1.3235490f4d8aap-2"),
+    ("simplified", "clamped", 10.0, 15.0, "step", 1, "0x1.0f959ed1f4050p-4"),
+]
+
+
+@pytest.mark.parametrize("model, label, t, D, light, substeps, expected", STEP_PINS,
+                         ids=[f"{p[0]}-{p[1]}-{p[5]}" for p in STEP_PINS])
+def test_step_bits_pinned(model, label, t, D, light, substeps, expected):
+    params = FullModelParams() if model == "full" else SimplifiedModelParams()
+    profile = LIGHT_STEP_PROFILE if light == "step" else DayNightLight()
+    assert step(0.3, t, D, profile, 0.1, params, substeps=substeps).hex() == expected
 
 
 def test_integration_error_carries_context():

@@ -112,19 +112,22 @@ def test_no_admissible_setpoint():
 def test_setpoint_scan_type_leaves_bits(monkeypatch):
     """The scan hands the kernel Python floats; with every X an np.float64,
     as a numpy grid gives, the setpoints carry the same bits."""
-    from pbrsim import steady_state
-
     rng = np.random.default_rng(11)
     q0s = [100.0 + 900.0 * i / 45 for i in range(46)]
     q0s += [100.0 + 100.0 * i for i in range(10)]
     q0s += rng.uniform(*Q0_VALID_RANGE, 1000).tolist()
     ops = [optimal_setpoint(q0) for q0 in q0s]
     assert all(type(op.x_star) is float for op in ops)
-    monkeypatch.setattr(
-        steady_state,
-        "growth_rate_full",
-        lambda x, q0, p, geom: growth_rate_full(np.float64(x), q0, p, geom),
-    )
+    bound = FullModelParams.rate_at
+    binds = []
+
+    def float64_rate_at(p, q0, geom):
+        binds.append(q0)
+        rate = bound(p, q0, geom)
+        return lambda x: rate(np.float64(x))
+
+    monkeypatch.setattr(FullModelParams, "rate_at", float64_rate_at)
     for q0, op in zip(q0s, ops):
         ref = optimal_setpoint(q0)
         assert (op.x_star, op.productivity) == (ref.x_star, ref.productivity), q0
+    assert binds == q0s  # one bound rate per solve, and the scan used it
