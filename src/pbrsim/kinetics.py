@@ -13,10 +13,13 @@ hour, so the O2 balance carries an explicit seconds-to-hours conversion.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar
+
+import numpy as np
 
 from .radiative import (
     _CLEAR_SLAB_THICKNESS,
@@ -38,6 +41,12 @@ __all__ = [
 ]
 
 SECONDS_PER_HOUR = 3600.0
+K_MAX = 1e10  # above it the photo term K - K^2 I(K) loses over 1e-9 to cancellation
+
+# The closed form's sqrt, exp, expm1, log1p on floats and on each element of an array:
+# numpy's +, -, *, / and sqrt round as Python's do; its exp, expm1, log1p are not libm's.
+_LIBM = (math.sqrt, math.exp, math.expm1, math.log1p)
+_EACH = (np.sqrt, *(lambda a, f=f: np.fromiter(map(f, a.tolist()), float) for f in _LIBM[1:]))
 
 
 def _check_positive(params: object) -> None:
@@ -63,6 +72,8 @@ class FullModelParams:
 
     def __post_init__(self) -> None:
         _check_positive(self)
+        if self.K > K_MAX:
+            raise ValueError(f"K must be in (0, {K_MAX:g}], got {self.K}")
 
     def rate(self, X: float, q0: float, geom: Geometry) -> float:
         """Volumetric growth rate r_X in kg/m3/h (see growth_rate_full)."""
@@ -72,6 +83,17 @@ class FullModelParams:
         """r_X at light q0 as a function of X alone (_light keeps q0's constants)."""
         M_x, nu_O2_X = self.M_x, self.nu_O2_X
         return lambda X: 0.0 if X == 0 else mean_oxygen_rate(X, q0, self, geom) * M_x * X / nu_O2_X
+
+    def rates_at(self, q0: float, geom: Geometry, X: np.ndarray) -> np.ndarray:
+        """rate_at(q0, geom) at each X of a float64 array, bit for bit: one array pass
+        of the closed form, else (a clear slab, a value not finite, a ValueError)
+        rate_at on each X, so that a scan raises what the kernel raises."""
+        with np.errstate(all="ignore"), contextlib.suppress(ValueError):
+            if q0 > 0 and (t := X * _light(q0)[1] * geom.depth).min() >= _CLEAR_SLAB_THICKNESS:
+                rates = _closed_form(t, q0, self, _light(q0), _EACH) * self.M_x * X / self.nu_O2_X
+                if np.isfinite(rates).all():
+                    return rates
+        return np.fromiter(map(self.rate_at(q0, geom), X.tolist()), float)
 
 
 @dataclass(frozen=True)
@@ -107,6 +129,10 @@ class SimplifiedModelParams:
 
         return rate
 
+    def rates_at(self, q0: float, geom: Geometry, X: np.ndarray) -> np.ndarray:
+        """rate_at(q0, geom) at each X of a float64 array."""
+        return np.fromiter(map(self.rate_at(q0, geom), X.tolist()), float)
+
 
 def local_oxygen_rate(G, E_a: float, p: FullModelParams = FullModelParams()):
     """Net specific O2 rate at local irradiance G, in mol O2/kg/h.
@@ -121,8 +147,8 @@ def local_oxygen_rate(G, E_a: float, p: FullModelParams = FullModelParams()):
 
 
 def _mean_inverse(
-    c: float, two_A: float, four_AB: float, B_L: float, G_L: float, em: float, thickness: float
-) -> float:
+    c: float, two_A, four_AB, B_L, G_L, em, thickness, sqrt: Callable, log1p: Callable
+):
     """Depth mean of 1 / (c + G) for G = A w - B / w, w = exp(-delta z).
 
     In w, it is the integral of dw / (A w^2 + c w - B) over [w_L, 1], divided
@@ -132,11 +158,11 @@ def _mean_inverse(
     B_L = B / w_L and G_L = G(L).  Every operand of R - 1 is nonnegative, so
     nothing cancels in a thin slab, and an opaque one gives 1 / c.
     """
-    s = math.sqrt(c * c + four_AB)
+    s = sqrt(c * c + four_AB)
     cs = c + s
     log_sum = (
-        math.log1p(em * (B_L + 0.5 * four_AB / cs) / (G_L + c))
-        + math.log1p(-em * two_A / (two_A + cs))
+        log1p(em * (B_L + 0.5 * four_AB / cs) / (G_L + c))
+        + log1p(-em * two_A / (two_A + cs))
     )
     return (1.0 + log_sum / thickness) / s
 
@@ -169,21 +195,29 @@ def mean_oxygen_rate(
     if q0 == 0:
         # Dark culture: uninhibited respiration only.
         return float(-p.resp_rate * SECONDS_PER_HOUR)
-    E_a, extinction, alpha, up, down, up2, down2 = _light(q0)
-    thickness = X * extinction * geom.depth
+    light = _light(q0)
+    thickness = X * light[1] * geom.depth
     if thickness < _CLEAR_SLAB_THICKNESS:
-        return local_oxygen_rate(q0, E_a, p)
+        return local_oxygen_rate(q0, light[0], p)
+    return _closed_form(thickness, q0, p, light)
+
+
+def _closed_form(thickness, q0: float, p: FullModelParams, light: tuple, libm=_LIBM):
+    """mean_oxygen_rate beyond the clear slab, at one thickness or, with
+    libm=_EACH, at each of a float64 array's: the one copy of the formula."""
+    sqrt, exp, expm1, log1p = libm
+    E_a, _, alpha, up, down, up2, down2 = light
     # The two-flux profile of irradiance_at_depth, written as A w - B / w.
-    w_L = math.exp(-thickness)
+    w_L = exp(-thickness)
     den = up2 - down2 * w_L * w_L
     two_A = 4.0 * q0 * up / den
     B_L = 2.0 * q0 * down * w_L / den
     four_AB = 2.0 * two_A * B_L * w_L
     G_L = 4.0 * q0 * alpha * w_L / den
-    em = -math.expm1(-thickness)
+    em = -expm1(-thickness)
     K, K_R = p.K, p.K_R
-    photo = K - K * K * _mean_inverse(K, two_A, four_AB, B_L, G_L, em, thickness)
-    resp = K_R * _mean_inverse(K_R, two_A, four_AB, B_L, G_L, em, thickness)
+    photo = K - K * K * _mean_inverse(K, two_A, four_AB, B_L, G_L, em, thickness, sqrt, log1p)
+    resp = K_R * _mean_inverse(K_R, two_A, four_AB, B_L, G_L, em, thickness, sqrt, log1p)
     return (p.rho_m * p.phi_prime * E_a * photo - p.resp_rate * resp) * SECONDS_PER_HOUR
 
 

@@ -38,7 +38,7 @@ X_TOL = 1e-5  # kg/m3
 
 
 class NoAdmissibleSetpointError(ValueError):
-    """Productivity is non-positive everywhere in the search bracket."""
+    """No positive, finite productivity in the search bracket."""
 
 
 class NotUnimodalError(RuntimeError):
@@ -90,19 +90,15 @@ def optimal_setpoint(
         raise ValueError(f"q0={q0} outside the supported range {Q0_VALID_RANGE}")
 
     productivity = p.rate_at(q0, geom)
-    # Python floats: the kernel's scalar math is slower on np.float64.
-    grid = np.linspace(X_MIN, X_MAX, GRID_POINTS).tolist()
-    values = np.array([productivity(x) for x in grid])
+    grid = np.linspace(X_MIN, X_MAX, GRID_POINTS)
+    values = p.rates_at(q0, geom, grid)
     if np.all(values <= 0):
         raise NoAdmissibleSetpointError(
             f"no positive productivity for q0={q0} in [{X_MIN}, {X_MAX}]"
         )
 
-    interior_maxima = [
-        i
-        for i in range(1, len(grid) - 1)
-        if values[i] >= values[i - 1] and values[i] > values[i + 1]
-    ]
+    inner = values[1:-1]
+    interior_maxima = np.flatnonzero((inner >= values[:-2]) & (inner > values[2:])) + 1
     if len(interior_maxima) > 1:
         xs = ", ".join(f"{grid[i]:.4g}" for i in interior_maxima)
         raise NotUnimodalError(
@@ -111,12 +107,12 @@ def optimal_setpoint(
         )
 
     best = int(np.argmax(values))  # first index on ties: smallest X
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, len(grid) - 1)])
     x_star = _golden_max(productivity, lo, hi, X_TOL)
     prod = productivity(x_star)
-    if prod <= 0:
-        raise NoAdmissibleSetpointError(f"refined productivity non-positive at q0={q0}")
+    if not 0 < prod < math.inf:
+        raise NoAdmissibleSetpointError(f"refined productivity {prod} at q0={q0} not in (0, inf)")
     return OperatingPoint(q0=q0, x_star=x_star, d_star=prod / x_star, productivity=prod)
 
 

@@ -1,6 +1,6 @@
 """The package's interfaces: no type dispatch on a model, controller or
-reference, one step call for both controllers, one rate_at call for both
-rate models, one file writer in the CLI,
+reference, one step call for both controllers, one rate_at and one rates_at
+call for both rate models, one file writer in the CLI,
 every name the traced benchmark reads still exists, and the package
 exports what its modules export."""
 
@@ -177,6 +177,13 @@ def test_rate_models_share_one_rate_at_signature():
     names = [list(inspect.signature(m.rate_at).parameters)
              for m in (FullModelParams, SimplifiedModelParams)]
     assert names == [["self", "q0", "geom"]] * 2
+
+
+def test_rate_models_share_one_rates_at_signature():
+    """Both rate models give a setpoint scan by the same call, rates_at(q0, geom, X)."""
+    names = [list(inspect.signature(m.rates_at).parameters)
+             for m in (FullModelParams, SimplifiedModelParams)]
+    assert names == [["self", "q0", "geom", "X"]] * 2
 
 
 @pytest.mark.parametrize(

@@ -342,6 +342,19 @@ def test_config_boundary_exits_2(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value, code", [("1e10", EXIT_OK), ("1e12", EXIT_CONFIG),
+                                         ("1e300", EXIT_CONFIG)])
+def test_plant_K_range(tmp_path, capsys, value, code):
+    """plant.K above 1e10, where the photo term cancels, is a config error
+    (1e300 used to end as an integration fault)."""
+    out = tmp_path / "out"
+    args = ["simulate", "--set", f"plant.K={value}", "--set", "duration_h=12", "--out", str(out)]
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert ("K must be in (0, 1e+10]" in err) == (code == EXIT_CONFIG)
+    assert out.exists() == (code == EXIT_OK)
+
+
 HOSTILE = ("NaN", "Infinity", "-Infinity", "0", "-1", "2.5", "1e308", "-1e308", "x", "[1]")
 
 

@@ -358,6 +358,15 @@ def test_params_validation():
         SimplifiedModelParams(mu_0=-0.1)
 
 
+def test_K_range():
+    """K up to 1e10 is accepted; above it the photo term K - K^2 I(K) loses
+    more than 1e-9 to cancellation, and from 1.4e154 it is NaN."""
+    assert FullModelParams(K=1e10).K == 1e10
+    for bad in (1e12, 1e300):
+        with pytest.raises(ValueError, match=r"K must be in \(0, 1e\+10\], got "):
+            FullModelParams(K=bad)
+
+
 @settings(max_examples=150)
 @given(
     X=st.floats(min_value=0.0, max_value=sys.float_info.max),

@@ -1,15 +1,59 @@
 """Productivity-optimal setpoints: anchors, optimality, and the map."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from pbrsim.kinetics import FullModelParams, growth_rate_full
+from pbrsim import kinetics
+from pbrsim.kinetics import FullModelParams, SimplifiedModelParams, growth_rate_full
+from pbrsim.radiative import Geometry
 from pbrsim.steady_state import (
+    GRID_POINTS,
     Q0_VALID_RANGE,
+    X_MAX,
+    X_MIN,
+    X_TOL,
     NoAdmissibleSetpointError,
+    _golden_max,
     optimal_setpoint,
     setpoint_map,
 )
+
+GRID = np.linspace(X_MIN, X_MAX, GRID_POINTS)
+MAP_Q0 = [100.0 + 900.0 * i / 45 for i in range(46)]  # the benchmark's map grid
+
+
+def _unchecked(**values):
+    """FullModelParams holding values that its range check refuses, so that
+    the kernel's own extremes can be reached."""
+    p = FullModelParams()
+    for name, value in values.items():
+        object.__setattr__(p, name, value)
+    return p
+
+
+def _outcome(f):
+    """float.hex of each value f returns, or the class of what it raises."""
+    try:
+        return [v.hex() for v in f()]
+    except Exception as exc:
+        return type(exc)
+
+
+def _scalar_setpoint(q0, p=FullModelParams(), geom=Geometry()):
+    """(x_star, productivity) with the scan made by the scalar bound rate on
+    Python floats, one X at a time."""
+    rate = p.rate_at(q0, geom)
+    grid = GRID.tolist()
+    best = int(np.argmax([rate(x) for x in grid]))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    x_star = _golden_max(rate, lo, hi, X_TOL)
+    return x_star, rate(x_star)
+
+
+def _refuse(*args):
+    raise AssertionError("the scan fell back to the scalar rate")
 
 
 def test_setpoint_anchors():
@@ -110,14 +154,15 @@ def test_no_admissible_setpoint():
 
 
 def test_setpoint_scan_type_leaves_bits(monkeypatch):
-    """The scan hands the kernel Python floats; with every X an np.float64,
-    as a numpy grid gives, the setpoints carry the same bits."""
+    """The array scan finds the setpoints a scalar scan finds, bit for bit;
+    the golden steps hand the kernel Python floats, and with every X an
+    np.float64 they carry the same bits."""
     rng = np.random.default_rng(11)
-    q0s = [100.0 + 900.0 * i / 45 for i in range(46)]
-    q0s += [100.0 + 100.0 * i for i in range(10)]
+    q0s = MAP_Q0 + [100.0 + 100.0 * i for i in range(10)]
     q0s += rng.uniform(*Q0_VALID_RANGE, 1000).tolist()
     ops = [optimal_setpoint(q0) for q0 in q0s]
     assert all(type(op.x_star) is float for op in ops)
+    assert [(op.x_star, op.productivity) for op in ops] == list(map(_scalar_setpoint, q0s))
     bound = FullModelParams.rate_at
     binds = []
 
@@ -130,4 +175,106 @@ def test_setpoint_scan_type_leaves_bits(monkeypatch):
     for q0, op in zip(q0s, ops):
         ref = optimal_setpoint(q0)
         assert (op.x_star, op.productivity) == (ref.x_star, ref.productivity), q0
-    assert binds == q0s  # one bound rate per solve, and the scan used it
+    assert binds == q0s  # one bound rate per solve, and no scalar scan
+
+
+def test_scan_equals_the_bound_rate(monkeypatch):
+    """Each of the scan's 200 values is the scalar bound rate's, bit for bit,
+    at the map's lights and 1,000 random ones, from one array pass."""
+    rng = np.random.default_rng(19)
+    q0s = MAP_Q0 + rng.uniform(*Q0_VALID_RANGE, 1000).tolist()
+    p, geom = FullModelParams(), Geometry()
+    expected = [_outcome(lambda: map(p.rate_at(q0, geom), GRID.tolist())) for q0 in q0s]
+    monkeypatch.setattr(FullModelParams, "rate_at", _refuse)
+    assert [_outcome(lambda: p.rates_at(q0, geom, GRID).tolist()) for q0 in q0s] == expected
+
+
+EXTREMES = (1e300, 1e-300, 1.7e308)
+DEPTHS = (0.05, 1e-15, 1e-300, 1e300)
+
+
+@pytest.mark.parametrize(
+    "name", ["K", "K_R", "rho_m", "phi_prime", "resp_rate", "M_x", "nu_O2_X"]
+)
+def test_scan_at_extreme_constants(name):
+    """Each constant at 1e300, 1e-300 and 1.7e308 under four depths: the scan
+    gives the scalar rate's values or raises its exception class."""
+    for value in EXTREMES:
+        p = _unchecked(**{name: value})
+        for depth in DEPTHS:
+            geom = Geometry(depth)
+            scalar = _outcome(lambda: map(p.rate_at(600.0, geom), GRID.tolist()))
+            assert _outcome(lambda: p.rates_at(600.0, geom, GRID).tolist()) == scalar, (
+                value, depth)
+
+
+@pytest.mark.parametrize("q0", [5e-324, 1e-300, 1e-200, 1e-100])
+@pytest.mark.parametrize("depth", [0.05, 1e10, 1e300])
+def test_scan_raises_as_the_first_bad_point(q0, depth):
+    """With K and K_R at 1e-300 and a dim light, the scalar kernel divides by
+    zero or meets a log1p domain error, depending on which X fails first;
+    the scan raises the same class, although the array pass meets the
+    failures in another order."""
+    p = _unchecked(K=1e-300, K_R=1e-300)
+    geom = Geometry(depth)
+    scalar = _outcome(lambda: map(p.rate_at(q0, geom), GRID.tolist()))
+    assert scalar in (ZeroDivisionError, ValueError)
+    assert _outcome(lambda: p.rates_at(q0, geom, GRID).tolist()) == scalar
+
+
+def test_clear_slab_scan_takes_the_scalar_path(monkeypatch):
+    """A depth that leaves the thinnest grid slabs clear makes the scan the
+    scalar rate's, X by X."""
+    extinction = kinetics._light(600.0)[1]
+    geom = Geometry(1e-12 / (0.1 * extinction))  # clear below X = 0.1 only
+    p = FullModelParams()
+    thickness = GRID * extinction * geom.depth
+    assert thickness.min() < kinetics._CLEAR_SLAB_THICKNESS < thickness.max()
+    expected = _outcome(lambda: map(p.rate_at(600.0, geom), GRID.tolist()))
+    binds = []
+    bound = FullModelParams.rate_at
+
+    def counted(self, q0, geom):
+        binds.append(q0)
+        return bound(self, q0, geom)
+
+    monkeypatch.setattr(FullModelParams, "rate_at", counted)
+    assert _outcome(lambda: p.rates_at(600.0, geom, GRID).tolist()) == expected
+    assert binds == [600.0]
+
+
+def test_scan_warns_nothing():
+    """Overflow and NaN inside the array pass raise no numpy warning, as
+    Python floats raise none."""
+    cases = [dict(rho_m=1.7e308), dict(K=1e300), dict(K_R=1e-300), dict(nu_O2_X=1e-320)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for values in cases:
+            p = _unchecked(**values)
+            for depth in DEPTHS:
+                _outcome(lambda: p.rates_at(600.0, Geometry(depth), GRID))
+            _outcome(lambda: [optimal_setpoint(600.0, p).productivity])
+    assert caught == []
+    # The same pass outside np.errstate warns, so the check above bites.
+    light = kinetics._light(600.0)
+    with pytest.warns(RuntimeWarning):
+        kinetics._closed_form(GRID * light[1] * 0.05, 600.0, _unchecked(K=1e300), light,
+                              kinetics._EACH)
+
+
+@pytest.mark.parametrize(
+    "values, shown",
+    [(dict(K=1e300), "nan"), (dict(rho_m=1.7e308), "inf"), (dict(nu_O2_X=1e-320), "inf")],
+)
+def test_non_finite_productivity_is_refused(values, shown):
+    """A refined productivity that is NaN or infinite is no setpoint."""
+    with pytest.raises(NoAdmissibleSetpointError, match=f"productivity {shown} at q0=600"):
+        optimal_setpoint(600.0, _unchecked(**values))
+
+
+def test_simplified_model_setpoint_matches_a_scalar_scan():
+    """The lumped model answers the same scan call, X by X."""
+    sp = SimplifiedModelParams()
+    for q0 in (100.0, 600.0, 1000.0):
+        op = optimal_setpoint(q0, sp)
+        assert (op.x_star, op.productivity) == _scalar_setpoint(q0, sp)
