@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .kinetics import FullModelParams, SimplifiedModelParams
-from .plant import DayNightLight, IntegrationError, PiecewiseConstant
+from .plant import LIGHT_STEP_PROFILE, DayNightLight, IntegrationError, PiecewiseConstant
 from .scenarios import (
     BUILTIN_SCENARIOS,
     CONTROLLERS,
@@ -405,8 +405,8 @@ def cmd_campaigns(args: argparse.Namespace) -> int:
         tag = f"{name.replace('.', '_').replace('-', '_')}_{kind}"
         write_trace_csv(out / f"trace_{tag}.csv", trace)
         write_metrics_csv(out / f"metrics_{tag}.csv", m)
-        # hours to re-enter the band after paper-4.1's setpoint drop at t = 30 h
-        reattach = _hours(time_to_band(trace, 30.0)) if name == "paper-4.1" else f"{'n/a':>8}"
+        drop_h = LIGHT_STEP_PROFILE.points[-1][0]  # paper-4.1's setpoint drop, at its light step
+        reattach = _hours(time_to_band(trace, drop_h)) if name == "paper-4.1" else f"{'n/a':>8}"
         print(
             f"{name:>10} {kind:>4} {m.steady_state_offset:10.2e} {m.iae:8.4f}"
             f" {_hours(m.settle_time_to_2pct)} {m.batch_phase_duration:6.1f} {reattach}"

@@ -29,6 +29,7 @@ from operator import mul
 import numpy as np
 
 from .kinetics import SimplifiedModelParams, growth_rate_simplified
+from .plant import SamplingConfig
 from .radiative import Geometry
 
 __all__ = [
@@ -263,7 +264,7 @@ class IpController:
         self,
         config: IpConfig,
         bounds: ActuatorBounds = ActuatorBounds(),
-        period_h: float = 0.1,
+        period_h: float = SamplingConfig.period_h,
     ) -> None:
         if not period_h > 0:  # NaN fails it too
             raise ValueError(f"period_h must be positive, got {period_h}")

@@ -36,7 +36,6 @@ __all__ = [
     "SimplifiedModelParams",
     "local_oxygen_rate",
     "mean_oxygen_rate",
-    "growth_rate_full",
     "growth_rate_simplified",
 ]
 
@@ -75,12 +74,8 @@ class FullModelParams:
         if self.K > K_MAX:
             raise ValueError(f"K must be in (0, {K_MAX:g}], got {self.K}")
 
-    def rate(self, X: float, q0: float, geom: Geometry) -> float:
-        """Volumetric growth rate r_X in kg/m3/h (see growth_rate_full)."""
-        return growth_rate_full(X, q0, self, geom)
-
     def rate_at(self, q0: float, geom: Geometry) -> Callable[[float], float]:
-        """r_X at light q0 as a function of X alone (_light keeps q0's constants)."""
+        """r_X in kg/m3/h at light q0 as a function of X alone (_light keeps q0's constants)."""
         M_x, nu_O2_X = self.M_x, self.nu_O2_X
         return lambda X: 0.0 if X == 0 else mean_oxygen_rate(X, q0, self, geom) * M_x * X / nu_O2_X
 
@@ -112,12 +107,8 @@ class SimplifiedModelParams:
     def __post_init__(self) -> None:
         _check_positive(self)
 
-    def rate(self, X: float, q0: float, geom: Geometry) -> float:
-        """Volumetric growth rate in kg/m3/h (see growth_rate_simplified)."""
-        return growth_rate_simplified(X, q0, self, geom)
-
     def rate_at(self, q0: float, geom: Geometry) -> Callable[[float], float]:
-        """The Haldane rate at light q0 >= 0 as a function of X >= 0 alone."""
+        """The Haldane rate in kg/m3/h at light q0 >= 0, as a function of X >= 0 alone."""
         if not q0 >= 0:  # NaN fails it too
             raise ValueError(f"q0 must be nonnegative, got {q0}")
         attenuation, depth = _attenuation(self), geom.depth
@@ -219,13 +210,6 @@ def _closed_form(thickness, q0: float, p: FullModelParams, light: tuple, libm=_L
     photo = K - K * K * _mean_inverse(K, two_A, four_AB, B_L, G_L, em, thickness, sqrt, log1p)
     resp = K_R * _mean_inverse(K_R, two_A, four_AB, B_L, G_L, em, thickness, sqrt, log1p)
     return (p.rho_m * p.phi_prime * E_a * photo - p.resp_rate * resp) * SECONDS_PER_HOUR
-
-
-def growth_rate_full(
-    X: float, q0: float, p: FullModelParams = FullModelParams(), geom: Geometry = Geometry()
-) -> float:
-    """Volumetric biomass growth rate r_X in kg/m3/h under the full model."""
-    return p.rate_at(q0, geom)(X)
 
 
 def growth_rate_simplified(

@@ -137,7 +137,7 @@ class NoiseConfig:
     def __post_init__(self) -> None:
         if not self.relative_std >= 0:
             raise ValueError("relative_std must be nonnegative")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (type(self.seed) is int and self.seed >= 0):  # True fails it too
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
@@ -151,7 +151,7 @@ class SamplingConfig:
     def __post_init__(self) -> None:
         if not self.period_h > 0:
             raise ValueError("period_h must be positive")
-        if not (isinstance(self.substeps, int) and self.substeps >= 1):
+        if not (type(self.substeps) is int and self.substeps >= 1):  # True fails it too
             raise ValueError(f"substeps must be an integer >= 1, got {self.substeps!r}")
 
 
@@ -175,7 +175,9 @@ def plant_derivative(
     """dX/dt in kg/m3/h at dilution rate D (1/h): the reference for step's stages."""
     if D < 0:
         raise ValueError(f"D must be nonnegative, got {D}")
-    return params.rate(X, q0, geom) - D * X
+    if not X >= 0:  # NaN fails it too
+        raise ValueError(f"X must be nonnegative, got {X}")
+    return params.rate_at(q0, geom)(X) - D * X
 
 
 def step(
@@ -186,7 +188,7 @@ def step(
     dt: float,
     params: FullModelParams | SimplifiedModelParams = FullModelParams(),
     geom: Geometry = Geometry(),
-    substeps: int = 10,
+    substeps: int = SamplingConfig.substeps,
 ) -> float:
     """Biomass X after dt hours from time t under constant D (zero-order hold).
 
@@ -200,7 +202,7 @@ def step(
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if not (isinstance(substeps, int) and substeps >= 1):
+    if not (type(substeps) is int and substeps >= 1):  # True fails it too
         raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
     if not isfinite(D):
         raise IntegrationError("dilution command is not finite", t=t, X=X, D=D)

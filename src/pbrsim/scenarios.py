@@ -125,8 +125,8 @@ class Scenario:
         rk4_steps = periods * self.sampling.substeps
         if not rk4_steps <= MAX_RK4_STEPS:
             raise ValueError(f"periods x sampling.substeps is {rk4_steps:g}, over {MAX_RK4_STEPS}")
-        n = round(periods)
-        if n < 1 or abs(n * self.sampling.period_h - self.duration_h) > 1e-9:
+        n, period_h = round(periods), self.sampling.period_h
+        if n < 1 or abs(n * period_h - self.duration_h) > 1e-9 * period_h:
             raise ValueError("duration_h must be a whole number of sampling periods")
         lo, hi = self.light.value_range
         if not hi < self.plant.q0_max:
@@ -285,7 +285,7 @@ def light_step_scenario(controller: str = "ip", seed: int = 0) -> Scenario:
         duration_h=50.0,
         x0=0.17,
         light=LIGHT_STEP_PROFILE,
-        reference=PiecewiseConstant(((0.0, 0.38), (30.0, 0.17))),
+        reference=PiecewiseConstant(((0.0, 0.38), (LIGHT_STEP_PROFILE.points[-1][0], 0.17))),
         controller=_controller_config(controller),
         noise=NoiseConfig(seed=seed),
     )

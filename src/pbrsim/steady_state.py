@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kinetics import FullModelParams
+from .kinetics import FullModelParams, SimplifiedModelParams
 from .radiative import Geometry
 
 __all__ = [
@@ -75,7 +75,7 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
 
 def optimal_setpoint(
     q0: float,
-    p: FullModelParams = FullModelParams(),
+    p: FullModelParams | SimplifiedModelParams = FullModelParams(),
     geom: Geometry = Geometry(),
 ) -> OperatingPoint:
     """Biomass setpoint maximizing steady-state productivity at light q0.
@@ -118,7 +118,7 @@ def optimal_setpoint(
 
 def setpoint_map(
     q0_values: Sequence[float],
-    p: FullModelParams = FullModelParams(),
+    p: FullModelParams | SimplifiedModelParams = FullModelParams(),
     geom: Geometry = Geometry(),
 ) -> list[OperatingPoint]:
     """Optimal operating points over a grid of light levels.

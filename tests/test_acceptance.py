@@ -18,8 +18,8 @@ import pytest
 from pbrsim.cli import main
 from pbrsim.control import estimate_F_closed, estimate_F_open
 from pbrsim.kinetics import (
+    FullModelParams,
     SimplifiedModelParams,
-    growth_rate_full,
     growth_rate_simplified,
     local_oxygen_rate,
     mean_oxygen_rate,
@@ -30,6 +30,7 @@ from pbrsim.plant import (
     step,
 )
 from pbrsim.radiative import (
+    Geometry,
     OpticalProps,
     irradiance_at_depth,
     mean_irradiance_simplified,
@@ -115,7 +116,7 @@ def _fl_steady_state_error(cell) -> float:
     x_bar = float(np.mean(tr.x_true[tail]))
     q0 = float(np.mean(tr.q0[tail]))
     r_hat = growth_rate_simplified(x_bar, q0, s.controller.sp, s.geometry)
-    r = growth_rate_full(x_bar, q0, s.plant, s.geometry)
+    r = s.plant.rate_at(q0, s.geometry)(x_bar)
     return (r_hat - r) / s.controller.lam
 
 
@@ -219,9 +220,10 @@ def test_criterion_5_injected_f_contraction():
     e0 = x - y_r
     max_dev = 0.0
     ts, es = [], []
+    rate = FullModelParams().rate_at(600.0, Geometry())
     for _ in range(2000):  # 2 h
         e = x - y_r
-        u = (growth_rate_full(x, 600.0) + k_p * e) / x
+        u = (rate(x) + k_p * e) / x
         assert 0.0 <= u <= 0.5  # stays strictly inside the actuator range
         x = step(x, t, u, CONST_600, Ts, substeps=2)
         t += Ts

@@ -1,6 +1,6 @@
 """The package's interfaces: no type dispatch on a model, controller or
-reference, one step call for both controllers, one rate_at and one rates_at
-call for both rate models, one file writer in the CLI,
+reference, one step call for both controllers, rate_at and rates_at as the
+only calls of both rate models, one file writer in the CLI,
 every name the traced benchmark reads still exists, and the package
 exports what its modules export."""
 
@@ -19,7 +19,7 @@ from pbrsim.kinetics import FullModelParams, SimplifiedModelParams
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pbrsim"
 
-# Each family answers one interface (params.rate, config.build, ref(t, q0)),
+# Each family answers one interface (params.rate_at, config.build, ref(t, q0)),
 # so no code should pick behaviour by testing for one of these types.
 FAMILY_TYPES = {
     "FullModelParams",
@@ -184,6 +184,13 @@ def test_rate_models_share_one_rates_at_signature():
     names = [list(inspect.signature(m.rates_at).parameters)
              for m in (FullModelParams, SimplifiedModelParams)]
     assert names == [["self", "q0", "geom", "X"]] * 2
+
+
+def test_rate_models_answer_only_rate_at_and_rates_at():
+    """A rate model has no per-point rate beside the bound one and the scan."""
+    public = [{name for name in dir(m) if not name.startswith("_") and callable(getattr(m, name))}
+              for m in (FullModelParams, SimplifiedModelParams)]
+    assert public == [{"rate_at", "rates_at"}] * 2
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 """Growth kinetics: frozen oracles, the Simpson oracle of the closed-form
-kernel, model dispatch."""
+kernel, each model's bound rate."""
 
 import math
 import sys
@@ -14,7 +14,6 @@ from pbrsim.kinetics import (
     SECONDS_PER_HOUR,
     FullModelParams,
     SimplifiedModelParams,
-    growth_rate_full,
     growth_rate_simplified,
     local_oxygen_rate,
     mean_oxygen_rate,
@@ -260,13 +259,13 @@ def test_mean_oxygen_rate_validation():
 
 
 def test_growth_rate_full_frozen():
-    assert growth_rate_full(0.3, 600.0) == pytest.approx(
+    assert FullModelParams().rate_at(600.0, Geometry())(0.3) == pytest.approx(
         0.018929688578082183, rel=1e-12
     )
 
 
 def test_growth_rate_full_empty_vessel():
-    assert growth_rate_full(0.0, 600.0) == 0.0
+    assert FullModelParams().rate_at(600.0, Geometry())(0.0) == 0.0
 
 
 def test_growth_rate_simplified_frozen():
@@ -287,15 +286,6 @@ def test_growth_rate_simplified_haldane_arithmetic():
     )
 
 
-def test_growth_rate_dispatch():
-    """Each parameter type's rate is its own model's growth rate."""
-    full = FullModelParams()
-    simp = SimplifiedModelParams()
-    geom = Geometry()
-    assert full.rate(0.3, 600.0, geom) == growth_rate_full(0.3, 600.0, full)
-    assert simp.rate(0.3, 600.0, geom) == growth_rate_simplified(0.3, 600.0, simp)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     X=st.one_of(st.just(0.0), st.just(1e-14), st.floats(min_value=0.0, max_value=20.0)),
@@ -303,13 +293,13 @@ def test_growth_rate_dispatch():
 )
 @example(X=1e-14, q0=600.0)  # a clear slab
 def test_bound_simplified_rate_is_the_rate(X, q0):
-    """rate_at(q0, geom)(X) == rate == growth_rate_simplified bit for bit,
-    and equals the Haldane response at the depth-mean light, in that order."""
+    """rate_at(q0, geom)(X) == growth_rate_simplified bit for bit, and equals
+    the Haldane response at the depth-mean light, in that order."""
     sp, geom = SimplifiedModelParams(), Geometry()
     G = mean_irradiance_simplified(X, q0, sp, geom)
     oracle = (sp.mu_0 * G / (sp.K_I + G + G * G / sp.K_II) - sp.mu_r) * X
-    got = [sp.rate_at(q0, geom)(X), sp.rate(X, q0, geom), growth_rate_simplified(X, q0, sp, geom)]
-    assert [r.hex() for r in got] == [oracle.hex()] * 3
+    got = [sp.rate_at(q0, geom)(X), growth_rate_simplified(X, q0, sp, geom)]
+    assert [r.hex() for r in got] == [oracle.hex()] * 2
 
 
 @settings(max_examples=300, deadline=None)
@@ -321,12 +311,11 @@ def test_bound_simplified_rate_is_the_rate(X, q0):
 @example(X=0.3, q0=5e-324)
 @example(X=20.0, q0=math.nextafter(Q0_OPTICS_MAX, 0.0))
 def test_bound_full_rate_is_the_rate(X, q0):
-    """rate_at(q0, geom)(X) == rate == growth_rate_full bit for bit, and
-    equals the mean O2 rate times M_x * X / nu_O2_X, in that order."""
+    """rate_at(q0, geom)(X) equals the mean O2 rate times M_x * X / nu_O2_X,
+    in that order, bit for bit."""
     p, geom = FullModelParams(), Geometry()
     oracle = 0.0 if X == 0 else mean_oxygen_rate(X, q0, p, geom) * p.M_x * X / p.nu_O2_X
-    got = [p.rate_at(q0, geom)(X), p.rate(X, q0, geom), growth_rate_full(X, q0, p, geom)]
-    assert [r.hex() for r in got] == [oracle.hex()] * 3
+    assert p.rate_at(q0, geom)(X).hex() == oracle.hex()
 
 
 def test_bound_simplified_rate_refuses_a_bad_q0():
@@ -338,14 +327,15 @@ def test_bound_simplified_rate_refuses_a_bad_q0():
 def test_specific_growth_rate_consistency():
     """mu = r_X / X is the mean O2 rate times M_x / nu_O2_X; r_X(0) = 0."""
     p = FullModelParams()
-    mu = growth_rate_full(0.3, 600.0) / 0.3
+    rate = p.rate_at(600.0, Geometry())
+    mu = rate(0.3) / 0.3
     assert mu == pytest.approx(mean_oxygen_rate(0.3, 600.0) * p.M_x / p.nu_O2_X, rel=1e-12)
-    assert growth_rate_full(0.0, 600.0) == 0.0
+    assert rate(0.0) == 0.0
 
 
 def test_dark_growth_is_decay():
     """Without light the net rate is negative (respiration only)."""
-    assert growth_rate_full(0.3, 0.0) < 0.0
+    assert FullModelParams().rate_at(0.0, Geometry())(0.3) < 0.0
     assert growth_rate_simplified(0.3, 0.0) < 0.0
 
 
@@ -378,7 +368,7 @@ def test_K_range():
 def test_growth_rate_finite_and_bounded(X, q0):
     """Rates stay finite; the specific rate never exceeds the photo plateau."""
     p = FullModelParams()
-    r = growth_rate_full(X, q0, p)
+    r = p.rate_at(q0, Geometry())(X)
     assert math.isfinite(r)
     # plateau: rho_m * K * phi' * E_a(q0->small) bounds the local O2 rate
     plateau = p.rho_m * p.K * p.phi_prime * 337.0 * SECONDS_PER_HOUR

@@ -128,9 +128,12 @@ def test_day_night_validation():
         pytest.param(lambda: DayNightLight(peak=math.nan), "peak", id="daynight-peak"),
         pytest.param(lambda: SamplingConfig(period_h=math.nan), "positive", id="sampling-period"),
         pytest.param(lambda: SamplingConfig(substeps=1.5), "integer", id="sampling-substeps"),
+        pytest.param(lambda: SamplingConfig(substeps=True), "integer",
+                     id="sampling-substeps-bool"),
         pytest.param(lambda: NoiseConfig(relative_std=math.nan), "nonnegative", id="noise-std"),
         pytest.param(lambda: NoiseConfig(seed=math.nan), "integer", id="noise-seed-nan"),
         pytest.param(lambda: NoiseConfig(seed=1.5), "integer", id="noise-seed-fraction"),
+        pytest.param(lambda: NoiseConfig(seed=True), "integer", id="noise-seed-bool"),
         pytest.param(lambda: FlConfig(lam=math.nan), "lam must be positive", id="fl-lam"),
         pytest.param(lambda: IpConfig(a=math.nan), "a must be nonzero", id="ip-a"),
         pytest.param(lambda: IpConfig(k_p=math.nan), "k_p must be positive", id="ip-k_p"),
@@ -149,6 +152,14 @@ def test_configs_reject_nan(build, match):
 def test_plant_derivative_negative_dilution():
     with pytest.raises(ValueError):
         plant_derivative(0.3, -0.01, 600.0)
+
+
+@pytest.mark.parametrize("params", [FullModelParams(), SimplifiedModelParams()],
+                         ids=["full", "simplified"])
+@pytest.mark.parametrize("X", [-0.1, math.nan])
+def test_plant_derivative_refuses_a_bad_biomass(params, X):
+    with pytest.raises(ValueError, match="X must be nonnegative"):
+        plant_derivative(X, 0.05, 600.0, params)
 
 
 def test_equilibrium_hold():
@@ -241,7 +252,7 @@ def test_step_rejects_nan_dt(no_stage):
         step(0.3, 0.0, 0.05, LIGHT_STEP_PROFILE, math.nan, SimplifiedModelParams())
 
 
-@pytest.mark.parametrize("substeps", [0, 1.5])
+@pytest.mark.parametrize("substeps", [0, 1.5, True])
 def test_step_rejects_zero_substeps(no_stage, substeps):
     with pytest.raises(ValueError, match="substeps"):
         step(0.3, 0.0, 0.05, LIGHT_STEP_PROFILE, 0.1, SimplifiedModelParams(), substeps=substeps)

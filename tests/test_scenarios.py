@@ -4,6 +4,8 @@ All frozen numbers below were measured with noise seed 0; the loop is
 deterministic, so they are regression pins rather than tolerances.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -342,6 +344,8 @@ def test_scenario_validation():
             reference=sc.reference,
             controller=sc.controller,
         )
+    with pytest.raises(ValueError, match="whole number of sampling periods"):
+        replace(sc, sampling=SamplingConfig(1e-9), duration_h=1.5e-9)  # 1.5 periods, however short
     for builder in BUILTIN_SCENARIOS.values():
         with pytest.raises(ValueError, match="choices: fl, ip"):
             builder("FL")

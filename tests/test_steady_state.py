@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pbrsim import kinetics
-from pbrsim.kinetics import FullModelParams, SimplifiedModelParams, growth_rate_full
+from pbrsim.kinetics import FullModelParams, SimplifiedModelParams
 from pbrsim.radiative import Geometry
 from pbrsim.steady_state import (
     GRID_POINTS,
@@ -77,17 +77,17 @@ def test_setpoint_frozen_values():
 def test_setpoint_is_local_maximum():
     """Productivity drops when stepping off X* in either direction."""
     for q0 in (100.0, 600.0, 1000.0):
-        op = optimal_setpoint(q0)
+        op, rate = optimal_setpoint(q0), FullModelParams().rate_at(q0, Geometry())
         for eps in (1e-3, 1e-2):
-            assert op.productivity >= growth_rate_full(op.x_star - eps, q0)
-            assert op.productivity >= growth_rate_full(op.x_star + eps, q0)
+            assert op.productivity >= rate(op.x_star - eps)
+            assert op.productivity >= rate(op.x_star + eps)
 
 
 def test_setpoint_matches_coarse_brute_force():
     """Golden refinement agrees with a dense grid scan of D X = r_X."""
     xs = np.linspace(0.01, 2.0, 2001)
     for q0 in (100.0, 300.0, 600.0, 1000.0):
-        prods = np.array([growth_rate_full(float(x), q0) for x in xs])
+        prods = np.array([FullModelParams().rate_at(q0, Geometry())(float(x)) for x in xs])
         x_brute = float(xs[int(np.argmax(prods))])
         op = optimal_setpoint(q0)
         assert abs(op.x_star - x_brute) <= (xs[1] - xs[0]) + 1e-5
@@ -98,12 +98,12 @@ def test_productivity_identity():
     op = optimal_setpoint(600.0)
     assert op.productivity == pytest.approx(op.d_star * op.x_star, rel=1e-12)
     assert op.productivity == pytest.approx(
-        growth_rate_full(op.x_star, 600.0), rel=1e-10
+        FullModelParams().rate_at(600.0, Geometry())(op.x_star), rel=1e-10
     )
 
 
 def test_equilibrium_dilution_matches_specific_growth():
-    d = growth_rate_full(0.38, 600.0) / 0.38
+    d = FullModelParams().rate_at(600.0, Geometry())(0.38) / 0.38
     assert d == pytest.approx(0.05199768938012274, rel=1e-12)
 
 
