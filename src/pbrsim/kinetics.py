@@ -42,10 +42,11 @@ __all__ = [
 SECONDS_PER_HOUR = 3600.0
 K_MAX = 1e10  # above it the photo term K - K^2 I(K) loses over 1e-9 to cancellation
 
-# The closed form's sqrt, exp, expm1, log1p on floats and on each element of an array:
-# numpy's +, -, *, / and sqrt round as Python's do; its exp, expm1, log1p are not libm's.
+# The closed form's sqrt, exp, expm1, log1p on floats, on each element of an array and numpy's
+# own: numpy's +, -, *, / and sqrt round as Python's do; its exp, expm1, log1p are not libm's.
 _LIBM = (math.sqrt, math.exp, math.expm1, math.log1p)
 _EACH = (np.sqrt, *(lambda a, f=f: np.fromiter(map(f, a.tolist()), float) for f in _LIBM[1:]))
+_NUMPY = (np.sqrt, np.exp, np.expm1, np.log1p)
 
 
 def _check_positive(params: object) -> None:
@@ -75,7 +76,9 @@ class FullModelParams:
             raise ValueError(f"K must be in (0, {K_MAX:g}], got {self.K}")
 
     def rate_at(self, q0: float, geom: Geometry) -> Callable[[float], float]:
-        """r_X in kg/m3/h at light q0 as a function of X alone (_light keeps q0's constants)."""
+        """r_X in kg/m3/h at light q0 >= 0, a function of X alone (_light keeps q0's constants)."""
+        if not q0 >= 0:  # NaN fails it too
+            raise ValueError(f"q0 must be nonnegative, got {q0}")
         M_x, nu_O2_X = self.M_x, self.nu_O2_X
         return lambda X: 0.0 if X == 0 else mean_oxygen_rate(X, q0, self, geom) * M_x * X / nu_O2_X
 
@@ -84,11 +87,15 @@ class FullModelParams:
         of the closed form, else (a clear slab, a value not finite, a ValueError)
         rate_at on each X, so that a scan raises what the kernel raises."""
         with np.errstate(all="ignore"), contextlib.suppress(ValueError):
-            if q0 > 0 and (t := X * _light(q0)[1] * geom.depth).min() >= _CLEAR_SLAB_THICKNESS:
-                rates = _closed_form(t, q0, self, _light(q0), _EACH) * self.M_x * X / self.nu_O2_X
-                if np.isfinite(rates).all():
-                    return rates
+            if np.isfinite(rates := self._fast_rates(q0, geom, X, _EACH)).all():
+                return rates
         return np.fromiter(map(self.rate_at(q0, geom), X.tolist()), float)
+
+    def _fast_rates(self, q0: float, geom: Geometry, X: np.ndarray, libm=_NUMPY) -> np.ndarray:
+        """rate_at(q0, geom) at each X by one closed-form array pass; NaN if a slab is clear."""
+        if q0 > 0 and (t := X * _light(q0)[1] * geom.depth).min() >= _CLEAR_SLAB_THICKNESS:
+            return _closed_form(t, q0, self, _light(q0), libm) * self.M_x * X / self.nu_O2_X
+        return X * math.nan
 
 
 @dataclass(frozen=True)
@@ -123,6 +130,8 @@ class SimplifiedModelParams:
     def rates_at(self, q0: float, geom: Geometry, X: np.ndarray) -> np.ndarray:
         """rate_at(q0, geom) at each X of a float64 array."""
         return np.fromiter(map(self.rate_at(q0, geom), X.tolist()), float)
+
+    _fast_rates = rates_at  # no array pass: the setpoint scan takes the exact values
 
 
 def local_oxygen_rate(G, E_a: float, p: FullModelParams = FullModelParams()):

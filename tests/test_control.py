@@ -1,12 +1,13 @@
 """Controllers and online F estimation: arithmetic pins and convergence."""
 
 import math
+import sys
 import tracemalloc
 from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pbrsim.control import (
@@ -227,35 +228,50 @@ def _filled_weights(estimator, n, period_h, a, k_p):
     return ctl.weights
 
 
+@st.composite
+def _uniform_columns(draw):
+    """(u, y, e) of 2 to 64 samples each, on a uniform window."""
+    n = draw(st.integers(min_value=2, max_value=64))
+
+    def column(lo, hi):
+        return draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+
+    return column(0.0, 0.5), column(0.0, 2.0), column(-1.0, 1.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    n=st.integers(min_value=2, max_value=64),
+    columns=_uniform_columns(),
     period_h=st.floats(min_value=1e-3, max_value=2.0),
     a=st.one_of(st.floats(min_value=-2.0, max_value=-1e-2), st.floats(min_value=1e-2, max_value=2.0)),
     k_p=st.floats(min_value=1e-2, max_value=20.0),
-    data=st.data(),
 )
-def test_window_weights_equal_the_estimators(n, period_h, a, k_p, data):
+@example(columns=([0.0, 0.0], [0.0, 0.0], [0.0, 5e-324]), period_h=0.5, a=-1.0, k_p=2.0)
+@example(columns=([0.0, 0.0], [0.0, 5e-324], [0.0, 0.0]), period_h=0.5, a=-1.0, k_p=2.0)
+def test_window_weights_equal_the_estimators(columns, period_h, a, k_p):
     """On a uniform window the weighted sums are the general-t estimators,
-    to 1e-13 of the window's scale (the largest term an estimate can hold)."""
+    to 1e-13 of the window's scale (the largest term an estimate can hold).
 
-    def column(lo, hi):
-        return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
-
+    Below the smallest normal float a rounding errs by up to half of 5e-324
+    in absolute terms, not relative ones, and the estimators' factors (at
+    most 6/T^3 = 6e9 here) scale such errors up: over 16,000 random windows
+    of data from 5e-324 to 1e-295 they reached 1.7e-6 of the smallest
+    normal, which therefore floors the bound."""
+    u, y, e = map(np.array, columns)
+    n = len(u)
     t = np.arange(n) * period_h
-    u, y, e = column(0.0, 0.5), column(0.0, 2.0), column(-1.0, 1.0)
     T = t[-1]
     u_scale = abs(a) * np.max(np.abs(u))
 
     w_y, w_u = _filled_weights("open", n, period_h, a, k_p)
     f = sum(map(mul, w_y, y)) + sum(map(mul, w_u, u))
     scale = 3.0 * np.max(np.abs(y)) / T + u_scale
-    assert abs(f - estimate_F_open(t, u, y, a)) <= 1e-13 * scale
+    assert abs(f - estimate_F_open(t, u, y, a)) <= max(1e-13 * scale, sys.float_info.min)
 
     w_e, w_u = _filled_weights("closed", n, period_h, a, k_p)
     f = sum(map(mul, w_e, e)) + sum(map(mul, w_u, u))
     scale = k_p * np.max(np.abs(e)) + u_scale
-    assert abs(f - estimate_F_closed(t, u, e, a, k_p)) <= 1e-13 * scale
+    assert abs(f - estimate_F_closed(t, u, e, a, k_p)) <= max(1e-13 * scale, sys.float_info.min)
 
 
 DEFAULT_WEIGHTS = {  # float.hex of entries 0, 1, 8, 14 and 15 of (w_x, w_u)

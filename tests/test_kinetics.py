@@ -318,10 +318,16 @@ def test_bound_full_rate_is_the_rate(X, q0):
     assert p.rate_at(q0, geom)(X).hex() == oracle.hex()
 
 
-def test_bound_simplified_rate_refuses_a_bad_q0():
-    for bad in (-600.0, math.nan):
+@pytest.mark.parametrize("params", [FullModelParams(), SimplifiedModelParams()],
+                         ids=["full", "simplified"])
+def test_bound_rate_refuses_a_bad_q0(params):
+    """Both models refuse a negative or NaN light when they bind, before any X;
+    a dark light binds, and its rate is the decay of the dark culture."""
+    for bad in (-5.0, -600.0, math.nan):
         with pytest.raises(ValueError, match="q0 must be nonnegative"):
-            SimplifiedModelParams().rate_at(bad, Geometry())
+            params.rate_at(bad, Geometry())
+    dark = params.rate_at(0.0, Geometry())
+    assert dark(0.0) == 0.0 and dark(0.3) < 0.0
 
 
 def test_specific_growth_rate_consistency():

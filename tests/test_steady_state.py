@@ -1,16 +1,18 @@
 """Productivity-optimal setpoints: anchors, optimality, and the map."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from pbrsim import kinetics
+from pbrsim import kinetics, steady_state
 from pbrsim.kinetics import FullModelParams, SimplifiedModelParams
 from pbrsim.radiative import Geometry
 from pbrsim.steady_state import (
     GRID_POINTS,
     Q0_VALID_RANGE,
+    SCAN_MARGIN,
     X_MAX,
     X_MIN,
     X_TOL,
@@ -53,7 +55,7 @@ def _scalar_setpoint(q0, p=FullModelParams(), geom=Geometry()):
 
 
 def _refuse(*args):
-    raise AssertionError("the scan fell back to the scalar rate")
+    raise AssertionError("the scan fell back")
 
 
 def test_setpoint_anchors():
@@ -187,6 +189,67 @@ def test_scan_equals_the_bound_rate(monkeypatch):
     expected = [_outcome(lambda: map(p.rate_at(q0, geom), GRID.tolist())) for q0 in q0s]
     monkeypatch.setattr(FullModelParams, "rate_at", _refuse)
     assert [_outcome(lambda: p.rates_at(q0, geom, GRID).tolist()) for q0 in q0s] == expected
+
+
+def test_fast_scan_decides_as_the_exact_scan(monkeypatch):
+    """At the map's lights and 1,000 random ones the numpy scan's values sit
+    within half of SCAN_MARGIN of the exact ones (what its decisions need),
+    no solve reruns the exact scan, and each OperatingPoint is the one that
+    an exact scan gives, bit for bit."""
+    rng = np.random.default_rng(21)
+    q0s = MAP_Q0 + rng.uniform(*Q0_VALID_RANGE, 1000).tolist()
+    p, geom = FullModelParams(), Geometry()
+    for q0 in q0s:
+        exact = p.rates_at(q0, geom, GRID)
+        gap = np.abs(p._fast_rates(q0, geom, GRID) - exact).max()
+        assert gap <= 0.5 * SCAN_MARGIN * np.abs(exact).max(), q0
+    monkeypatch.setattr(steady_state, "SCAN_MARGIN", math.inf)  # no fast scan stands
+    exact_ops = [optimal_setpoint(q0) for q0 in q0s]
+    monkeypatch.undo()
+    monkeypatch.setattr(FullModelParams, "rates_at", _refuse)
+    assert [optimal_setpoint(q0) for q0 in q0s] == exact_ops
+
+
+def _uncertified(values, case):
+    """The fast scan's values at q0 = 600, with one comparison moved inside
+    SCAN_MARGIN or one value made non-finite."""
+    v, best = values.copy(), int(np.argmax(values))
+    if case == "the last point overtakes the top by 1e-14":  # not its neighbour
+        v[-1] = v[best] * (1 + 1e-14)
+    elif case == "top within the margin of 0":
+        v -= v.max()
+        v += 0.5 * SCAN_MARGIN * np.abs(v).max()
+    elif case == "adjacent pair within the margin":
+        v[10] = v[11] * (1 - 1e-14)
+    else:
+        v[50] = {"nan": math.nan, "inf": math.inf}[case]
+    return v
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["the last point overtakes the top by 1e-14", "top within the margin of 0",
+     "adjacent pair within the margin", "nan", "inf"],
+)
+def test_uncertified_scan_reruns_exact(monkeypatch, case):
+    """A fast scan that a near tie, a top near 0 or a non-finite value leaves
+    uncertified is rerun by rates_at, once, and the setpoint is the exact one."""
+    expected = optimal_setpoint(600.0)
+    fast, exact = FullModelParams._fast_rates, FullModelParams.rates_at
+    reruns = []
+
+    def counted(self, q0, geom, X):
+        reruns.append(q0)
+        return exact(self, q0, geom, X)
+
+    def uncertified(self, q0, geom, X, libm=kinetics._NUMPY):  # rates_at passes libm's
+        values = fast(self, q0, geom, X, libm)
+        return _uncertified(values, case) if libm is kinetics._NUMPY else values
+
+    monkeypatch.setattr(FullModelParams, "_fast_rates", uncertified)
+    monkeypatch.setattr(FullModelParams, "rates_at", counted)
+    assert optimal_setpoint(600.0) == expected
+    assert reruns == [600.0]
 
 
 EXTREMES = (1e300, 1e-300, 1.7e308)
