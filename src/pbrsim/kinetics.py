@@ -26,8 +26,8 @@ from .radiative import (
     Q0_OPTICS_MAX,
     Geometry,
     _attenuation,
+    _cross_sections,
     _exponential_mean,
-    optical_coefficients,
     _two_flux,
 )
 
@@ -94,7 +94,7 @@ class FullModelParams:
     def _fast_rates(self, q0: float, geom: Geometry, X: np.ndarray, libm=_NUMPY) -> np.ndarray:
         """rate_at(q0, geom) at each X by one closed-form array pass; NaN if a slab is clear."""
         if q0 > 0 and (t := X * _light(q0)[1] * geom.depth).min() >= _CLEAR_SLAB_THICKNESS:
-            return _closed_form(t, q0, self, _light(q0), libm) * self.M_x * X / self.nu_O2_X
+            return _closed_form(t, self, _light(q0), libm) * self.M_x * X / self.nu_O2_X
         return X * math.nan
 
 
@@ -169,14 +169,15 @@ def _mean_inverse(
 
 @functools.lru_cache(maxsize=1)
 def _light(q0: float) -> tuple[float, ...]:
-    """E_a, extinction per unit X, alpha, 1 +- alpha and (1 +- alpha)^2 at q0.
+    """E_a, extinction per unit X, (1 +- alpha)^2, 4 q0 (1 + alpha), 2 q0 (1 - alpha) and
+    4 q0 alpha: every factor of _closed_form that q0 alone sets, built with no OpticalProps.
 
     One entry: q0 holds over a setpoint solve, a held light's period and a night.
     """
-    props = optical_coefficients(q0)
-    extinction, alpha = _two_flux(props)
+    E_a, E_s = _cross_sections(q0)
+    extinction, alpha = _two_flux(E_a, E_s)
     up, down = 1.0 + alpha, 1.0 - alpha
-    return props.E_a, extinction, alpha, up, down, up**2, down**2
+    return E_a, extinction, up**2, down**2, 4.0 * q0 * up, 2.0 * q0 * down, 4.0 * q0 * alpha
 
 
 def mean_oxygen_rate(
@@ -199,21 +200,21 @@ def mean_oxygen_rate(
     thickness = X * light[1] * geom.depth
     if thickness < _CLEAR_SLAB_THICKNESS:
         return local_oxygen_rate(q0, light[0], p)
-    return _closed_form(thickness, q0, p, light)
+    return _closed_form(thickness, p, light)
 
 
-def _closed_form(thickness, q0: float, p: FullModelParams, light: tuple, libm=_LIBM):
+def _closed_form(thickness, p: FullModelParams, light: tuple, libm=_LIBM):
     """mean_oxygen_rate beyond the clear slab, at one thickness or, with
     libm=_EACH, at each of a float64 array's: the one copy of the formula."""
     sqrt, exp, expm1, log1p = libm
-    E_a, _, alpha, up, down, up2, down2 = light
+    E_a, _, up2, down2, four_q0_up, two_q0_down, four_q0_alpha = light
     # The two-flux profile of irradiance_at_depth, written as A w - B / w.
     w_L = exp(-thickness)
     den = up2 - down2 * w_L * w_L
-    two_A = 4.0 * q0 * up / den
-    B_L = 2.0 * q0 * down * w_L / den
+    two_A = four_q0_up / den
+    B_L = two_q0_down * w_L / den
     four_AB = 2.0 * two_A * B_L * w_L
-    G_L = 4.0 * q0 * alpha * w_L / den
+    G_L = four_q0_alpha * w_L / den
     em = -expm1(-thickness)
     K, K_R = p.K, p.K_R
     photo = K - K * K * _mean_inverse(K, two_A, four_AB, B_L, G_L, em, thickness, sqrt, log1p)

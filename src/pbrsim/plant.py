@@ -6,14 +6,15 @@ step Runge-Kutta 4 scheme with the control held constant over the sampling
 period (zero-order hold) while the light schedule is evaluated at the actual
 stage times, so intra-sample light changes are seen by the integrator.  The
 model's rate is bound to the light once per distinct stage time, or once per
-period for a light that holds its value over it (profile.held_until).
+period for a light that holds its value over it (profile.held_until), as a
+day/night light does through the night.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from math import inf, isfinite, pi, sin
+from math import inf, isfinite, nextafter, pi, sin
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -106,7 +107,16 @@ class DayNightLight:
         return self.floor + (self.peak - self.floor) * max(lift, 0.0)
 
     def held_until(self, t: float) -> float:
-        """t itself: the light is not treated as held, not even at night."""
+        """By night, the dawn k * period_h ending t's period, or the float before it if
+        the light has risen there; by day, t.  Floor holds on [t, T]: t's night lasts to the
+        dawn, and T is the float nearest it or, past 2**51 periods, at most the float after t."""
+        P = self.period_h
+        if (t % P) / P < self.day_fraction:
+            return t
+        end = (t // P + 1) * P
+        for T in (end, nextafter(end, t)):
+            if 0.0 <= T - t < P and self(T) == self.floor:
+                return T
         return t
 
     @property

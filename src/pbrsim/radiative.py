@@ -68,6 +68,11 @@ def optical_coefficients(q0: float) -> OpticalProps:
     Raises ValueError if q0 is non-positive or at least Q0_OPTICS_MAX, where
     the absorption correlation leaves its validity range (E_a reaches zero).
     """
+    return OpticalProps(*_cross_sections(q0))
+
+
+def _cross_sections(q0: float) -> tuple[float, float]:
+    """E_a and E_s at q0 from the correlations: optical_coefficients without the dataclass."""
     if not q0 > 0:  # NaN fails it too
         raise ValueError(f"q0 must be positive, got {q0}")
     if q0 >= Q0_OPTICS_MAX:
@@ -75,15 +80,13 @@ def optical_coefficients(q0: float) -> OpticalProps:
             f"q0={q0} outside the validity range of the absorption correlation"
         )
     log_q0 = math.log(q0)
-    E_a = E_A_LOG_SLOPE * log_q0 + E_A_INTERCEPT
-    E_s = E_S_LOG_SLOPE * log_q0 + E_S_INTERCEPT
-    return OpticalProps(E_a=E_a, E_s=E_s)
+    return E_A_LOG_SLOPE * log_q0 + E_A_INTERCEPT, E_S_LOG_SLOPE * log_q0 + E_S_INTERCEPT
 
 
-def _two_flux(props: OpticalProps) -> tuple[float, float]:
+def _two_flux(E_a: float, E_s: float, b: float = BACKSCATTER_FRACTION) -> tuple[float, float]:
     """Extinction per unit biomass (m^2/kg, delta / X) and scattering modulus alpha."""
-    diffuse = props.E_a + 2.0 * props.b * props.E_s
-    return math.sqrt(props.E_a * diffuse), math.sqrt(props.E_a / diffuse)
+    diffuse = E_a + 2.0 * b * E_s
+    return math.sqrt(E_a * diffuse), math.sqrt(E_a / diffuse)
 
 
 def irradiance_at_depth(
@@ -111,7 +114,7 @@ def irradiance_at_depth(
         props = optical_coefficients(q0)
     if not X >= 0:
         raise ValueError(f"X must be nonnegative, got {X}")
-    extinction, alpha = _two_flux(props)
+    extinction, alpha = _two_flux(props.E_a, props.E_s, props.b)
     delta = X * extinction
     depth = geom.depth
     if delta * depth < _CLEAR_SLAB_THICKNESS:

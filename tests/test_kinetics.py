@@ -238,13 +238,53 @@ def test_optics_computed_once_per_new_light(monkeypatch):
 
     def counted(q0):
         calls.append(q0)
-        return optical_coefficients(q0)
+        return cross_sections(q0)
 
-    monkeypatch.setattr(kinetics, "optical_coefficients", counted)
+    cross_sections = kinetics._cross_sections
+    monkeypatch.setattr(kinetics, "_cross_sections", counted)
     for q0 in (613.25, 613.25, 613.5, 613.5, 613.5, 613.25):
         for X in (0.1, 0.3, 0.7):
             mean_oxygen_rate(X, q0)
     assert calls == [613.25, 613.5, 613.25]
+
+
+def _light_from_props(q0):
+    """_light's constants by way of OpticalProps, each in the closed form's own order."""
+    props = optical_coefficients(q0)
+    diffuse = props.E_a + 2.0 * props.b * props.E_s
+    extinction, alpha = math.sqrt(props.E_a * diffuse), math.sqrt(props.E_a / diffuse)
+    up, down = 1.0 + alpha, 1.0 - alpha
+    return (props.E_a, extinction, up**2, down**2, 4.0 * q0 * up, 2.0 * q0 * down,
+            4.0 * q0 * alpha)
+
+
+def test_light_constants_equal_the_props_recipe():
+    """Every constant of _light equals the OpticalProps recipe bit for bit,
+    from the smallest positive q0 to the last one below Q0_OPTICS_MAX."""
+    top = math.nextafter(Q0_OPTICS_MAX, 0.0)
+    rng = np.random.default_rng(22)
+    q0s = [5e-324, 1e-300, 100.0, 600.0, 1000.0, top, *np.geomspace(5e-324, top, 1000).tolist(),
+           *rng.uniform(1.0, top, 500).tolist()]
+    for q0 in q0s:
+        assert [v.hex() for v in kinetics._light(q0)] == [
+            v.hex() for v in _light_from_props(q0)], q0
+
+
+@pytest.mark.parametrize("q0, message", [
+    (0.0, "q0 must be positive, got 0.0"),
+    (-0.0, "q0 must be positive, got -0.0"),
+    (-5.0, "q0 must be positive, got -5.0"),
+    (math.nan, "q0 must be positive, got nan"),
+    (Q0_OPTICS_MAX, f"q0={Q0_OPTICS_MAX} outside the validity range of the absorption correlation"),
+    (math.inf, "q0=inf outside the validity range of the absorption correlation"),
+])
+def test_refused_light_raises_the_optics_message(q0, message):
+    """A new light that the correlations refuse raises optical_coefficients'
+    own ValueError, word for word."""
+    for compute in (optical_coefficients, kinetics._light):
+        with pytest.raises(ValueError) as err:
+            compute(q0)
+        assert str(err.value) == message
 
 
 def test_mean_oxygen_rate_validation():

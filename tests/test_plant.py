@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pbrsim import plant
@@ -78,9 +78,59 @@ def test_piecewise_holds_up_to_held_until(starts, t):
         assert profile(math.nextafter(end, math.inf)) != profile(t)
 
 
-def test_day_night_never_held():
+def test_day_night_held_through_the_night():
+    """By night the hold reaches the period's end; by day there is none."""
     dn = DayNightLight()
-    assert [dn.held_until(t) for t in (0.0, 6.0, 18.0)] == [0.0, 6.0, 18.0]
+    assert [dn.held_until(t) for t in (0.0, 6.0, 11.9, 24.0)] == [0.0, 6.0, 11.9, 24.0]
+    assert [dn.held_until(t) for t in (12.0, 18.0, 23.9, 36.0)] == [24.0, 24.0, 24.0, 48.0]
+    assert dn.held_until(math.nextafter(24.0, 0.0)) == 24.0
+    # 5 * 0.7 rounds up past the dawn, so the hold stops one float short of it.
+    short = DayNightLight(period_h=0.7, day_fraction=0.3)
+    assert 0.0 < 3.5 % 0.7 and short(5 * 0.7) > short.floor
+    assert short.held_until(3.4) == math.nextafter(3.5, 0.0)
+
+
+@st.composite
+def _day_night_cases(draw):
+    period_h = draw(st.floats(min_value=1e-3, max_value=100.0))
+    day_fraction = draw(st.floats(min_value=1e-3, max_value=1.0))
+    floor = draw(st.floats(min_value=1.0, max_value=1000.0))
+    peak = floor + draw(st.sampled_from([0.0, 1e-9, 1.0, math.inf]) | st.floats(0.0, 1000.0))
+    dn = DayNightLight(period_h, floor, peak, day_fraction)
+    k = draw(st.integers(min_value=0, max_value=1000))
+    edges = [k * period_h, (k + day_fraction) * period_h]  # a dawn and the night's start
+    near = st.sampled_from(edges).flatmap(
+        lambda e: st.sampled_from([e, math.nextafter(e, 0.0), math.nextafter(e, math.inf)]))
+    # Far out, up to 2**64 periods, where t // period_h and k * period_h round.
+    far = st.floats(min_value=0.0, max_value=64.0).map(lambda e: period_h * 2.0**e)
+    return dn, draw(near | far | st.floats(min_value=0.0, max_value=1000.0 * period_h))
+
+
+def _far(period_h, day_fraction, t):
+    return DayNightLight(period_h, day_fraction=day_fraction), t
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_day_night_cases())
+# Far out, where the end of t's period rounds to a float past t's period.
+@example(case=_far(10.388755526187838, 0.45566609560615995, 1.1827076543587066e17))
+@example(case=_far(0.010333679077585187, 0.1932152280393738, 109664374573004.4))
+@example(case=_far(98.813519151181, 0.037095078035479394, 3.1531759308156595e17))
+@example(case=(DayNightLight(peak=math.inf), 18.0))  # the dawn reads NaN
+def test_day_night_holds_up_to_held_until(case):
+    """The value at t holds through held_until(t), which is t by day and the
+    period's end, or the float before it, by night."""
+    dn, t = case
+    end, P = dn.held_until(t), dn.period_h
+    if (t % P) / P < dn.day_fraction:
+        assert end == t
+        return
+    assert end >= t
+    for tau in (end, 0.5 * (t + end), math.nextafter(end, t)):
+        assert dn(tau) == dn(t) == dn.floor
+    if t < 2.0**50 * P:
+        dawn = (t // P + 1) * P
+        assert end in (dawn, math.nextafter(dawn, t))
 
 
 def test_piecewise_light_validation():
@@ -311,6 +361,25 @@ def test_held_light_matches_per_stage_light(params, substeps, t):
             assert got == _per_stage_step(x0, t, D, profile, dt, params, substeps)
 
 
+# Day/night periods: the night's start, mid-night, ending at the dawn exactly
+# (23.9) and one float past it (239 * 0.1), straddling the dawn and the dusk,
+# and from the dawn itself.
+DAY_NIGHT_TIMES = [12.0, 18.0, 23.9, 239 * 0.1, 23.95, 11.95, 24.0, 36.0, 47.9]
+
+
+@pytest.mark.parametrize("params", [FullModelParams(), SimplifiedModelParams()],
+                         ids=["full", "simplified"])
+@pytest.mark.parametrize("substeps", [1, 2, 10])
+def test_day_night_step_matches_per_stage_light(params, substeps):
+    """Under day/night light, step equals a per-stage RK4 bit for bit, held
+    through the night or not."""
+    dn = DayNightLight()
+    for t in DAY_NIGHT_TIMES:
+        for x0, D in ((0.3, 0.05), (1.2, 0.0)):
+            got = step(x0, t, D, dn, 0.1, params, substeps=substeps)
+            assert got == _per_stage_step(x0, t, D, dn, 0.1, params, substeps), t
+
+
 @st.composite
 def _held_cases(draw):
     t = draw(st.floats(min_value=0.0, max_value=5.0))
@@ -372,6 +441,16 @@ def test_light_evaluations_per_period(monkeypatch, substeps):
     calls.clear()
     step(0.3, 10.0, 0.05, DayNightLight(), 0.1, sp, substeps=substeps)
     assert calls == _stage_times(10.0, 0.1, substeps)
+    # At night, up to a last stage at dawn exactly, once; across the dawn, at
+    # each stage time.
+    for t in (12.0, 18.0, 23.9):
+        calls.clear()
+        step(0.3, t, 0.05, DayNightLight(), 0.1, sp, substeps=substeps)
+        assert calls == [t]
+    for t in (239 * 0.1, 23.95):
+        calls.clear()
+        step(0.3, t, 0.05, DayNightLight(), 0.1, sp, substeps=substeps)
+        assert calls == _stage_times(t, 0.1, substeps)
 
 
 # step's results as the per-stage right-hand side gave them (a434ee1), as float.hex: both

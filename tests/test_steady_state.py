@@ -321,8 +321,7 @@ def test_scan_warns_nothing():
     # The same pass outside np.errstate warns, so the check above bites.
     light = kinetics._light(600.0)
     with pytest.warns(RuntimeWarning):
-        kinetics._closed_form(GRID * light[1] * 0.05, 600.0, _unchecked(K=1e300), light,
-                              kinetics._EACH)
+        kinetics._closed_form(GRID * light[1] * 0.05, _unchecked(K=1e300), light, kinetics._EACH)
 
 
 @pytest.mark.parametrize(
