@@ -13,7 +13,6 @@ hour, so the O2 balance carries an explicit seconds-to-hours conversion.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass, fields
@@ -42,10 +41,9 @@ __all__ = [
 SECONDS_PER_HOUR = 3600.0
 K_MAX = 1e10  # above it the photo term K - K^2 I(K) loses over 1e-9 to cancellation
 
-# The closed form's sqrt, exp, expm1, log1p on floats, on each element of an array and numpy's
-# own: numpy's +, -, *, / and sqrt round as Python's do; its exp, expm1, log1p are not libm's.
+# The closed form's sqrt, exp, expm1, log1p on floats (the kernel) and on arrays (the scan):
+# numpy's +, -, *, / and sqrt round as Python's do; its exp, expm1, log1p are not libm's.
 _LIBM = (math.sqrt, math.exp, math.expm1, math.log1p)
-_EACH = (np.sqrt, *(lambda a, f=f: np.fromiter(map(f, a.tolist()), float) for f in _LIBM[1:]))
 _NUMPY = (np.sqrt, np.exp, np.expm1, np.log1p)
 
 
@@ -77,24 +75,20 @@ class FullModelParams:
 
     def rate_at(self, q0: float, geom: Geometry) -> Callable[[float], float]:
         """r_X in kg/m3/h at light q0 >= 0, a function of X alone (_light keeps q0's constants)."""
-        if not q0 >= 0:  # NaN fails it too
-            raise ValueError(f"q0 must be nonnegative, got {q0}")
+        if not 0 <= q0 < math.inf:  # NaN fails it too
+            raise ValueError(f"q0 must be nonnegative and finite, got {q0}")
         M_x, nu_O2_X = self.M_x, self.nu_O2_X
         return lambda X: 0.0 if X == 0 else mean_oxygen_rate(X, q0, self, geom) * M_x * X / nu_O2_X
 
     def rates_at(self, q0: float, geom: Geometry, X: np.ndarray) -> np.ndarray:
-        """rate_at(q0, geom) at each X of a float64 array, bit for bit: one array pass
-        of the closed form, else (a clear slab, a value not finite, a ValueError)
-        rate_at on each X, so that a scan raises what the kernel raises."""
-        with np.errstate(all="ignore"), contextlib.suppress(ValueError):
-            if np.isfinite(rates := self._fast_rates(q0, geom, X, _EACH)).all():
-                return rates
+        """rate_at(q0, geom) at each X of a float64 array: the exact setpoint scan of
+        either model (SimplifiedModelParams shares it), raising what the kernel raises."""
         return np.fromiter(map(self.rate_at(q0, geom), X.tolist()), float)
 
-    def _fast_rates(self, q0: float, geom: Geometry, X: np.ndarray, libm=_NUMPY) -> np.ndarray:
-        """rate_at(q0, geom) at each X by one closed-form array pass; NaN if a slab is clear."""
+    def _fast_rates(self, q0: float, geom: Geometry, X: np.ndarray) -> np.ndarray:
+        """rate_at(q0, geom) at each X by one closed-form pass on _NUMPY; NaN if a slab is clear."""
         if q0 > 0 and (t := X * _light(q0)[1] * geom.depth).min() >= _CLEAR_SLAB_THICKNESS:
-            return _closed_form(t, self, _light(q0), libm) * self.M_x * X / self.nu_O2_X
+            return _closed_form(t, self, _light(q0), _NUMPY) * self.M_x * X / self.nu_O2_X
         return X * math.nan
 
 
@@ -116,8 +110,8 @@ class SimplifiedModelParams:
 
     def rate_at(self, q0: float, geom: Geometry) -> Callable[[float], float]:
         """The Haldane rate in kg/m3/h at light q0 >= 0, as a function of X >= 0 alone."""
-        if not q0 >= 0:  # NaN fails it too
-            raise ValueError(f"q0 must be nonnegative, got {q0}")
+        if not 0 <= q0 < math.inf:  # NaN fails it too
+            raise ValueError(f"q0 must be nonnegative and finite, got {q0}")
         attenuation, depth = _attenuation(self), geom.depth
         mu_0, mu_r, K_I, K_II = self.mu_0, self.mu_r, self.K_I, self.K_II
 
@@ -127,11 +121,7 @@ class SimplifiedModelParams:
 
         return rate
 
-    def rates_at(self, q0: float, geom: Geometry, X: np.ndarray) -> np.ndarray:
-        """rate_at(q0, geom) at each X of a float64 array."""
-        return np.fromiter(map(self.rate_at(q0, geom), X.tolist()), float)
-
-    _fast_rates = rates_at  # no array pass: the setpoint scan takes the exact values
+    rates_at = _fast_rates = FullModelParams.rates_at  # no array pass: the scan is exact
 
 
 def local_oxygen_rate(G, E_a: float, p: FullModelParams = FullModelParams()):
@@ -205,7 +195,7 @@ def mean_oxygen_rate(
 
 def _closed_form(thickness, p: FullModelParams, light: tuple, libm=_LIBM):
     """mean_oxygen_rate beyond the clear slab, at one thickness or, with
-    libm=_EACH, at each of a float64 array's: the one copy of the formula."""
+    libm=_NUMPY, at each of a float64 array's: the one copy of the formula."""
     sqrt, exp, expm1, log1p = libm
     E_a, _, up2, down2, four_q0_up, two_q0_down, four_q0_alpha = light
     # The two-flux profile of irradiance_at_depth, written as A w - B / w.

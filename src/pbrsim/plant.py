@@ -132,8 +132,8 @@ LIGHT_STEP_PROFILE = PiecewiseConstant(((0.0, 600.0), (30.0, 100.0)))
 
 def light_at(t: float, profile: LightProfile) -> float:
     """Incident photon flux q0 at time t (hours)."""
-    if not t >= 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not 0 <= t < inf:  # NaN fails it too
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     return profile(t)
 
 

@@ -87,7 +87,8 @@ def optimal_setpoint(
     instead of silently returning a local optimum); golden-section then
     refines the bracket down to X_TOL.  Ties on the coarse grid
     resolve to the smallest X.  A fast scan stands only if each comparison it
-    decides by clears SCAN_MARGIN, as exact values then agree; else it reruns.
+    decides by clears SCAN_MARGIN, as exact values then agree; else rates_at,
+    the bound rate mapped over the grid, rescans it.
     """
     lo_q0, hi_q0 = Q0_VALID_RANGE
     if not lo_q0 <= q0 <= hi_q0:

@@ -186,6 +186,12 @@ def test_rate_models_share_one_rates_at_signature():
     assert names == [["self", "q0", "geom", "X"]] * 2
 
 
+def test_rate_models_share_one_exact_scan():
+    """The exact setpoint scan is written once: the bound rate over the grid."""
+    assert FullModelParams.rates_at is SimplifiedModelParams.rates_at
+    assert SimplifiedModelParams._fast_rates is SimplifiedModelParams.rates_at
+
+
 def test_rate_models_answer_only_rate_at_and_rates_at():
     """A rate model has no per-point rate beside the bound one and the scan."""
     public = [{name for name in dir(m) if not name.startswith("_") and callable(getattr(m, name))}

@@ -361,9 +361,9 @@ def test_bound_full_rate_is_the_rate(X, q0):
 @pytest.mark.parametrize("params", [FullModelParams(), SimplifiedModelParams()],
                          ids=["full", "simplified"])
 def test_bound_rate_refuses_a_bad_q0(params):
-    """Both models refuse a negative or NaN light when they bind, before any X;
-    a dark light binds, and its rate is the decay of the dark culture."""
-    for bad in (-5.0, -600.0, math.nan):
+    """Both models refuse a negative, infinite or NaN light when they bind,
+    before any X; a dark light binds, and its rate is the decay of the dark culture."""
+    for bad in (-5.0, -600.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="q0 must be nonnegative"):
             params.rate_at(bad, Geometry())
     dark = params.rate_at(0.0, Geometry())

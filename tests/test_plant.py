@@ -313,6 +313,18 @@ def test_step_rejects_nan_time(no_stage):
         step(0.3, math.nan, 0.05, LIGHT_STEP_PROFILE, 0.1, SimplifiedModelParams())
 
 
+@pytest.mark.parametrize("profile", [LIGHT_STEP_PROFILE, DayNightLight()], ids=["held", "daynight"])
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_a_time_not_finite_is_refused(no_stage, profile, t):
+    """light_at and step blame t, not the light, for a time that is not finite,
+    under either light kind and either model, before any stage runs."""
+    with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+        light_at(t, profile)
+    for params in (FullModelParams(), SimplifiedModelParams()):
+        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+            step(0.3, t, 0.05, profile, 0.1, params)
+
+
 @pytest.mark.parametrize("D", [math.nan, math.inf, -math.inf])
 def test_step_refuses_a_non_finite_command(no_stage, D):
     with pytest.raises(IntegrationError, match="dilution command is not finite") as err:

@@ -182,13 +182,21 @@ def test_setpoint_scan_type_leaves_bits(monkeypatch):
 
 def test_scan_equals_the_bound_rate(monkeypatch):
     """Each of the scan's 200 values is the scalar bound rate's, bit for bit,
-    at the map's lights and 1,000 random ones, from one array pass."""
+    at the map's lights and 1,000 random ones, from one bind per scan."""
     rng = np.random.default_rng(19)
     q0s = MAP_Q0 + rng.uniform(*Q0_VALID_RANGE, 1000).tolist()
     p, geom = FullModelParams(), Geometry()
     expected = [_outcome(lambda: map(p.rate_at(q0, geom), GRID.tolist())) for q0 in q0s]
-    monkeypatch.setattr(FullModelParams, "rate_at", _refuse)
+    bound = FullModelParams.rate_at
+    binds = []
+
+    def counted(self, q0, geom):
+        binds.append(q0)
+        return bound(self, q0, geom)
+
+    monkeypatch.setattr(FullModelParams, "rate_at", counted)
     assert [_outcome(lambda: p.rates_at(q0, geom, GRID).tolist()) for q0 in q0s] == expected
+    assert binds == q0s
 
 
 def test_fast_scan_decides_as_the_exact_scan(monkeypatch):
@@ -242,9 +250,8 @@ def test_uncertified_scan_reruns_exact(monkeypatch, case):
         reruns.append(q0)
         return exact(self, q0, geom, X)
 
-    def uncertified(self, q0, geom, X, libm=kinetics._NUMPY):  # rates_at passes libm's
-        values = fast(self, q0, geom, X, libm)
-        return _uncertified(values, case) if libm is kinetics._NUMPY else values
+    def uncertified(self, q0, geom, X):
+        return _uncertified(fast(self, q0, geom, X), case)
 
     monkeypatch.setattr(FullModelParams, "_fast_rates", uncertified)
     monkeypatch.setattr(FullModelParams, "rates_at", counted)
@@ -307,7 +314,7 @@ def test_clear_slab_scan_takes_the_scalar_path(monkeypatch):
 
 
 def test_scan_warns_nothing():
-    """Overflow and NaN inside the array pass raise no numpy warning, as
+    """Overflow and NaN inside a setpoint scan raise no numpy warning, as
     Python floats raise none."""
     cases = [dict(rho_m=1.7e308), dict(K=1e300), dict(K_R=1e-300), dict(nu_O2_X=1e-320)]
     with warnings.catch_warnings(record=True) as caught:
@@ -321,7 +328,7 @@ def test_scan_warns_nothing():
     # The same pass outside np.errstate warns, so the check above bites.
     light = kinetics._light(600.0)
     with pytest.warns(RuntimeWarning):
-        kinetics._closed_form(GRID * light[1] * 0.05, _unchecked(K=1e300), light, kinetics._EACH)
+        kinetics._closed_form(GRID * light[1] * 0.05, _unchecked(K=1e300), light, kinetics._NUMPY)
 
 
 @pytest.mark.parametrize(
