@@ -24,9 +24,7 @@ from .radiative import (
     _CLEAR_SLAB_THICKNESS,
     Q0_OPTICS_MAX,
     Geometry,
-    _attenuation,
     _cross_sections,
-    _exponential_mean,
     _two_flux,
 )
 
@@ -36,6 +34,7 @@ __all__ = [
     "local_oxygen_rate",
     "mean_oxygen_rate",
     "growth_rate_simplified",
+    "mean_irradiance_simplified",
 ]
 
 SECONDS_PER_HOUR = 3600.0
@@ -80,15 +79,11 @@ class FullModelParams:
         M_x, nu_O2_X = self.M_x, self.nu_O2_X
         return lambda X: 0.0 if X == 0 else mean_oxygen_rate(X, q0, self, geom) * M_x * X / nu_O2_X
 
-    def rates_at(self, q0: float, geom: Geometry, X: np.ndarray) -> np.ndarray:
-        """rate_at(q0, geom) at each X of a float64 array: the exact setpoint scan of
-        either model (SimplifiedModelParams shares it), raising what the kernel raises."""
-        return np.fromiter(map(self.rate_at(q0, geom), X.tolist()), float)
-
     def _fast_rates(self, q0: float, geom: Geometry, X: np.ndarray) -> np.ndarray:
         """rate_at(q0, geom) at each X by one closed-form pass on _NUMPY; NaN if a slab is clear."""
-        if q0 > 0 and (t := X * _light(q0)[1] * geom.depth).min() >= _CLEAR_SLAB_THICKNESS:
-            return _closed_form(t, self, _light(q0), _NUMPY) * self.M_x * X / self.nu_O2_X
+        light = _light(q0)
+        if (t := X * light[1] * geom.depth).min() >= _CLEAR_SLAB_THICKNESS:
+            return _closed_form(t, self, light, _NUMPY) * self.M_x * X / self.nu_O2_X
         return X * math.nan
 
 
@@ -121,7 +116,36 @@ class SimplifiedModelParams:
 
         return rate
 
-    rates_at = _fast_rates = FullModelParams.rates_at  # no array pass: the scan is exact
+    def _fast_rates(self, q0: float, geom: Geometry, X: np.ndarray) -> np.ndarray:
+        return X * math.nan  # no array form: every scan is the exact one
+
+
+def mean_irradiance_simplified(
+    X: float, q0: float, sp: SimplifiedModelParams, geom: Geometry = Geometry()
+) -> float:
+    """Depth-averaged irradiance under a single-exponential attenuation law.
+
+    The lumped growth model replaces the two-flux profile by
+    G(z) = q0 * exp(-c * X * z) with c = (1 + alpha_hat) / (2 alpha_hat) * E_a_hat,
+    whose depth average has the closed form q0 * (1 - exp(-cXL)) / (cXL).
+    """
+    if not X >= 0:  # NaN fails it too
+        raise ValueError(f"X must be nonnegative, got {X}")
+    if not q0 >= 0:
+        raise ValueError(f"q0 must be nonnegative, got {q0}")
+    return _exponential_mean(q0, _attenuation(sp) * X * geom.depth)
+
+
+def _attenuation(sp: SimplifiedModelParams) -> float:
+    """c of the single-exponential law, per unit X: m^2/kg."""
+    return (1.0 + sp.alpha_hat) / (2.0 * sp.alpha_hat) * sp.E_a_hat
+
+
+def _exponential_mean(q0: float, thickness: float) -> float:
+    """Depth mean of q0 * exp(-thickness * z / L): q0 in a clear slab."""
+    if thickness < _CLEAR_SLAB_THICKNESS:
+        return float(q0)
+    return q0 * (1.0 - math.exp(-thickness)) / thickness
 
 
 def local_oxygen_rate(G, E_a: float, p: FullModelParams = FullModelParams()):

@@ -247,6 +247,6 @@ def step(
 
 
 def measure(X: float, noise: NoiseConfig, rng: np.random.Generator) -> float:
-    """Noisy biomass measurement y = X * (1 + nu), clamped at zero."""
-    nu = rng.normal(0.0, noise.relative_std)
-    return max(X * (1.0 + nu), 0.0)
+    """Noisy biomass measurement y = X * (1 + nu), clamped at +0.0 (so X = 0 reads +0.0)."""
+    y = X * (1.0 + rng.normal(0.0, noise.relative_std))
+    return y if y > 0.0 else 0.0

@@ -14,19 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .kinetics import SimplifiedModelParams
 
 __all__ = [
     "Geometry",
     "OpticalProps",
     "optical_coefficients",
     "irradiance_at_depth",
-    "mean_irradiance_simplified",
 ]
 
 # Optical acclimation correlations, cross section versus ln(q0 in umol/m2/s).
@@ -131,31 +126,3 @@ def irradiance_at_depth(
         den = up * up - down * down * math.exp(-2.0 * delta * depth)
         out = 2.0 * q0 * num / den
     return float(out) if out.ndim == 0 else out
-
-
-def mean_irradiance_simplified(
-    X: float, q0: float, sp: "SimplifiedModelParams", geom: Geometry = Geometry()
-) -> float:
-    """Depth-averaged irradiance under a single-exponential attenuation law.
-
-    The lumped growth model replaces the two-flux profile by
-    G(z) = q0 * exp(-c * X * z) with c = (1 + alpha_hat) / (2 alpha_hat) * E_a_hat,
-    whose depth average has the closed form q0 * (1 - exp(-cXL)) / (cXL).
-    """
-    if not X >= 0:  # NaN fails it too
-        raise ValueError(f"X must be nonnegative, got {X}")
-    if not q0 >= 0:
-        raise ValueError(f"q0 must be nonnegative, got {q0}")
-    return _exponential_mean(q0, _attenuation(sp) * X * geom.depth)
-
-
-def _attenuation(sp: "SimplifiedModelParams") -> float:
-    """c of the single-exponential law, per unit X: m^2/kg."""
-    return (1.0 + sp.alpha_hat) / (2.0 * sp.alpha_hat) * sp.E_a_hat
-
-
-def _exponential_mean(q0: float, thickness: float) -> float:
-    """Depth mean of q0 * exp(-thickness * z / L): q0 in a clear slab."""
-    if thickness < _CLEAR_SLAB_THICKNESS:
-        return float(q0)
-    return q0 * (1.0 - math.exp(-thickness)) / thickness

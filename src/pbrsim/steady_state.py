@@ -85,10 +85,9 @@ def optimal_setpoint(
 
     A coarse scan brackets the maximum (and rejects non-unimodal scans
     instead of silently returning a local optimum); golden-section then
-    refines the bracket down to X_TOL.  Ties on the coarse grid
-    resolve to the smallest X.  A fast scan stands only if each comparison it
-    decides by clears SCAN_MARGIN, as exact values then agree; else rates_at,
-    the bound rate mapped over the grid, rescans it.
+    refines the bracket down to X_TOL.  Ties on the coarse grid resolve to the
+    smallest X.  A fast scan stands only if each comparison it decides by
+    clears SCAN_MARGIN, as exact values then agree; else the bound rate rescans.
     """
     lo_q0, hi_q0 = Q0_VALID_RANGE
     if not lo_q0 <= q0 <= hi_q0:
@@ -98,7 +97,7 @@ def optimal_setpoint(
     values = p._fast_rates(q0, geom, _GRID)
     top, tol = values.max(), SCAN_MARGIN * abs(values).max()
     if not min(top, abs(np.diff(values)).min()) > tol or np.count_nonzero(values >= top - tol) > 1:
-        values = p.rates_at(q0, geom, _GRID)
+        values = np.fromiter(map(productivity, _GRID.tolist()), float)
     if np.all(values <= 0):
         raise NoAdmissibleSetpointError(
             f"no positive productivity for q0={q0} in [{X_MIN}, {X_MAX}]"

@@ -22,6 +22,7 @@ from pbrsim.kinetics import (
     SimplifiedModelParams,
     growth_rate_simplified,
     local_oxygen_rate,
+    mean_irradiance_simplified,
     mean_oxygen_rate,
 )
 from pbrsim.plant import (
@@ -33,7 +34,6 @@ from pbrsim.radiative import (
     Geometry,
     OpticalProps,
     irradiance_at_depth,
-    mean_irradiance_simplified,
     optical_coefficients,
 )
 from pbrsim.scenarios import (

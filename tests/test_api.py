@@ -1,8 +1,8 @@
 """The package's interfaces: no type dispatch on a model, controller or
-reference, one step call for both controllers, rate_at and rates_at as the
-only calls of both rate models, one file writer in the CLI,
-every name the traced benchmark reads still exists, and the package
-exports what its modules export."""
+reference, one step call for both controllers, rate_at as the only call of
+both rate models, optics that import nothing of the package, one file writer
+in the CLI, every name the traced benchmark reads still exists, and the
+package exports what its modules export."""
 
 import ast
 import importlib
@@ -179,24 +179,23 @@ def test_rate_models_share_one_rate_at_signature():
     assert names == [["self", "q0", "geom"]] * 2
 
 
-def test_rate_models_share_one_rates_at_signature():
-    """Both rate models give a setpoint scan by the same call, rates_at(q0, geom, X)."""
-    names = [list(inspect.signature(m.rates_at).parameters)
-             for m in (FullModelParams, SimplifiedModelParams)]
-    assert names == [["self", "q0", "geom", "X"]] * 2
-
-
-def test_rate_models_share_one_exact_scan():
-    """The exact setpoint scan is written once: the bound rate over the grid."""
-    assert FullModelParams.rates_at is SimplifiedModelParams.rates_at
-    assert SimplifiedModelParams._fast_rates is SimplifiedModelParams.rates_at
-
-
-def test_rate_models_answer_only_rate_at_and_rates_at():
-    """A rate model has no per-point rate beside the bound one and the scan."""
+def test_rate_models_answer_only_rate_at():
+    """A rate model has no per-point rate or scan beside the bound rate."""
     public = [{name for name in dir(m) if not name.startswith("_") and callable(getattr(m, name))}
               for m in (FullModelParams, SimplifiedModelParams)]
-    assert public == [{"rate_at", "rates_at"}] * 2
+    assert public == [{"rate_at"}] * 2
+
+
+def test_optics_import_nothing_of_the_package():
+    """radiative.py is the two-flux optics alone: it imports no pbrsim module,
+    not even for type checking, so the lumped light law lives in kinetics."""
+    tree = ast.parse((SRC / "radiative.py").read_text())
+    imported = ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+    assert [name for name in imported if name.startswith((".", "pbrsim"))] == []
+    assert "TYPE_CHECKING" not in {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
 
 
 @pytest.mark.parametrize(

@@ -671,6 +671,38 @@ def test_overflowing_state_is_one_fault_line(tmp_path, kind):
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "setting",
+    ["plant.rho_m=1.7e308", "plant.phi_prime=1.7e308", "plant.resp_rate=1.7e308",
+     "plant.M_x=1e300", "plant.nu_O2_X=1e-320", "x0=1.7e308"],
+)
+def test_accepted_extreme_constant_is_an_integration_fault(tmp_path, capsys, setting):
+    """Each config README lists as accepted but ending in an integration
+    fault exits 3 at the first step, with the fault line and no traceback."""
+    out = tmp_path / "out"
+    rc = main(["simulate", "--set", setting, "--set", "duration_h=1", "--out", str(out)])
+    assert rc == EXIT_INTEGRATION
+    err = capsys.readouterr().err
+    assert err.startswith("integration fault: state became non-finite (t=0.01 h, X=")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["fl", "ip"])
+def test_emptied_vessel_with_wild_noise_runs(tmp_path, capsys, kind):
+    """A dilution that empties the vessel and noise that makes 0 * (1 + nu)
+    NaN or -0.0: the empty vessel reads +0.0, and the run ends with exit 0."""
+    sets = ["bounds.d_min=1e300", "bounds.d_max=1e301", "noise.relative_std=1.7e308",
+            "duration_h=1"]
+    argv = ["simulate", "--scenario", "paper-4.1", "--controller", kind,
+            *(arg for value in sets for arg in ("--set", value)), "--out", str(tmp_path)]
+    with pytest.warns(UserWarning, match="run shorter than"):
+        assert main(argv) == EXIT_OK
+    _, rows = _rows(tmp_path / "trace.csv")
+    # x_true and y_meas after the first period
+    assert {(row[1], row[2]) for row in rows[1:]} == {("0.00000000e+00", "0.00000000e+00")}
+
+
 def test_nan_dilution_command_is_a_fault_before_it_is_integrated(tmp_path):
     """An infinite FL measurement makes a NaN command, which saturate passes
     through; the plant refuses it before any RK4 stage, with no traceback."""

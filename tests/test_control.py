@@ -23,8 +23,7 @@ from pbrsim.control import (
     ip_control,
     saturate,
 )
-from pbrsim.kinetics import SimplifiedModelParams
-from pbrsim.radiative import mean_irradiance_simplified
+from pbrsim.kinetics import SimplifiedModelParams, mean_irradiance_simplified
 from pbrsim.scenarios import MAX_SAMPLES
 
 TAU = 1.5

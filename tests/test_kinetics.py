@@ -16,13 +16,13 @@ from pbrsim.kinetics import (
     SimplifiedModelParams,
     growth_rate_simplified,
     local_oxygen_rate,
+    mean_irradiance_simplified,
     mean_oxygen_rate,
 )
 from pbrsim.radiative import (
     Q0_OPTICS_MAX,
     Geometry,
     irradiance_at_depth,
-    mean_irradiance_simplified,
     optical_coefficients,
 )
 
@@ -316,8 +316,6 @@ def test_growth_rate_simplified_frozen():
 
 def test_growth_rate_simplified_haldane_arithmetic():
     """Rate equals the Haldane response at the depth-mean irradiance."""
-    from pbrsim.radiative import mean_irradiance_simplified
-
     sp = SimplifiedModelParams()
     G = mean_irradiance_simplified(0.3, 600.0, sp)
     mu = sp.mu_0 * G / (sp.K_I + G + G * G / sp.K_II) - sp.mu_r

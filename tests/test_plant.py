@@ -533,6 +533,14 @@ def test_measure_clamped_at_zero():
     assert min(vals) >= 0.0
 
 
+def test_empty_vessel_reads_positive_zero():
+    """At X = 0 noise that makes 0 * (1 + nu) NaN (nu infinite, the 7th draw)
+    or -0.0 (1 + nu < 0, the 2nd and 5th) still reads +0.0."""
+    rng = np.random.default_rng(0)
+    cfg = NoiseConfig(relative_std=1.7e308)
+    assert [measure(0.0, cfg, rng).hex() for _ in range(8)] == [(0.0).hex()] * 8
+
+
 def test_noise_config_validation():
     with pytest.raises(ValueError):
         NoiseConfig(relative_std=-0.01)

@@ -9,13 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pbrsim.kinetics import SimplifiedModelParams
+from pbrsim.kinetics import SimplifiedModelParams, mean_irradiance_simplified
 from pbrsim.radiative import (
     Geometry,
     Q0_OPTICS_MAX,
     OpticalProps,
     irradiance_at_depth,
-    mean_irradiance_simplified,
     optical_coefficients,
 )
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from pbrsim.steady_state import (
 
 GRID = np.linspace(X_MIN, X_MAX, GRID_POINTS)
 MAP_Q0 = [100.0 + 900.0 * i / 45 for i in range(46)]  # the benchmark's map grid
+GOLDEN_CALLS = 19  # bound-rate calls of the golden-section steps and the refined productivity
 
 
 def _unchecked(**values):
@@ -54,8 +56,40 @@ def _scalar_setpoint(q0, p=FullModelParams(), geom=Geometry()):
     return x_star, rate(x_star)
 
 
-def _refuse(*args):
-    raise AssertionError("the scan fell back")
+def _exact_scan(p, q0, geom):
+    """The exact setpoint scan: the bound rate mapped over the grid."""
+    return np.fromiter(map(p.rate_at(q0, geom), GRID.tolist()), float)
+
+
+def _solve(q0, p=FullModelParams(), geom=Geometry()):
+    """float.hex of each field of optimal_setpoint's OperatingPoint, or the
+    class of what it raises."""
+    return _outcome(lambda: astuple(optimal_setpoint(q0, p, geom)))
+
+
+def _exact_solve(monkeypatch, q0, p=FullModelParams(), geom=Geometry()):
+    """_solve with SCAN_MARGIN = inf: no fast scan stands, so the exact one decides."""
+    with monkeypatch.context() as m:
+        m.setattr(steady_state, "SCAN_MARGIN", math.inf)
+        return _solve(q0, p, geom)
+
+
+def _count_rate_calls(monkeypatch, model=FullModelParams):
+    """Make model.rate_at log the q0 of each bind and the X of each bound-rate call."""
+    bound, binds, calls = model.rate_at, [], []
+
+    def rate_at(self, q0, geom):
+        binds.append(q0)
+        rate = bound(self, q0, geom)
+
+        def counted(X):
+            calls.append(X)
+            return rate(X)
+
+        return counted
+
+    monkeypatch.setattr(model, "rate_at", rate_at)
+    return binds, calls
 
 
 def test_setpoint_anchors():
@@ -181,41 +215,42 @@ def test_setpoint_scan_type_leaves_bits(monkeypatch):
 
 
 def test_scan_equals_the_bound_rate(monkeypatch):
-    """Each of the scan's 200 values is the scalar bound rate's, bit for bit,
-    at the map's lights and 1,000 random ones, from one bind per scan."""
+    """The exact scan calls the solve's one bound rate at each grid X, in
+    order, and its setpoint is the test-local scalar scan's, bit for bit, at
+    the map's lights and 1,000 random ones."""
     rng = np.random.default_rng(19)
     q0s = MAP_Q0 + rng.uniform(*Q0_VALID_RANGE, 1000).tolist()
-    p, geom = FullModelParams(), Geometry()
-    expected = [_outcome(lambda: map(p.rate_at(q0, geom), GRID.tolist())) for q0 in q0s]
-    bound = FullModelParams.rate_at
-    binds = []
-
-    def counted(self, q0, geom):
-        binds.append(q0)
-        return bound(self, q0, geom)
-
-    monkeypatch.setattr(FullModelParams, "rate_at", counted)
-    assert [_outcome(lambda: p.rates_at(q0, geom, GRID).tolist()) for q0 in q0s] == expected
+    expected = [_scalar_setpoint(q0) for q0 in q0s]
+    monkeypatch.setattr(steady_state, "SCAN_MARGIN", math.inf)  # no fast scan stands
+    binds, calls = _count_rate_calls(monkeypatch)
+    for q0, (x_star, prod) in zip(q0s, expected):
+        calls.clear()
+        op = optimal_setpoint(q0)
+        assert calls[:GRID_POINTS] == GRID.tolist(), q0
+        assert len(calls) == GRID_POINTS + GOLDEN_CALLS, q0
+        assert (op.x_star.hex(), op.productivity.hex()) == (x_star.hex(), prod.hex()), q0
     assert binds == q0s
 
 
 def test_fast_scan_decides_as_the_exact_scan(monkeypatch):
     """At the map's lights and 1,000 random ones the numpy scan's values sit
     within half of SCAN_MARGIN of the exact ones (what its decisions need),
-    no solve reruns the exact scan, and each OperatingPoint is the one that
-    an exact scan gives, bit for bit."""
+    no solve reruns the exact scan (19 bound-rate calls, the golden ones),
+    and each OperatingPoint is the one that an exact scan gives, bit for bit."""
     rng = np.random.default_rng(21)
     q0s = MAP_Q0 + rng.uniform(*Q0_VALID_RANGE, 1000).tolist()
     p, geom = FullModelParams(), Geometry()
     for q0 in q0s:
-        exact = p.rates_at(q0, geom, GRID)
+        exact = _exact_scan(p, q0, geom)
         gap = np.abs(p._fast_rates(q0, geom, GRID) - exact).max()
         assert gap <= 0.5 * SCAN_MARGIN * np.abs(exact).max(), q0
-    monkeypatch.setattr(steady_state, "SCAN_MARGIN", math.inf)  # no fast scan stands
-    exact_ops = [optimal_setpoint(q0) for q0 in q0s]
-    monkeypatch.undo()
-    monkeypatch.setattr(FullModelParams, "rates_at", _refuse)
-    assert [optimal_setpoint(q0) for q0 in q0s] == exact_ops
+    exact_ops = [_exact_solve(monkeypatch, q0) for q0 in q0s]
+    binds, calls = _count_rate_calls(monkeypatch)
+    for q0, exact_op in zip(q0s, exact_ops):
+        calls.clear()
+        assert _solve(q0) == exact_op, q0
+        assert len(calls) == GOLDEN_CALLS, q0
+    assert binds == q0s
 
 
 def _uncertified(values, case):
@@ -241,22 +276,38 @@ def _uncertified(values, case):
 )
 def test_uncertified_scan_reruns_exact(monkeypatch, case):
     """A fast scan that a near tie, a top near 0 or a non-finite value leaves
-    uncertified is rerun by rates_at, once, and the setpoint is the exact one."""
+    uncertified is rerun by the solve's one bound rate over the grid (200
+    calls, then the 19 golden ones), and the setpoint is the exact one."""
     expected = optimal_setpoint(600.0)
-    fast, exact = FullModelParams._fast_rates, FullModelParams.rates_at
-    reruns = []
-
-    def counted(self, q0, geom, X):
-        reruns.append(q0)
-        return exact(self, q0, geom, X)
+    fast = FullModelParams._fast_rates
 
     def uncertified(self, q0, geom, X):
         return _uncertified(fast(self, q0, geom, X), case)
 
     monkeypatch.setattr(FullModelParams, "_fast_rates", uncertified)
-    monkeypatch.setattr(FullModelParams, "rates_at", counted)
+    binds, calls = _count_rate_calls(monkeypatch)
     assert optimal_setpoint(600.0) == expected
-    assert reruns == [600.0]
+    assert binds == [600.0]
+    assert len(calls) == GRID_POINTS + GOLDEN_CALLS
+    assert calls[:GRID_POINTS] == GRID.tolist()
+
+
+@pytest.mark.parametrize(
+    "model, q0, certified",
+    [(FullModelParams, 600.0, True), (FullModelParams, 600.0, False),
+     (SimplifiedModelParams, 100.0, False), (SimplifiedModelParams, 600.0, False),
+     (SimplifiedModelParams, 1000.0, False)],
+)
+def test_a_solve_binds_rate_at_once(monkeypatch, model, q0, certified):
+    """A solve binds rate_at once, whether its fast scan stands or the exact
+    scan reruns, for either model; the simplified model, with no array form,
+    always reruns."""
+    if not certified:
+        monkeypatch.setattr(steady_state, "SCAN_MARGIN", math.inf)
+    binds, calls = _count_rate_calls(monkeypatch, model)
+    optimal_setpoint(q0, model())
+    assert binds == [q0]
+    assert (calls[:GRID_POINTS] == GRID.tolist()) == (not certified)  # the exact scan ran
 
 
 EXTREMES = (1e300, 1e-300, 1.7e308)
@@ -266,54 +317,53 @@ DEPTHS = (0.05, 1e-15, 1e-300, 1e300)
 @pytest.mark.parametrize(
     "name", ["K", "K_R", "rho_m", "phi_prime", "resp_rate", "M_x", "nu_O2_X"]
 )
-def test_scan_at_extreme_constants(name):
-    """Each constant at 1e300, 1e-300 and 1.7e308 under four depths: the scan
-    gives the scalar rate's values or raises its exception class."""
+def test_scan_at_extreme_constants(monkeypatch, name):
+    """Each constant at 1e300, 1e-300 and 1.7e308 under four depths: the
+    solve ends as the exact scan's solve does, and raises the scalar rate's
+    exception class where the scalar rate raises on the grid."""
     for value in EXTREMES:
         p = _unchecked(**{name: value})
         for depth in DEPTHS:
             geom = Geometry(depth)
+            exact = _exact_solve(monkeypatch, 600.0, p, geom)
+            assert _solve(600.0, p, geom) == exact, (value, depth)
             scalar = _outcome(lambda: map(p.rate_at(600.0, geom), GRID.tolist()))
-            assert _outcome(lambda: p.rates_at(600.0, geom, GRID).tolist()) == scalar, (
-                value, depth)
+            if isinstance(scalar, type):
+                assert exact == scalar, (value, depth)
 
 
 @pytest.mark.parametrize("q0", [5e-324, 1e-300, 1e-200, 1e-100])
 @pytest.mark.parametrize("depth", [0.05, 1e10, 1e300])
-def test_scan_raises_as_the_first_bad_point(q0, depth):
+def test_scan_raises_as_the_first_bad_point(monkeypatch, q0, depth):
     """With K and K_R at 1e-300 and a dim light, the scalar kernel divides by
     zero or meets a log1p domain error, depending on which X fails first;
-    the scan raises the same class, although the array pass meets the
-    failures in another order."""
+    the solve raises the same class, as its exact scan does, although the
+    array pass meets the failures in another order.  The solve's light range
+    is widened here to reach these lights."""
+    monkeypatch.setattr(steady_state, "Q0_VALID_RANGE", (0.0, Q0_VALID_RANGE[1]))
     p = _unchecked(K=1e-300, K_R=1e-300)
     geom = Geometry(depth)
     scalar = _outcome(lambda: map(p.rate_at(q0, geom), GRID.tolist()))
     assert scalar in (ZeroDivisionError, ValueError)
-    assert _outcome(lambda: p.rates_at(q0, geom, GRID).tolist()) == scalar
+    assert _solve(q0, p, geom) == _exact_solve(monkeypatch, q0, p, geom) == scalar
 
 
 def test_clear_slab_scan_takes_the_scalar_path(monkeypatch):
     """A depth that leaves the thinnest grid slabs clear makes the scan the
-    scalar rate's, X by X."""
+    scalar rate's, X by X, and the solve the exact scan's."""
     extinction = kinetics._light(600.0)[1]
     geom = Geometry(1e-12 / (0.1 * extinction))  # clear below X = 0.1 only
     p = FullModelParams()
     thickness = GRID * extinction * geom.depth
     assert thickness.min() < kinetics._CLEAR_SLAB_THICKNESS < thickness.max()
-    expected = _outcome(lambda: map(p.rate_at(600.0, geom), GRID.tolist()))
-    binds = []
-    bound = FullModelParams.rate_at
-
-    def counted(self, q0, geom):
-        binds.append(q0)
-        return bound(self, q0, geom)
-
-    monkeypatch.setattr(FullModelParams, "rate_at", counted)
-    assert _outcome(lambda: p.rates_at(600.0, geom, GRID).tolist()) == expected
+    expected = _exact_solve(monkeypatch, 600.0, p, geom)
+    binds, calls = _count_rate_calls(monkeypatch)
+    assert _solve(600.0, p, geom) == expected
     assert binds == [600.0]
+    assert calls[:GRID_POINTS] == GRID.tolist()
 
 
-def test_scan_warns_nothing():
+def test_scan_warns_nothing(monkeypatch):
     """Overflow and NaN inside a setpoint scan raise no numpy warning, as
     Python floats raise none."""
     cases = [dict(rho_m=1.7e308), dict(K=1e300), dict(K_R=1e-300), dict(nu_O2_X=1e-320)]
@@ -322,8 +372,8 @@ def test_scan_warns_nothing():
         for values in cases:
             p = _unchecked(**values)
             for depth in DEPTHS:
-                _outcome(lambda: p.rates_at(600.0, Geometry(depth), GRID))
-            _outcome(lambda: [optimal_setpoint(600.0, p).productivity])
+                geom = Geometry(depth)
+                assert _solve(600.0, p, geom) == _exact_solve(monkeypatch, 600.0, p, geom)
     assert caught == []
     # The same pass outside np.errstate warns, so the check above bites.
     light = kinetics._light(600.0)
