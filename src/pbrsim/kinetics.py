@@ -34,7 +34,6 @@ __all__ = [
     "local_oxygen_rate",
     "mean_oxygen_rate",
     "growth_rate_simplified",
-    "mean_irradiance_simplified",
 ]
 
 SECONDS_PER_HOUR = 3600.0
@@ -104,48 +103,24 @@ class SimplifiedModelParams:
         _check_positive(self)
 
     def rate_at(self, q0: float, geom: Geometry) -> Callable[[float], float]:
-        """The Haldane rate in kg/m3/h at light q0 >= 0, as a function of X >= 0 alone."""
+        """The Haldane rate in kg/m3/h at light q0 >= 0, as a function of X >= 0 alone. Its
+        light is the depth mean of q0 exp(-cXz), c = (1 + alpha_hat) / (2 alpha_hat) E_a_hat,
+        which is q0 (1 - exp(-cXL)) / (cXL), or q0 in a clear slab."""
         if not 0 <= q0 < math.inf:  # NaN fails it too
             raise ValueError(f"q0 must be nonnegative and finite, got {q0}")
-        attenuation, depth = _attenuation(self), geom.depth
+        attenuation = (1.0 + self.alpha_hat) / (2.0 * self.alpha_hat) * self.E_a_hat
+        depth, clear, exp = geom.depth, float(q0), math.exp
         mu_0, mu_r, K_I, K_II = self.mu_0, self.mu_r, self.K_I, self.K_II
 
         def rate(X: float) -> float:
-            G_bar = _exponential_mean(q0, attenuation * X * depth)
+            cXL = attenuation * X * depth
+            G_bar = clear if cXL < _CLEAR_SLAB_THICKNESS else q0 * (1.0 - exp(-cXL)) / cXL
             return (mu_0 * G_bar / (K_I + G_bar + G_bar * G_bar / K_II) - mu_r) * X
 
         return rate
 
     def _fast_rates(self, q0: float, geom: Geometry, X: np.ndarray) -> np.ndarray:
         return X * math.nan  # no array form: every scan is the exact one
-
-
-def mean_irradiance_simplified(
-    X: float, q0: float, sp: SimplifiedModelParams, geom: Geometry = Geometry()
-) -> float:
-    """Depth-averaged irradiance under a single-exponential attenuation law.
-
-    The lumped growth model replaces the two-flux profile by
-    G(z) = q0 * exp(-c * X * z) with c = (1 + alpha_hat) / (2 alpha_hat) * E_a_hat,
-    whose depth average has the closed form q0 * (1 - exp(-cXL)) / (cXL).
-    """
-    if not X >= 0:  # NaN fails it too
-        raise ValueError(f"X must be nonnegative, got {X}")
-    if not q0 >= 0:
-        raise ValueError(f"q0 must be nonnegative, got {q0}")
-    return _exponential_mean(q0, _attenuation(sp) * X * geom.depth)
-
-
-def _attenuation(sp: SimplifiedModelParams) -> float:
-    """c of the single-exponential law, per unit X: m^2/kg."""
-    return (1.0 + sp.alpha_hat) / (2.0 * sp.alpha_hat) * sp.E_a_hat
-
-
-def _exponential_mean(q0: float, thickness: float) -> float:
-    """Depth mean of q0 * exp(-thickness * z / L): q0 in a clear slab."""
-    if thickness < _CLEAR_SLAB_THICKNESS:
-        return float(q0)
-    return q0 * (1.0 - math.exp(-thickness)) / thickness
 
 
 def local_oxygen_rate(G, E_a: float, p: FullModelParams = FullModelParams()):

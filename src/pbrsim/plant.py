@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import inf, isfinite, nextafter, pi, sin
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -224,25 +224,30 @@ def step(
     t_last = (t + (substeps - 1) * h) + h
     held = params.rate_at(light_at(t, profile), geom) if t_last <= profile.held_until(t) else None
 
-    def stage(rate: Callable[[float], float], x: float) -> float:
-        # max(x, 0.0), but a NaN stage becomes 0.0 rather than reach the rate:
-        # its NaN slope already makes the new X NaN, which raises below.
-        x = x if x >= 0.0 else 0.0
-        return rate(x) - D * x
-
+    half, sixth = 0.5 * h, h / 6.0
+    # Each stage clamps its X at zero before the rate sees it, k1's too (an
+    # entering X may be negative or NaN).  A NaN stage X becomes 0.0 rather
+    # than reach the rate: the NaN it came from makes the new X NaN, which raises below.
     for i in range(substeps):
         t0 = t + i * h
         r0 = held or params.rate_at(light_at(t0, profile), geom)
-        r_mid = held or params.rate_at(light_at(t0 + 0.5 * h, profile), geom)
+        r_mid = held or params.rate_at(light_at(t0 + half, profile), geom)
         r1 = held or params.rate_at(light_at(t0 + h, profile), geom)
-        k1 = stage(r0, X)
-        k2 = stage(r_mid, X + 0.5 * h * k1)
-        k3 = stage(r_mid, X + 0.5 * h * k2)
-        k4 = stage(r1, X + h * k3)
-        X = X + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = X if X >= 0.0 else 0.0
+        k1 = r0(x) - D * x
+        x = X + half * k1
+        x = x if x >= 0.0 else 0.0
+        k2 = r_mid(x) - D * x
+        x = X + half * k2
+        x = x if x >= 0.0 else 0.0
+        k3 = r_mid(x) - D * x
+        x = X + h * k3
+        x = x if x >= 0.0 else 0.0
+        k4 = r1(x) - D * x
+        X = X + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not isfinite(X):
             raise IntegrationError("state became non-finite", t=t0 + h, X=X, D=D)
-        X = max(X, 0.0)
+        X = X if X >= 0.0 else 0.0
     return X
 
 

@@ -40,7 +40,7 @@ SCAN_MARGIN = 1e-12  # of max|value|; numpy's scan values sat within 4.4e-15 of 
 
 
 class NoAdmissibleSetpointError(ValueError):
-    """No positive, finite productivity in the search bracket."""
+    """No positive, finite productivity in the search bracket, or its peak on the bracket's edge."""
 
 
 class NotUnimodalError(RuntimeError):
@@ -85,9 +85,10 @@ def optimal_setpoint(
 
     A coarse scan brackets the maximum (and rejects non-unimodal scans
     instead of silently returning a local optimum); golden-section then
-    refines the bracket down to X_TOL.  Ties on the coarse grid resolve to the
-    smallest X.  A fast scan stands only if each comparison it decides by
-    clears SCAN_MARGIN, as exact values then agree; else the bound rate rescans.
+    refines the bracket down to X_TOL, and refuses an X within X_TOL of the
+    bracket's edge.  Ties on the coarse grid resolve to the smallest X.  A
+    fast scan stands only if each comparison it decides by clears
+    SCAN_MARGIN, as exact values then agree; else the bound rate rescans.
     """
     lo_q0, hi_q0 = Q0_VALID_RANGE
     if not lo_q0 <= q0 <= hi_q0:
@@ -119,6 +120,12 @@ def optimal_setpoint(
     prod = productivity(x_star)
     if not 0 < prod < math.inf:
         raise NoAdmissibleSetpointError(f"refined productivity {prod} at q0={q0} not in (0, inf)")
+    if not X_MIN + X_TOL < x_star < X_MAX - X_TOL:
+        edge = X_MAX if x_star > X_MIN + X_TOL else X_MIN
+        raise NoAdmissibleSetpointError(
+            f"productivity at q0={q0} peaks at the bracket's edge X={edge} of "
+            f"[{X_MIN}, {X_MAX}]: the optimum may lie beyond it"
+        )
     return OperatingPoint(q0=q0, x_star=x_star, d_star=prod / x_star, productivity=prod)
 
 

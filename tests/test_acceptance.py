@@ -22,7 +22,6 @@ from pbrsim.kinetics import (
     SimplifiedModelParams,
     growth_rate_simplified,
     local_oxygen_rate,
-    mean_irradiance_simplified,
     mean_oxygen_rate,
 )
 from pbrsim.plant import (
@@ -45,6 +44,8 @@ from pbrsim.scenarios import (
     time_to_band,
 )
 from pbrsim.steady_state import optimal_setpoint, setpoint_map
+
+from oracles import mean_irradiance_simplified
 
 CONST_600 = PiecewiseConstant(((0.0, 600.0),))
 

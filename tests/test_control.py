@@ -23,8 +23,10 @@ from pbrsim.control import (
     ip_control,
     saturate,
 )
-from pbrsim.kinetics import SimplifiedModelParams, mean_irradiance_simplified
+from pbrsim.kinetics import SimplifiedModelParams
 from pbrsim.scenarios import MAX_SAMPLES
+
+from oracles import mean_irradiance_simplified
 
 TAU = 1.5
 KP = 5.0

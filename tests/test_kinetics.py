@@ -16,15 +16,17 @@ from pbrsim.kinetics import (
     SimplifiedModelParams,
     growth_rate_simplified,
     local_oxygen_rate,
-    mean_irradiance_simplified,
     mean_oxygen_rate,
 )
 from pbrsim.radiative import (
+    _CLEAR_SLAB_THICKNESS,
     Q0_OPTICS_MAX,
     Geometry,
     irradiance_at_depth,
     optical_coefficients,
 )
+
+from oracles import haldane_rate, mean_irradiance_simplified
 
 
 def test_dark_rate_is_uninhibited_respiration():
@@ -338,6 +340,34 @@ def test_bound_simplified_rate_is_the_rate(X, q0):
     oracle = (sp.mu_0 * G / (sp.K_I + G + G * G / sp.K_II) - sp.mu_r) * X
     got = [sp.rate_at(q0, geom)(X), growth_rate_simplified(X, q0, sp, geom)]
     assert [r.hex() for r in got] == [oracle.hex()] * 2
+
+
+def _clear_slab_edge(sp, geom):
+    """The largest X whose slab is clear (cXL below the clear-slab thickness),
+    and the float after it, whose slab is not."""
+    c = (1.0 + sp.alpha_hat) / (2.0 * sp.alpha_hat) * sp.E_a_hat
+    X = _CLEAR_SLAB_THICKNESS / (c * geom.depth)
+    while c * X * geom.depth >= _CLEAR_SLAB_THICKNESS:
+        X = math.nextafter(X, 0.0)
+    while c * math.nextafter(X, math.inf) * geom.depth < _CLEAR_SLAB_THICKNESS:
+        X = math.nextafter(X, math.inf)
+    return X, math.nextafter(X, math.inf)
+
+
+@pytest.mark.parametrize(
+    "q0", [0.0, 5e-324, 100.0, 600.0, np.float64(600.0), np.float64(777.7), 1000.0, 1e5], ids=repr
+)
+def test_bound_simplified_rate_equals_the_oracle(q0):
+    """The bound closure, which computes the exponential mean inline, equals the
+    oracle's Haldane rate of the exponential mean by float.hex: at the empty
+    vessel, the least subnormal, both sides of the clear-slab edge, 1 and 1e300."""
+    for sp, geom in ((SimplifiedModelParams(), Geometry()),
+                     (SimplifiedModelParams(mu_0=0.21, alpha_hat=0.5, E_a_hat=90.0),
+                      Geometry(depth=0.3))):
+        below, above = _clear_slab_edge(sp, geom)
+        rate = sp.rate_at(q0, geom)
+        for X in (0.0, 5e-324, below, above, 1.0, 1e300):
+            assert rate(X).hex() == haldane_rate(X, q0, sp, geom).hex(), (sp, geom, X)
 
 
 @settings(max_examples=300, deadline=None)

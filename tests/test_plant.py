@@ -410,12 +410,17 @@ def _held_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(
     case=_held_cases(),
-    x0=st.floats(min_value=0.0, max_value=2.0),
+    x0=st.floats(min_value=-1.0, max_value=2.0),
     D=st.floats(min_value=0.0, max_value=0.5),
+    params=st.sampled_from([SimplifiedModelParams(), FullModelParams()]),
 )
-def test_held_light_matches_per_stage_light_on_any_schedule(case, x0, D):
+@example(case=(0.0, 0.1, 10, LIGHT_STEP_PROFILE), x0=-0.3, D=0.05, params=FullModelParams())
+@example(case=(29.95, 0.1, 10, LIGHT_STEP_PROFILE), x0=-1e-300, D=0.5,
+         params=SimplifiedModelParams())
+def test_held_light_matches_per_stage_light_on_any_schedule(case, x0, D, params):
+    """Either model, and also from a negative entering X, which the oracle
+    clamps at every stage."""
     t, dt, substeps, profile = case
-    params = SimplifiedModelParams()
     got = step(x0, t, D, profile, dt, params, substeps=substeps)
     assert got == _per_stage_step(x0, t, D, profile, dt, params, substeps)
 
@@ -492,6 +497,45 @@ def test_step_bits_pinned(model, label, t, D, light, substeps, expected):
     params = FullModelParams() if model == "full" else SimplifiedModelParams()
     profile = LIGHT_STEP_PROFILE if light == "step" else DayNightLight()
     assert step(0.3, t, D, profile, 0.1, params, substeps=substeps).hex() == expected
+
+
+# step's result at an entering X and D for the full and the simplified model,
+# as float.hex or the class of what it raises, the same under held and day/night
+# light (at t = 10 h), as the stage helper gave them (d05d37c).  k1 clamps the entering X like every
+# stage: a negative X runs as 0.0, and a NaN raises IntegrationError, not the
+# full kernel's ValueError.
+ENTRY_PINS = [
+    (-0.1, 0.0, "0x0.0p+0", "0x0.0p+0"),
+    (-0.1, 0.05, "0x0.0p+0", "0x0.0p+0"),
+    (-0.1, 1e300, "0x0.0p+0", "0x0.0p+0"),
+    (-0.0, 0.0, "0x0.0p+0", "0x0.0p+0"),
+    (-0.0, 0.05, "0x0.0p+0", "0x0.0p+0"),
+    (-0.0, 1e300, "0x0.0p+0", "0x0.0p+0"),
+    (0.0, 0.0, "0x0.0p+0", "0x0.0p+0"),
+    (0.0, 0.05, "0x0.0p+0", "0x0.0p+0"),
+    (0.0, 1e300, "0x0.0p+0", "0x0.0p+0"),
+    (math.nan, 0.0, IntegrationError, IntegrationError),
+    (math.nan, 0.05, IntegrationError, IntegrationError),
+    (math.nan, 1e300, IntegrationError, IntegrationError),
+    (5e-324, 0.0, "0x0.0000000000001p-1022", "0x0.0000000000001p-1022"),
+    (5e-324, 0.05, "0x0.0000000000001p-1022", "0x0.0000000000001p-1022"),
+    (5e-324, 1e300, "0x0.0p+0", "0x0.0p+0"),
+    (1e300, 0.0, "0x1.7d600de7e590fp+996", "0x1.7dc4a5ec9321bp+996"),
+    (1e300, 0.05, "0x1.7b791cc761df9p+996", "0x1.7bdd345bbf074p+996"),
+    (1e300, 1e300, IntegrationError, IntegrationError),
+]
+
+
+@pytest.mark.parametrize("X, D, full, simplified", ENTRY_PINS,
+                         ids=[f"{p[0]}-{p[1]}" for p in ENTRY_PINS])
+@pytest.mark.parametrize("profile", [LIGHT_STEP_PROFILE, DayNightLight()], ids=["held", "daynight"])
+def test_step_clamps_the_entering_state(X, D, full, simplified, profile):
+    for params, expected in ((FullModelParams(), full), (SimplifiedModelParams(), simplified)):
+        try:
+            got = step(X, 10.0, D, profile, 0.1, params).hex()
+        except Exception as exc:
+            got = type(exc)
+        assert got == expected, type(params).__name__
 
 
 def test_integration_error_carries_context():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pbrsim.kinetics import SimplifiedModelParams, mean_irradiance_simplified
+from pbrsim.kinetics import SimplifiedModelParams, growth_rate_simplified
 from pbrsim.radiative import (
     Geometry,
     Q0_OPTICS_MAX,
@@ -17,6 +17,8 @@ from pbrsim.radiative import (
     irradiance_at_depth,
     optical_coefficients,
 )
+
+from oracles import mean_irradiance_simplified
 
 L = 0.05
 
@@ -230,10 +232,12 @@ def test_mean_irradiance_monotone_in_biomass():
 
 
 def test_mean_irradiance_validation():
+    """src computes the lumped light inside the bound rate, so its checks are
+    the rate's: growth_rate_simplified refuses a bad X, rate_at a bad q0."""
     sp = SimplifiedModelParams()
     for bad in (-0.1, math.nan):
-        with pytest.raises(ValueError):
-            mean_irradiance_simplified(bad, 600.0, sp)
+        with pytest.raises(ValueError, match="X must be nonnegative"):
+            growth_rate_simplified(bad, 600.0, sp)
     for bad in (-600.0, math.nan):
-        with pytest.raises(ValueError):
-            mean_irradiance_simplified(0.3, bad, sp)
+        with pytest.raises(ValueError, match="q0 must be nonnegative"):
+            sp.rate_at(bad, Geometry())

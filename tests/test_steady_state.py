@@ -301,11 +301,16 @@ def test_uncertified_scan_reruns_exact(monkeypatch, case):
 def test_a_solve_binds_rate_at_once(monkeypatch, model, q0, certified):
     """A solve binds rate_at once, whether its fast scan stands or the exact
     scan reruns, for either model; the simplified model, with no array form,
-    always reruns."""
+    always reruns.  At q0 = 1000 that model peaks on the bracket's upper edge,
+    and the solve is refused after its one bind."""
     if not certified:
         monkeypatch.setattr(steady_state, "SCAN_MARGIN", math.inf)
     binds, calls = _count_rate_calls(monkeypatch, model)
-    optimal_setpoint(q0, model())
+    if q0 == 1000.0:
+        with pytest.raises(NoAdmissibleSetpointError, match=r"edge X=2\.0 "):
+            optimal_setpoint(q0, model())
+    else:
+        optimal_setpoint(q0, model())
     assert binds == [q0]
     assert (calls[:GRID_POINTS] == GRID.tolist()) == (not certified)  # the exact scan ran
 
@@ -392,8 +397,39 @@ def test_non_finite_productivity_is_refused(values, shown):
 
 
 def test_simplified_model_setpoint_matches_a_scalar_scan():
-    """The lumped model answers the same scan call, X by X."""
+    """The lumped model answers the same scan call, X by X; at q0 = 1000 the
+    scalar scan's refined X sits on the bracket's upper edge, and the solve
+    refuses it."""
     sp = SimplifiedModelParams()
-    for q0 in (100.0, 600.0, 1000.0):
+    for q0 in (100.0, 600.0):
         op = optimal_setpoint(q0, sp)
         assert (op.x_star, op.productivity) == _scalar_setpoint(q0, sp)
+    assert _scalar_setpoint(1000.0, sp)[0] > X_MAX - X_TOL
+    with pytest.raises(NoAdmissibleSetpointError, match=r"edge X=2\.0 "):
+        optimal_setpoint(1000.0, sp)
+
+
+@pytest.mark.parametrize(
+    "p, q0, edge, beyond",
+    [(SimplifiedModelParams(), 878.0, X_MAX, 2.002),
+     (SimplifiedModelParams(E_a_hat=1e4, mu_r=0.05), 600.0, X_MIN, 0.008)],
+    ids=["simplified-878", "simplified-dense-600"],
+)
+def test_an_edge_peak_is_refused(p, q0, edge, beyond):
+    """A productivity that still rises past the bracket's edge has no optimum
+    in it: the solve names the edge instead of returning it as x_star."""
+    rate = p.rate_at(q0, Geometry())
+    assert rate(beyond) > rate(edge)
+    with pytest.raises(NoAdmissibleSetpointError, match=rf"peaks at the bracket's edge X={edge} "):
+        optimal_setpoint(q0, p)
+
+
+def test_the_last_interior_peaks_stand():
+    """At q0 = 875 to 877 the lumped model's peak lies inside the grid's last
+    cell, away from the edge: it stands.  The full model peaks inside the
+    bracket at every whole q0 from 100 to 1000."""
+    for q0 in (875.0, 876.0, 877.0):
+        op = optimal_setpoint(q0, SimplifiedModelParams())
+        assert GRID[-2] < op.x_star < X_MAX - X_TOL
+    for q0 in np.arange(100.0, 1001.0).tolist():
+        assert X_MIN + X_TOL < optimal_setpoint(q0).x_star < X_MAX - X_TOL
