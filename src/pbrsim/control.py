@@ -37,8 +37,6 @@ __all__ = [
     "FlConfig",
     "IpConfig",
     "saturate",
-    "fl_control",
-    "ip_control",
     "estimate_F_open",
     "estimate_F_closed",
     "FlController",
@@ -112,30 +110,6 @@ class IpConfig:
     def with_model_rate(self, mu_0: float) -> "IpConfig":
         """A copy: the model-free law has no model rate to perturb."""
         return replace(self)
-
-
-def fl_control(
-    y_meas: float,
-    y_r: float,
-    q0: float,
-    cfg: FlConfig,
-    geom: Geometry = Geometry(),
-) -> float:
-    """Raw dilution command that cancels the modeled growth at the measurement.
-
-    With the model exact and no noise this makes the tracking error decay as
-    exp(-lam * t).  The division by the measurement is guarded from below so
-    a near-zero sample cannot produce an unbounded command.
-    """
-    if y_meas < 0:
-        raise ValueError(f"y_meas must be nonnegative, got {y_meas}")
-    r_hat = growth_rate_simplified(y_meas, q0, cfg.sp, geom)
-    return (r_hat + cfg.lam * (y_meas - y_r)) / max(y_meas, X_FLOOR)
-
-
-def ip_control(f_est: float, e: float, cfg: IpConfig) -> float:
-    """Raw command u = -(F_est + k_p * e) / a."""
-    return -(f_est + cfg.k_p * e) / cfg.a
 
 
 def _elapsed(t: np.ndarray, *signals: np.ndarray) -> np.ndarray:
@@ -223,7 +197,12 @@ def _check_clock(last_t: float | None, t: float) -> float:
 
 
 class FlController:
-    """Sampled feedback-linearizing controller with actuator saturation."""
+    """Sampled feedback-linearizing controller with actuator saturation.
+
+    step cancels the modeled growth at the measurement, so with the model
+    exact and no noise the error decays as exp(-lam * t); it divides by
+    max(y_meas, X_FLOOR), so a near-zero sample gives a bounded command.
+    """
 
     def __init__(
         self,
@@ -240,12 +219,15 @@ class FlController:
     def step(self, t: float, y_meas: float, y_r: float, q0: float) -> float:
         """Return the applied dilution rate for this sampling instant."""
         self._last_t = _check_clock(self._last_t, t)
-        u_raw = fl_control(y_meas, y_r, q0, self.config, self.geom)
-        return saturate(u_raw, self.bounds)
+        if y_meas < 0:
+            raise ValueError(f"y_meas must be nonnegative, got {y_meas}")
+        cfg = self.config
+        r_hat = growth_rate_simplified(y_meas, q0, cfg.sp, self.geom)
+        return saturate((r_hat + cfg.lam * (y_meas - y_r)) / max(y_meas, X_FLOOR), self.bounds)
 
 
 class IpController:
-    """Sampled intelligent-proportional controller with online F estimation.
+    """Sampled intelligent-proportional controller: u = -(F + k_p * e) / a, F estimated online.
 
     Samples come on a uniform clock: each after the first must be period_h
     after the last, to within 1e-9 * period_h, or step raises ValueError.
@@ -309,7 +291,7 @@ class IpController:
             f_est = sum(map(mul, w_x, xs)) + sum(map(mul, w_u, us))
         else:
             f_est = 0.0
-        applied = saturate(ip_control(f_est, e, self.config), self.bounds)
+        applied = saturate(-(f_est + self.config.k_p * e) / self.config.a, self.bounds)
         us.append(applied)
         xs.append(e if self._x_is_error else y_meas)
         self.f_estimate = f_est

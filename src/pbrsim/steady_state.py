@@ -28,7 +28,7 @@ __all__ = [
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-Q0_VALID_RANGE = (100.0, 1000.0)  # umol/m2/s, range the optical correlations cover
+Q0_VALID_RANGE = (100.0, 1000.0)  # umol/m2/s, light the setpoint search supports
 
 # Bracket and tolerance of the productivity maximization.
 X_MIN = 0.01  # kg/m3

@@ -1,8 +1,8 @@
 """The package's interfaces: no type dispatch on a model, controller or
-reference, one step call for both controllers, rate_at as the only call of
-both rate models, optics that import nothing of the package, one file writer
-in the CLI, every name the traced benchmark reads still exists, and the
-package exports what its modules export."""
+reference, one step call for both controllers and no law outside it, rate_at
+as the only call of both rate models, optics that import nothing of the
+package, one file writer in the CLI, every name the traced benchmark reads
+still exists, and the package exports what its modules export."""
 
 import ast
 import importlib
@@ -170,6 +170,15 @@ def test_controllers_share_one_step_signature():
     """Both controllers are driven by the same call, step(t, y_meas, y_r, q0)."""
     names = [list(inspect.signature(c.step).parameters) for c in (FlController, IpController)]
     assert names == [["self", "t", "y_meas", "y_r", "q0"]] * 2
+
+
+def test_control_laws_live_only_in_step():
+    """Each law is written once, in its controller's step: control has no free law function."""
+    control = importlib.import_module("pbrsim.control")
+    public = {name for name, obj in vars(control).items()
+              if inspect.isfunction(obj) and obj.__module__ == control.__name__
+              and not name.startswith("_")}
+    assert public == {"saturate", "estimate_F_open", "estimate_F_closed"}
 
 
 def test_rate_models_share_one_rate_at_signature():

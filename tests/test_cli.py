@@ -735,7 +735,7 @@ def test_short_run_warning_is_one_line(tmp_path):
 
 def test_module_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "pbrsim", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "pbrsim", "--help"], capture_output=True, text=True, env=_env()
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "sweep" in proc.stdout

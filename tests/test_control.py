@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 from operator import mul
 
 import numpy as np
@@ -19,12 +20,10 @@ from pbrsim.control import (
     IpController,
     estimate_F_closed,
     estimate_F_open,
-    fl_control,
-    ip_control,
     saturate,
 )
 from pbrsim.kinetics import SimplifiedModelParams
-from pbrsim.scenarios import MAX_SAMPLES
+from pbrsim.scenarios import MAX_SAMPLES, light_step_scenario, run_scenario
 
 from oracles import mean_irradiance_simplified
 
@@ -47,11 +46,17 @@ def test_actuator_bounds_validation():
 
 
 def test_ip_control_arithmetic():
-    """u = -(F + k_p e) / a, checked by hand."""
-    cfg = IpConfig(a=0.2)
-    assert ip_control(0.5, 0.4, cfg) == pytest.approx(-12.5, rel=1e-14)
-    cfg = IpConfig()  # default a = -0.2
-    assert ip_control(0.02, -0.01, cfg) == pytest.approx(-0.15, rel=1e-14)
+    """u = -(F + k_p e) / a, checked by hand, inside the bounds so saturation hides nothing."""
+    ctl = IpController(IpConfig(a=0.2))  # F = 0 until the window fills
+    assert ctl.step(0.0, 0.37, 0.38, 600.0) == pytest.approx(0.25, rel=1e-12)
+    # Default a = -0.2, a 3-sample window: e = 0.005 gives u = 25 e = 0.125 while
+    # F = 0; then the open estimate of a constant y under constant u is F = -a u
+    # = 0.025, so u = -(0.025 + 5 * 0.005) / -0.2 = 0.25.
+    ctl = IpController(IpConfig(tau_h=0.2), period_h=0.1)
+    for k in range(3):
+        assert ctl.step(0.1 * k, 0.385, 0.38, 600.0) == pytest.approx(0.125, rel=1e-12)
+    assert ctl.step(0.3, 0.385, 0.38, 600.0) == pytest.approx(0.25, rel=1e-12)
+    assert ctl.f_estimate == pytest.approx(0.025, rel=1e-12)
 
 
 def test_ip_config_validation():
@@ -65,28 +70,60 @@ def test_ip_config_validation():
         IpConfig(estimator="magic")
 
 
+def _mu_hat(y, q0, sp):
+    """The lumped model's specific growth rate, from the oracle's mean light."""
+    G = mean_irradiance_simplified(y, q0, sp)
+    return sp.mu_0 * G / (sp.K_I + G + G * G / sp.K_II) - sp.mu_r
+
+
 def test_fl_control_on_reference_cancels_growth():
     """At y = y_r the command is exactly mu_hat(y): hold the equilibrium."""
     sp = SimplifiedModelParams()
-    cfg = FlConfig(sp=sp)
     y = 0.38
-    G = mean_irradiance_simplified(y, 600.0, sp)
-    mu = sp.mu_0 * G / (sp.K_I + G + G * G / sp.K_II) - sp.mu_r
-    assert fl_control(y, y, 600.0, cfg) == pytest.approx(mu, rel=1e-12)
+    mu = _mu_hat(y, 600.0, sp)
+    assert 0.0 < mu < ActuatorBounds().d_max  # saturation cannot hide the law
+    assert FlController(FlConfig(sp=sp)).step(0.0, y, y, 600.0) == pytest.approx(mu, rel=1e-12)
 
 
 def test_fl_control_guard_floor():
-    """A near-zero measurement cannot blow the division up."""
+    """A near-zero measurement cannot blow the division up: it divides by X_FLOOR."""
     cfg = FlConfig()
-    u = fl_control(1e-9, 0.38, 600.0, cfg)
-    assert abs(u) <= abs(-0.38 * cfg.lam) / X_FLOOR + 1.0
+    y = 1e-9
+    guarded = (_mu_hat(y, 600.0, cfg.sp) + cfg.lam) * y / X_FLOOR  # 1.045e-5
+    assert (guarded * X_FLOOR / y) > ActuatorBounds().d_max  # unguarded, it would clip
+    assert FlController(cfg).step(0.0, y, 0.0, 600.0) == pytest.approx(guarded, rel=1e-12)
 
 
 def test_fl_control_validation():
-    with pytest.raises(ValueError):
-        fl_control(-0.1, 0.38, 600.0, FlConfig())
+    with pytest.raises(ValueError, match="y_meas must be nonnegative, got -0.1"):
+        FlController(FlConfig()).step(0.0, -0.1, 0.38, 600.0)
     with pytest.raises(ValueError):
         FlConfig(lam=0.0)
+
+
+def _fl_law(cfg, geom, y, y_r, q0, f_est):
+    return (cfg.sp.rate_at(q0, geom)(y) + cfg.lam * (y - y_r)) / max(y, X_FLOOR)
+
+
+def _ip_law(cfg, geom, y, y_r, q0, f_est):
+    return -(f_est + cfg.k_p * (y - y_r)) / cfg.a
+
+
+@pytest.mark.parametrize(
+    "controller, law",
+    [(FlConfig(), _fl_law), (IpConfig(), _ip_law), (IpConfig(estimator="closed"), _ip_law)],
+    ids=["fl", "ip-open", "ip-closed"],
+)
+def test_every_applied_command_is_the_law(controller, law):
+    """Each of paper-4.1's 501 applied commands, written out from its row's
+    y_meas, y_ref, q0 and f_est and clipped to the bounds, matches to the bit."""
+    s = replace(light_step_scenario(), controller=controller)
+    tr = run_scenario(s)
+    lo, hi = s.bounds.d_min, s.bounds.d_max
+    rows = zip(*(c.tolist() for c in (tr.y_meas, tr.y_ref, tr.q0, tr.f_est)))
+    expected = [float.hex(min(max(law(controller, s.geometry, *row), lo), hi)) for row in rows]
+    assert len(expected) == 501
+    assert expected == list(map(float.hex, tr.d_applied.tolist()))
 
 
 def test_estimators_reject_short_or_ragged_windows():

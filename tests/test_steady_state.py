@@ -1,6 +1,7 @@
 """Productivity-optimal setpoints: anchors, optimality, and the map."""
 
 import math
+import re
 import warnings
 from dataclasses import astuple
 
@@ -18,6 +19,7 @@ from pbrsim.steady_state import (
     X_MIN,
     X_TOL,
     NoAdmissibleSetpointError,
+    NotUnimodalError,
     _golden_max,
     optimal_setpoint,
     setpoint_map,
@@ -167,6 +169,38 @@ def test_setpoint_map_structure():
     # stronger light supports denser and more productive cultures
     assert all(b > a for a, b in zip(x, x[1:]))
     assert all(b > a for a, b in zip(prod, prod[1:]))
+
+
+class _GaussianPeaks:
+    """A stub rate model: r_X is a sum of Gaussian bumps of width 0.1 kg/m3,
+    centred at peaks(q0).  It has no array form, so every scan is the exact one."""
+
+    def __init__(self, peaks):
+        self.peaks = peaks
+
+    def rate_at(self, q0, geom):
+        centres = self.peaks(q0)
+        return lambda X: sum(math.exp(-(((X - c) / 0.1) ** 2)) for c in centres)
+
+    def _fast_rates(self, q0, geom, X):
+        return X * math.nan
+
+
+def test_two_maxima_are_refused():
+    model = _GaussianPeaks(lambda q0: (0.5, 1.5))
+    with pytest.raises(NotUnimodalError, match=re.escape("has maxima near X in {0.5, 1.5}")):
+        optimal_setpoint(600.0, model)
+
+
+def test_a_falling_map_warns():
+    model = _GaussianPeaks(lambda q0: (1.5 - q0 / 1000.0,))
+    with pytest.warns(UserWarning) as record:
+        points = setpoint_map([100.0, 500.0, 900.0], model)
+    assert [str(w.message) for w in record] == [
+        "setpoint map not monotone: x*(500) < x*(100)",
+        "setpoint map not monotone: x*(900) < x*(500)",
+    ]
+    assert [op.x_star for op in points] == pytest.approx([1.4, 1.0, 0.6], abs=X_TOL)
 
 
 def test_dilution_stays_admissible_over_map():
