@@ -6,10 +6,7 @@ files, and numbers are written in fixed 9-significant-digit scientific
 notation so reruns can be diffed.
 """
 
-from __future__ import annotations
-
 import argparse
-import functools
 import json
 import math
 import sys
@@ -80,20 +77,14 @@ KINDS: dict[str, dict[str, type]] = {
 }
 
 
-@functools.cache
-def _field_types(cls: type) -> dict[str, Any]:
-    """Config key -> annotation (or kind table) of each init field of cls."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: KINDS.get(f.name, hints[f.name]) for f in fields(cls) if f.init}
-
-
 def _encode(value: Any, kinds: dict[str, type] | None = None) -> Any:
     if is_dataclass(value):
         out: dict[str, Any] = {}
         if kinds is not None:
             out["kind"] = next(tag for tag, cls in kinds.items() if type(value) is cls)
-        for name in _field_types(type(value)):
-            out[name] = _encode(getattr(value, name), KINDS.get(name))
+        for f in fields(value):
+            if f.init:
+                out[f.name] = _encode(getattr(value, f.name), KINDS.get(f.name))
         return out
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
@@ -139,7 +130,7 @@ def _decode(tp: Any, value: Any, key: str) -> Any:
         tp = tp[kind]
     if not isinstance(value, dict):
         raise ConfigError(f"{key or 'config'} must be an object, got {_shown(value)}")
-    types = _field_types(tp)
+    types = {f.name: KINDS.get(f.name, f.type) for f in fields(tp) if f.init}
     kwargs = {}
     for name, v in value.items():
         sub = f"{key}.{name}" if key else name

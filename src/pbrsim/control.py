@@ -19,8 +19,6 @@ the window's samples with fixed weights, so a step computes F as two
 weighted sums (an FIR filter) instead of calling an estimator.
 """
 
-from __future__ import annotations
-
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -29,7 +27,7 @@ from operator import mul
 import numpy as np
 
 from .kinetics import SimplifiedModelParams, growth_rate_simplified
-from .plant import SamplingConfig
+from .plant import CLOCK_TOL, SamplingConfig
 from .radiative import Geometry
 
 __all__ = [
@@ -219,7 +217,7 @@ class FlController:
     def step(self, t: float, y_meas: float, y_r: float, q0: float) -> float:
         """Return the applied dilution rate for this sampling instant."""
         self._last_t = _check_clock(self._last_t, t)
-        if y_meas < 0:
+        if not y_meas >= 0:  # NaN fails it too
             raise ValueError(f"y_meas must be nonnegative, got {y_meas}")
         cfg = self.config
         r_hat = growth_rate_simplified(y_meas, q0, cfg.sp, self.geom)
@@ -230,7 +228,7 @@ class IpController:
     """Sampled intelligent-proportional controller: u = -(F + k_p * e) / a, F estimated online.
 
     Samples come on a uniform clock: each after the first must be period_h
-    after the last, to within 1e-9 * period_h, or step raises ValueError.
+    after the last, to within CLOCK_TOL * period_h, or step raises ValueError.
     The window holds the last n = round(tau_h / period_h) + 1 samples,
     spanning tau_h: u_window the applied inputs and x_window the measurements
     (open estimator) or tracking errors (closed).  Until it first fills,
@@ -263,7 +261,7 @@ class IpController:
         self.weights: tuple[list[float], list[float]] | None = None  # (w_x, w_u), once full
         self.f_estimate = 0.0
         self._period_h = period_h
-        self._clock_tol = 1e-9 * period_h
+        self._clock_tol = CLOCK_TOL * period_h
         self._x_is_error = config.estimator == "closed"
         self._last_t: float | None = None
 

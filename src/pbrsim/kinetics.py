@@ -11,8 +11,6 @@ Photon fluxes are per second while the reactor dynamics are written per
 hour, so the O2 balance carries an explicit seconds-to-hours conversion.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from dataclasses import dataclass, fields

@@ -10,8 +10,6 @@ period for a light that holds its value over it (profile.held_until), as a
 day/night light does through the night.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import inf, isfinite, nextafter, pi, sin
@@ -165,6 +163,9 @@ class SamplingConfig:
             raise ValueError(f"substeps must be an integer >= 1, got {self.substeps!r}")
 
 
+CLOCK_TOL = 1e-9  # slack on the sampling clock, as a fraction of period_h
+
+
 class IntegrationError(RuntimeError):
     """Raised when the integrator produces a non-finite state."""
 
@@ -251,7 +252,8 @@ def step(
     return X
 
 
-def measure(X: float, noise: NoiseConfig, rng: np.random.Generator) -> float:
+# Quoted: evaluating np.random.Generator at import would load numpy.random.
+def measure(X: float, noise: NoiseConfig, rng: "np.random.Generator") -> float:
     """Noisy biomass measurement y = X * (1 + nu), clamped at +0.0 (so X = 0 reads +0.0)."""
     y = X * (1.0 + rng.normal(0.0, noise.relative_std))
     return y if y > 0.0 else 0.0

@@ -10,8 +10,6 @@ under strong light, so the optical cross sections themselves vary with q0.
 Log-linear correlations capture that acclimation trend.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 

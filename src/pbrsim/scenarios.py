@@ -12,8 +12,6 @@ derivative for the controllers to use; reference steps are left to the
 feedback to absorb.
 """
 
-from __future__ import annotations
-
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -24,6 +22,7 @@ import numpy as np
 from .control import ActuatorBounds, FlConfig, IpConfig
 from .kinetics import FullModelParams, SimplifiedModelParams
 from .plant import (
+    CLOCK_TOL,
     LIGHT_STEP_PROFILE,
     DayNightLight,
     IntegrationError,
@@ -126,7 +125,7 @@ class Scenario:
         if not rk4_steps <= MAX_RK4_STEPS:
             raise ValueError(f"periods x sampling.substeps is {rk4_steps:g}, over {MAX_RK4_STEPS}")
         n, period_h = round(periods), self.sampling.period_h
-        if n < 1 or abs(n * period_h - self.duration_h) > 1e-9 * period_h:
+        if n < 1 or abs(n * period_h - self.duration_h) > CLOCK_TOL * period_h:
             raise ValueError("duration_h must be a whole number of sampling periods")
         lo, hi = self.light.value_range
         if not hi < self.plant.q0_max:

@@ -6,8 +6,6 @@ flux over X at a given light: a coarse grid scan, certified at numpy's speed,
 brackets the maximum, and golden-section on the scalar rate refines it.
 """
 
-from __future__ import annotations
-
 import math
 import warnings
 from dataclasses import dataclass

@@ -34,10 +34,6 @@ FAMILY_TYPES = {
 WRITE_CALLS = {"mkdir", "write_text", "write_bytes", "open"}
 # functools decorators that keep results between calls.
 CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
-# Caches allowed more than one entry.  _field_types holds the resolved type
-# hints of each config class: about 1 ms of work in all and no model result,
-# while resolving them on every call would add ~1 ms to each config round trip.
-CACHE_EXEMPT = {"_field_types"}
 # Tracer queries in perfbench/run.py whose string arguments are labels.
 TRACER_QUERIES = {"calls", "calls_inside", "percentile", "total"}
 
@@ -120,7 +116,7 @@ def test_caches_hold_one_entry(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [
         (name, dec) for name, dec in _caches(tree)
-        if name not in CACHE_EXEMPT and dec.split(".")[-1] != "lru_cache(maxsize=1)"
+        if dec.split(".")[-1] != "lru_cache(maxsize=1)"
     ] == []
 
 

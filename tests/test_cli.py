@@ -740,3 +740,13 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "sweep" in proc.stdout
     assert "campaigns" in proc.stdout
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """Importing the package and its CLI loads no numpy.random: measure's
+    Generator annotation stays a string, so config set-up does not pay for it."""
+    code = "import sys, pbrsim, pbrsim.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_env()
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False")

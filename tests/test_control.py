@@ -94,6 +94,11 @@ def test_fl_control_guard_floor():
     assert FlController(cfg).step(0.0, y, 0.0, 600.0) == pytest.approx(guarded, rel=1e-12)
 
 
+def test_fl_refuses_nan_measurement():
+    with pytest.raises(ValueError, match="y_meas must be nonnegative, got nan"):
+        FlController(FlConfig()).step(0.0, math.nan, 0.38, 600.0)
+
+
 def test_fl_control_validation():
     with pytest.raises(ValueError, match="y_meas must be nonnegative, got -0.1"):
         FlController(FlConfig()).step(0.0, -0.1, 0.38, 600.0)
