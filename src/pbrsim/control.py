@@ -28,7 +28,7 @@ import numpy as np
 
 from .kinetics import SimplifiedModelParams, growth_rate_simplified
 from .plant import CLOCK_TOL, SamplingConfig
-from .radiative import Geometry
+from .radiative import POSITIVE, Geometry, check_ranges
 
 __all__ = [
     "ActuatorBounds",
@@ -46,11 +46,13 @@ __all__ = [
 class ActuatorBounds:
     """Admissible dilution-rate range of the feed pump, 1/h."""
 
+    ranges = {"d_min": ("[", 0.0, math.inf, ")")}
     d_min: float = 0.0
     d_max: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0 <= self.d_min < self.d_max:
+        check_ranges(self)
+        if not self.d_min < self.d_max:
             raise ValueError(f"need 0 <= d_min < d_max, got [{self.d_min}, {self.d_max}]")
 
 
@@ -66,12 +68,11 @@ X_FLOOR = 1e-4  # FL division guard on the measurement, kg/m3
 class FlConfig:
     """Feedback-linearizing controller settings."""
 
+    ranges = {"lam": POSITIVE}
     lam: float = 1.0  # imposed error decay rate, 1/h
     sp: SimplifiedModelParams = field(default_factory=SimplifiedModelParams)
 
-    def __post_init__(self) -> None:
-        if not self.lam > 0:  # NaN fails it too
-            raise ValueError("lam must be positive")
+    __post_init__ = check_ranges
 
     def build(self, bounds: ActuatorBounds, geom: Geometry, period_h: float) -> "FlController":
         """A fresh controller with these settings; period_h is unused."""
@@ -86,18 +87,16 @@ class FlConfig:
 class IpConfig:
     """Intelligent-proportional controller settings."""
 
+    ranges = {"k_p": POSITIVE, "tau_h": POSITIVE}
     a: float = -0.2  # assumed input gain of y' = F + a*u; dilution removes biomass
     k_p: float = 5.0  # proportional gain on the tracking error
     tau_h: float = 1.5  # estimation window length, h (15 sampling periods)
     estimator: str = "open"  # "open": from (u, y) data; "closed": reference form
 
     def __post_init__(self) -> None:
+        check_ranges(self)
         if not abs(self.a) > 0:  # NaN fails it too
             raise ValueError("a must be nonzero")
-        if not self.k_p > 0:
-            raise ValueError("k_p must be positive")
-        if not self.tau_h > 0:
-            raise ValueError("tau_h must be positive")
         if self.estimator not in ("open", "closed"):
             raise ValueError(f"unknown estimator variant: {self.estimator!r}")
 

@@ -13,17 +13,19 @@ hour, so the O2 balance carries an explicit seconds-to-hours conversion.
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
 
 from .radiative import (
     _CLEAR_SLAB_THICKNESS,
+    POSITIVE,
     Q0_OPTICS_MAX,
     Geometry,
     _cross_sections,
     _two_flux,
+    check_ranges,
 )
 
 __all__ = [
@@ -43,19 +45,17 @@ _LIBM = (math.sqrt, math.exp, math.expm1, math.log1p)
 _NUMPY = (np.sqrt, np.exp, np.expm1, np.log1p)
 
 
-def _check_positive(params: object) -> None:
-    """Every constant of a rate model must be positive; NaN fails too."""
-    for f in fields(params):
-        if not getattr(params, f.name) > 0:
-            raise ValueError(f"{f.name} must be positive, got {getattr(params, f.name)}")
-
-
 @dataclass(frozen=True)
 class FullModelParams:
     """Constants of the radiative/energetic growth description."""
 
     q0_max: ClassVar[float] = Q0_OPTICS_MAX  # light must stay below it
-
+    # The finite ends but K_MAX keep the rate's products finite (README, "Config ranges").
+    ranges = {
+        "K": ("(", 0.0, K_MAX, "]"), "K_R": POSITIVE, "rho_m": ("(", 0.0, 1e307, "]"),
+        "phi_prime": ("(", 0.0, 1e300, "]"), "resp_rate": ("(", 0.0, 1e305, "]"),
+        "nu_O2_X": ("[", 1e-156, math.inf, ")"), "M_x": ("(", 0.0, 1e155, "]"),
+    }
     K: float = 120.0  # photosynthesis half-saturation, umol/m2/s
     K_R: float = 6.0  # respiration inhibition constant, umol/m2/s
     rho_m: float = 0.8  # maximum energetic yield of photon conversion
@@ -64,10 +64,7 @@ class FullModelParams:
     nu_O2_X: float = 1.183  # O2-to-biomass stoichiometric coupling
     M_x: float = 24e-3  # C-molar mass of biomass, kg/C-mol
 
-    def __post_init__(self) -> None:
-        _check_positive(self)
-        if self.K > K_MAX:
-            raise ValueError(f"K must be in (0, {K_MAX:g}], got {self.K}")
+    __post_init__ = check_ranges
 
     def rate_at(self, q0: float, geom: Geometry) -> Callable[[float], float]:
         """r_X in kg/m3/h at light q0 >= 0, a function of X alone (_light keeps q0's constants)."""
@@ -89,7 +86,7 @@ class SimplifiedModelParams:
     """Constants of the lumped Haldane growth model."""
 
     q0_max: ClassVar[float] = math.inf  # any positive light
-
+    ranges = dict.fromkeys(("mu_0", "mu_r", "alpha_hat", "E_a_hat", "K_I", "K_II"), POSITIVE)
     mu_0: float = 0.14  # rate scale, 1/h
     mu_r: float = 0.013  # maintenance respiration rate, 1/h
     alpha_hat: float = 0.71  # scattering modulus of the lumped light law
@@ -97,8 +94,7 @@ class SimplifiedModelParams:
     K_I: float = 120.0  # light half-saturation, umol/m2/s
     K_II: float = 500.0  # photoinhibition constant, umol/m2/s
 
-    def __post_init__(self) -> None:
-        _check_positive(self)
+    __post_init__ = check_ranges
 
     def rate_at(self, q0: float, geom: Geometry) -> Callable[[float], float]:
         """The Haldane rate in kg/m3/h at light q0 >= 0, as a function of X >= 0 alone. Its

@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .kinetics import FullModelParams, SimplifiedModelParams
-from .radiative import Geometry
+from .radiative import POSITIVE, Geometry, check_ranges
 
 __all__ = [
     "PiecewiseConstant",
@@ -84,17 +84,15 @@ class PiecewiseConstant:
 class DayNightLight:
     """Half-sine daylight over a fraction of the period, floor at night."""
 
+    ranges = {"period_h": POSITIVE, "floor": POSITIVE, "day_fraction": ("(", 0.0, 1.0, "]")}
     period_h: float = 24.0
     floor: float = 100.0  # umol/m2/s
     peak: float = 600.0  # umol/m2/s
     day_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.period_h > 0:
-            raise ValueError("period_h must be positive")
-        if not 0 < self.day_fraction <= 1:
-            raise ValueError("day_fraction must lie in (0, 1]")
-        if not (self.floor > 0 and self.peak >= self.floor):
+        check_ranges(self)
+        if not self.peak >= self.floor:
             raise ValueError("need 0 < floor <= peak")
 
     def __call__(self, t: float) -> float:
@@ -139,12 +137,12 @@ def light_at(t: float, profile: LightProfile) -> float:
 class NoiseConfig:
     """Multiplicative Gaussian measurement noise."""
 
+    ranges = {"relative_std": ("[", 0.0, inf, ")")}
     relative_std: float = 0.01
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.relative_std >= 0:
-            raise ValueError("relative_std must be nonnegative")
+        check_ranges(self)
         if not (type(self.seed) is int and self.seed >= 0):  # True fails it too
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
@@ -153,12 +151,12 @@ class NoiseConfig:
 class SamplingConfig:
     """Controller sampling period and integrator resolution."""
 
+    ranges = {"period_h": POSITIVE}
     period_h: float = 0.1  # 6 min
     substeps: int = 10  # RK4 steps per sampling period
 
     def __post_init__(self) -> None:
-        if not self.period_h > 0:
-            raise ValueError("period_h must be positive")
+        check_ranges(self)
         if not (type(self.substeps) is int and self.substeps >= 1):  # True fails it too
             raise ValueError(f"substeps must be an integer >= 1, got {self.substeps!r}")
 

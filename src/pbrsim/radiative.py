@@ -34,16 +34,25 @@ Q0_OPTICS_MAX = math.exp(-E_A_INTERCEPT / E_A_LOG_SLOPE)  # umol/m2/s
 # Below this optical thickness the slab is treated as transparent.
 _CLEAR_SLAB_THICKNESS = 1e-12
 
+POSITIVE = ("(", 0.0, math.inf, ")")  # a config field's interval: brackets and ends
+
+
+def check_ranges(config: object) -> None:
+    """Raise ValueError for the first field outside its interval in config.ranges."""
+    for name, (left, lo, hi, right) in config.ranges.items():
+        v = getattr(config, name)
+        if not ((lo < v if left == "(" else lo <= v) and (v < hi if right == ")" else v <= hi)):
+            raise ValueError(f"{name} must lie in {left}{lo:g}, {hi:g}{right}, got {v}")
+
 
 @dataclass(frozen=True)
 class Geometry:
     """Flat-panel vessel geometry."""
 
+    ranges = {"depth": POSITIVE}
     depth: float = 0.05  # light path length, m
 
-    def __post_init__(self) -> None:
-        if not self.depth > 0:
-            raise ValueError(f"depth must be positive, got {self.depth}")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)

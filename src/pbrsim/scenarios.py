@@ -12,7 +12,6 @@ derivative for the controllers to use; reference steps are left to the
 feedback to absorb.
 """
 
-import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar
@@ -34,7 +33,7 @@ from .plant import (
     measure,
     step,
 )
-from .radiative import Geometry
+from .radiative import POSITIVE, Geometry, check_ranges
 from .steady_state import Q0_VALID_RANGE, optimal_setpoint
 
 __all__ = [
@@ -101,6 +100,7 @@ Reference = PiecewiseConstant | MapReference
 class Scenario:
     """Complete description of one closed-loop run."""
 
+    ranges = {"duration_h": POSITIVE, "x0": ("(", 0.0, 1e307, "]")}
     name: str
     duration_h: float
     x0: float  # initial biomass, kg/m3
@@ -114,10 +114,7 @@ class Scenario:
     bounds: ActuatorBounds = field(default_factory=ActuatorBounds)
 
     def __post_init__(self) -> None:
-        if not self.duration_h > 0:  # NaN fails it too
-            raise ValueError("duration_h must be positive")
-        if not 0 < self.x0 < math.inf:
-            raise ValueError(f"x0 must be positive and finite, got {self.x0}")
+        check_ranges(self)
         periods = self.duration_h / self.sampling.period_h
         if not periods <= MAX_SAMPLES:
             raise ValueError(f"duration_h / sampling.period_h is {periods:g}, over {MAX_SAMPLES}")
@@ -223,7 +220,7 @@ def compute_metrics(trace: SimulationTrace) -> TrackingMetrics:
             f"the final {window:.3g} h",
             stacklevel=2,
         )
-    tail = t >= horizon - window - 1e-9
+    tail = t >= horizon - window - CLOCK_TOL * t[1]
     err = trace.y_ref - trace.x_true
     offset = float(np.mean(err[tail]))
     iae = _trapz(np.abs(err), t)
@@ -257,7 +254,7 @@ def time_to_band(trace: SimulationTrace, t_from: float) -> float | None:
     switch instant the band is measured against the new value (switches take
     effect strictly after their start time).
     """
-    mask = trace.t > t_from + 1e-9
+    mask = trace.t > t_from + CLOCK_TOL * trace.t[1]
     err = np.abs(trace.y_ref - trace.x_true)[mask]
     inside = err <= BAND * trace.y_ref[mask]
     hit = np.flatnonzero(inside)

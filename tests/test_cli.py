@@ -351,7 +351,7 @@ def test_plant_K_range(tmp_path, capsys, value, code):
     args = ["simulate", "--set", f"plant.K={value}", "--set", "duration_h=12", "--out", str(out)]
     assert main(args) == code
     err = capsys.readouterr().err
-    assert ("K must be in (0, 1e+10]" in err) == (code == EXIT_CONFIG)
+    assert ("K must lie in (0, 1e+10]" in err) == (code == EXIT_CONFIG)
     assert out.exists() == (code == EXIT_OK)
 
 
@@ -635,8 +635,12 @@ def test_sweep_outputs(tmp_path):
     assert fl_007[4] == ""
 
 
+# Two constants, each inside its range, whose ratio M_x / nu_O2_X overflows the rate.
+OVERFLOWING = ["--set", "plant.M_x=1e100", "--set", "plant.nu_O2_X=1e-100"]
+
+
 def test_sweep_all_cells_failing_exits_3(tmp_path):
-    rc = main(["sweep", "--set", "plant.M_x=1e200", "--out", str(tmp_path)])
+    rc = main(["sweep", *OVERFLOWING, "--out", str(tmp_path)])
     assert rc == EXIT_INTEGRATION
     header, rows = _rows(tmp_path / "summary.csv")
     assert len(rows) == 6
@@ -652,7 +656,7 @@ def test_sweep_summary_keeps_failure_reason(tmp_path):
 
 def test_simulate_integration_fault_exits_3(tmp_path):
     out = tmp_path / "out"
-    rc = main(["simulate", "--set", "plant.M_x=1e200", "--out", str(out)])
+    rc = main(["simulate", *OVERFLOWING, "--out", str(out)])
     assert rc == EXIT_INTEGRATION
     assert not out.exists()
 
@@ -661,7 +665,8 @@ def test_simulate_integration_fault_exits_3(tmp_path):
 def test_overflowing_state_is_one_fault_line(tmp_path, kind):
     """A state that overflows the light kernel ends as exit 3 with exactly
     one "integration fault:" line: numpy prints no warning before it."""
-    argv = ["--controller", kind, "--set", "x0=1e308", "--set", "duration_h=0.5"]
+    argv = ["--controller", kind, "--set", "x0=1e307", "--set", "plant.M_x=1e3",
+            "--set", "duration_h=0.5"]
     proc = subprocess.run(
         [sys.executable, "-m", "pbrsim", "simulate", *argv, "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env={**_env(), "PYTHONWARNINGS": "default"},
@@ -671,20 +676,30 @@ def test_overflowing_state_is_one_fault_line(tmp_path, kind):
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
-@pytest.mark.parametrize(
-    "setting",
-    ["plant.rho_m=1.7e308", "plant.phi_prime=1.7e308", "plant.resp_rate=1.7e308",
-     "plant.M_x=1e300", "plant.nu_O2_X=1e-320", "x0=1.7e308"],
-)
-def test_accepted_extreme_constant_is_an_integration_fault(tmp_path, capsys, setting):
-    """Each config README lists as accepted but ending in an integration
-    fault exits 3 at the first step, with the fault line and no traceback."""
+# Each setting, once an integration fault at the first step, and the interval it leaves.
+EXTREME_SETTINGS = {
+    "plant.rho_m=1.7e308": "(0, 1e+307]",
+    "plant.phi_prime=1.7e308": "(0, 1e+300]",
+    "plant.resp_rate=1.7e308": "(0, 1e+305]",
+    "plant.M_x=1e300": "(0, 1e+155]",
+    "plant.nu_O2_X=1e-300": "[1e-156, inf)",
+    "plant.nu_O2_X=1e-320": "[1e-156, inf)",
+    "x0=1.7e308": "(0, 1e+307]",
+}
+
+
+@pytest.mark.parametrize("setting", EXTREME_SETTINGS)
+def test_extreme_constant_is_a_config_error(tmp_path, capsys, setting):
+    """A constant whose rate overflows at the first step is a config error that
+    names the interval it leaves, with no traceback and no output."""
+    interval = EXTREME_SETTINGS[setting]
     out = tmp_path / "out"
     rc = main(["simulate", "--set", setting, "--set", "duration_h=1", "--out", str(out)])
-    assert rc == EXIT_INTEGRATION
+    assert rc == EXIT_CONFIG
+    key, _, value = setting.partition("=")
     err = capsys.readouterr().err
-    assert err.startswith("integration fault: state became non-finite (t=0.01 h, X=")
-    assert "Traceback" not in err
+    assert err.startswith("error: bad ") and "Traceback" not in err
+    assert err.endswith(f"{key.rpartition('.')[2]} must lie in {interval}, got {float(value)}\n")
     assert not out.exists()
 
 

@@ -427,7 +427,7 @@ def test_K_range():
     more than 1e-9 to cancellation, and from 1.4e154 it is NaN."""
     assert FullModelParams(K=1e10).K == 1e10
     for bad in (1e12, 1e300):
-        with pytest.raises(ValueError, match=r"K must be in \(0, 1e\+10\], got "):
+        with pytest.raises(ValueError, match=r"K must lie in \(0, 1e\+10\], got "):
             FullModelParams(K=bad)
 
 

@@ -173,25 +173,25 @@ def test_day_night_validation():
         pytest.param(lambda: PiecewiseConstant(((0.0, math.nan),)), "positive", id="schedule-value"),
         pytest.param(lambda: PiecewiseConstant(((0.0, 1.0), (1.0, math.nan))), "positive",
                      id="schedule-later"),
-        pytest.param(lambda: DayNightLight(period_h=math.nan), "positive", id="daynight-period"),
+        pytest.param(lambda: DayNightLight(period_h=math.nan), "period_h must lie in", id="daynight-period"),
         pytest.param(lambda: DayNightLight(floor=math.nan), "floor", id="daynight-floor"),
         pytest.param(lambda: DayNightLight(peak=math.nan), "peak", id="daynight-peak"),
-        pytest.param(lambda: SamplingConfig(period_h=math.nan), "positive", id="sampling-period"),
+        pytest.param(lambda: SamplingConfig(period_h=math.nan), "period_h must lie in", id="sampling-period"),
         pytest.param(lambda: SamplingConfig(substeps=1.5), "integer", id="sampling-substeps"),
         pytest.param(lambda: SamplingConfig(substeps=True), "integer",
                      id="sampling-substeps-bool"),
-        pytest.param(lambda: NoiseConfig(relative_std=math.nan), "nonnegative", id="noise-std"),
+        pytest.param(lambda: NoiseConfig(relative_std=math.nan), "relative_std must lie in", id="noise-std"),
         pytest.param(lambda: NoiseConfig(seed=math.nan), "integer", id="noise-seed-nan"),
         pytest.param(lambda: NoiseConfig(seed=1.5), "integer", id="noise-seed-fraction"),
         pytest.param(lambda: NoiseConfig(seed=True), "integer", id="noise-seed-bool"),
-        pytest.param(lambda: FlConfig(lam=math.nan), "lam must be positive", id="fl-lam"),
+        pytest.param(lambda: FlConfig(lam=math.nan), "lam must lie in", id="fl-lam"),
         pytest.param(lambda: IpConfig(a=math.nan), "a must be nonzero", id="ip-a"),
-        pytest.param(lambda: IpConfig(k_p=math.nan), "k_p must be positive", id="ip-k_p"),
-        pytest.param(lambda: IpConfig(tau_h=math.nan), "tau_h must be positive", id="ip-tau_h"),
-        pytest.param(lambda: replace(light_step_scenario(), x0=math.inf), "x0 must be positive",
+        pytest.param(lambda: IpConfig(k_p=math.nan), "k_p must lie in", id="ip-k_p"),
+        pytest.param(lambda: IpConfig(tau_h=math.nan), "tau_h must lie in", id="ip-tau_h"),
+        pytest.param(lambda: replace(light_step_scenario(), x0=math.inf), "x0 must lie in",
                      id="scenario-x0"),
         pytest.param(lambda: replace(light_step_scenario(), duration_h=math.nan),
-                     "duration_h must be positive", id="scenario-duration"),
+                     "duration_h must lie in", id="scenario-duration"),
     ],
 )
 def test_configs_reject_nan(build, match):
@@ -540,7 +540,7 @@ def test_step_clamps_the_entering_state(X, D, full, simplified, profile):
 
 def test_integration_error_carries_context():
     """A non-finite state raises with the fault location attached."""
-    bomb = FullModelParams(M_x=1e200)
+    bomb = FullModelParams(M_x=1e100, nu_O2_X=1e-100)
     with pytest.raises(IntegrationError) as err:
         x, t = 0.3, 0.0
         for _ in range(10):

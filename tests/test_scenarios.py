@@ -17,6 +17,7 @@ from pbrsim.scenarios import (
     MU0_SWEEP_VALUES,
     MapReference,
     Scenario,
+    SimulationTrace,
     compute_metrics,
     day_night_scenario,
     light_step_scenario,
@@ -149,6 +150,22 @@ def test_metrics_constant_error(nominal_traces):
     assert m.settle_time_to_2pct is None
 
 
+def test_metric_windows_slack_by_the_clock_tolerance():
+    """The tail window and time_to_band's start give the one clock slack,
+    CLOCK_TOL periods, not 1e-9 h: at a 1e-12 h period that slack would take
+    in every sample.  The state is off the reference only before the final
+    20% window, and on it one period after t_from."""
+    n, period_h = 1000, 1e-12
+    t = np.arange(n + 1) * period_h
+    x_true = np.where(np.arange(n + 1) >= 0.8 * n, 1.0, 0.0)
+    ones = np.ones(n + 1)
+    trace = SimulationTrace(t, x_true, x_true, ones, ones, ones, ones)
+    with pytest.warns(UserWarning, match="run shorter than"):
+        m = compute_metrics(trace)
+    assert (m.offset_window_h, m.steady_state_offset) == (0.2 * t[-1], 0.0)
+    assert time_to_band(trace, t[900]) == t[901] - t[900]
+
+
 def test_metrics_short_run_warns():
     sc = light_step_scenario(controller="ip", seed=0)
     sc.duration_h = 5.0
@@ -215,7 +232,7 @@ def test_sweep_isolates_failing_cells():
     from pbrsim.kinetics import FullModelParams
 
     base = light_step_scenario(controller="ip", seed=0)
-    base.plant = FullModelParams(M_x=1e200)
+    base.plant = FullModelParams(M_x=1e100, nu_O2_X=1e-100)
     cells = robustness_sweep(base, (0.14,))
     assert len(cells) == 2
     assert all(c.trace is None and c.error for c in cells)
