@@ -199,9 +199,11 @@ def load_scenario(args: argparse.Namespace) -> Scenario:
             raise ConfigError("--controller and --reference apply to built-in scenarios only")
         path = Path(args.config)
         try:
-            cfg = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            raw = path.read_bytes()
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            raise ConfigError(f"cannot read config {_shown(args.config)}: {exc}") from exc
+        try:
+            cfg = json.loads(raw.decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # also not UTF-8, or too deep
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     else:
@@ -284,6 +286,8 @@ def _check_out(path: Path, is_dir: bool) -> None:
     path must be a directory if is_dir, else a file, or not exist yet with
     a directory as its nearest existing ancestor.  Nothing is created here.
     """
+    if "\0" in str(path):  # no file name holds one, and path.exists() reads it as missing
+        raise ConfigError(f"--out {_shown(str(path))} holds a NUL byte")
     try:
         if path.exists():
             if path.is_dir() != is_dir:
@@ -335,7 +339,7 @@ def _map_grid(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def cmd_setpoint_map(args: argparse.Namespace) -> int:
-    grid = _map_grid(args.q0_min, args.q0_max, args.steps)
+    grid = _map_grid(args.lo, args.hi, args.steps)
     path = Path(args.out)
     _check_out(path, is_dir=False)
     write_map_csv(path, setpoint_map(grid))
@@ -346,9 +350,11 @@ def cmd_setpoint_map(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = load_scenario(args)
     mu0_values = tuple(args.mu0) if args.mu0 else MU0_SWEEP_VALUES
-    for mu_0 in mu0_values:
-        if not (math.isfinite(mu_0) and mu_0 > 0):
-            raise ConfigError(f"--mu0 must be finite and positive, got {mu_0}")
+    for mu_0 in mu0_values:  # each is the FL model's mu_0, in that field's declared range
+        try:
+            SimplifiedModelParams(mu_0=mu_0)
+        except ValueError as exc:
+            raise ConfigError(f"--mu0: {exc}") from exc
     labels = [f"{mu_0:g}" for mu_0 in mu0_values]  # as in the trace file names
     if len(set(labels)) < len(labels):
         raise ConfigError(f"--mu0 values share a file label: {' '.join(labels)}")
@@ -463,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_map = sub.add_parser(
         "setpoint-map", help="tabulate productivity-optimal setpoints versus light"
     )
-    p_map.add_argument("--q0-min", type=float, default=Q0_VALID_RANGE[0])
-    p_map.add_argument("--q0-max", type=float, default=Q0_VALID_RANGE[1])
+    p_map.add_argument("--q0-min", type=float, default=Q0_VALID_RANGE[0], dest="lo", metavar="Q0")
+    p_map.add_argument("--q0-max", type=float, default=Q0_VALID_RANGE[1], dest="hi", metavar="Q0")
     p_map.add_argument(
         "--steps",
         type=int,

@@ -30,16 +30,9 @@ from .kinetics import SimplifiedModelParams, growth_rate_simplified
 from .plant import CLOCK_TOL, SamplingConfig
 from .radiative import POSITIVE, Geometry, check_ranges
 
-__all__ = [
-    "ActuatorBounds",
-    "FlConfig",
-    "IpConfig",
-    "saturate",
-    "estimate_F_open",
-    "estimate_F_closed",
-    "FlController",
-    "IpController",
-]
+# estimate_F_open and estimate_F_closed stay public but unexported: reference forms that tests
+# compare against and perfbench's tracer labels, until ROADMAP items 2 and 11 move them out.
+__all__ = ["ActuatorBounds", "FlConfig", "IpConfig", "saturate", "FlController", "IpController"]
 
 
 @dataclass(frozen=True)

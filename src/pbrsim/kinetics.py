@@ -13,6 +13,7 @@ hour, so the O2 balance carries an explicit seconds-to-hours conversion.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
@@ -28,13 +29,9 @@ from .radiative import (
     check_ranges,
 )
 
-__all__ = [
-    "FullModelParams",
-    "SimplifiedModelParams",
-    "local_oxygen_rate",
-    "mean_oxygen_rate",
-    "growth_rate_simplified",
-]
+# local_oxygen_rate, mean_oxygen_rate, growth_rate_simplified stay public but unexported: tests
+# compare against them and perfbench's tracer labels them, until ROADMAP items 2 and 11.
+__all__ = ["FullModelParams", "SimplifiedModelParams"]
 
 SECONDS_PER_HOUR = 3600.0
 K_MAX = 1e10  # above it the photo term K - K^2 I(K) loses over 1e-9 to cancellation
@@ -49,7 +46,7 @@ _NUMPY = (np.sqrt, np.exp, np.expm1, np.log1p)
 class FullModelParams:
     """Constants of the radiative/energetic growth description."""
 
-    q0_max: ClassVar[float] = Q0_OPTICS_MAX  # light must stay below it
+    q0_range: ClassVar[tuple[float, float]] = (0.0, math.nextafter(Q0_OPTICS_MAX, 0.0))
     # The finite ends but K_MAX keep the rate's products finite (README, "Config ranges").
     ranges = {
         "K": ("(", 0.0, K_MAX, "]"), "K_R": POSITIVE, "rho_m": ("(", 0.0, 1e307, "]"),
@@ -85,7 +82,7 @@ class FullModelParams:
 class SimplifiedModelParams:
     """Constants of the lumped Haldane growth model."""
 
-    q0_max: ClassVar[float] = math.inf  # any positive light
+    q0_range: ClassVar[tuple[float, float]] = (0.0, sys.float_info.max)  # any finite light
     ranges = dict.fromkeys(("mu_0", "mu_r", "alpha_hat", "E_a_hat", "K_I", "K_II"), POSITIVE)
     mu_0: float = 0.14  # rate scale, 1/h
     mu_r: float = 0.013  # maintenance respiration rate, 1/h

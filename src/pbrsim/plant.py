@@ -20,18 +20,11 @@ import numpy as np
 from .kinetics import FullModelParams, SimplifiedModelParams
 from .radiative import POSITIVE, Geometry, check_ranges
 
+# plant_derivative stays public but unexported: the reference right-hand side that tests compare
+# against and perfbench's tracer labels, until ROADMAP items 2 and 11 move it out.
 __all__ = [
-    "PiecewiseConstant",
-    "DayNightLight",
-    "LightProfile",
-    "LIGHT_STEP_PROFILE",
-    "NoiseConfig",
-    "SamplingConfig",
-    "IntegrationError",
-    "light_at",
-    "plant_derivative",
-    "step",
-    "measure",
+    "PiecewiseConstant", "DayNightLight", "LightProfile", "LIGHT_STEP_PROFILE", "NoiseConfig",
+    "SamplingConfig", "IntegrationError", "light_at", "step", "measure",
 ]
 
 

@@ -15,12 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Geometry",
-    "OpticalProps",
-    "optical_coefficients",
-    "irradiance_at_depth",
-]
+# optical_coefficients (with OpticalProps) and irradiance_at_depth stay public but unexported:
+# tests compare against them and perfbench's tracer labels them, until ROADMAP items 2 and 11.
+__all__ = ["Geometry"]
 
 # Optical acclimation correlations, cross section versus ln(q0 in umol/m2/s).
 E_A_LOG_SLOPE = -28.0  # m^2/kg

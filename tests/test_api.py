@@ -1,10 +1,12 @@
 """The package's interfaces: no type dispatch on a model, controller or
-reference, one step call for both controllers and no law outside it, rate_at
-as the only call of both rate models, optics that import nothing of the
-package, one file writer in the CLI, every name the traced benchmark reads
-still exists, and the package exports what its modules export."""
+reference, and each type test whose class is a variable pinned, one step call
+for both controllers and no law outside it, rate_at as the only call of both
+rate models, optics that import nothing of the package, one file writer in the
+CLI, every name the traced benchmark reads still exists, and the package
+exports what its modules export, reference functions aside."""
 
 import ast
+import builtins
 import importlib
 import inspect
 import re
@@ -30,6 +32,22 @@ FAMILY_TYPES = {
     "DayNightLight",
     "MapReference",
 }
+# Each type test in src whose class is a variable, (file, test) -> why it is no family dispatch.
+VARIABLE_CLASS_TESTS = {
+    ("scenarios.py", "isinstance(base.controller, config_type)"):
+        "robustness_sweep keeps the base's config for its own kind, a fresh one for the other",
+    ("cli.py", "type(value) is cls"): "_encode writes the kind tag the KINDS table gives the type",
+    ("cli.py", "type(value) is tp"): "_decode checks a field declared int, str or bool",
+}
+# Public functions and classes kept in their modules but not exported: reference forms that
+# tests compare against and perfbench's tracer labels, until ROADMAP items 2 and 11.
+REFERENCE_NAMES = {
+    "control": ["estimate_F_open", "estimate_F_closed"],
+    "kinetics": ["local_oxygen_rate", "mean_oxygen_rate", "growth_rate_simplified"],
+    "plant": ["plant_derivative"],
+    "radiative": ["OpticalProps", "optical_coefficients", "irradiance_at_depth"],
+}
+MODEL_MODULES = ["control", "kinetics", "plant", "radiative", "scenarios", "steady_state"]
 # Calls that make a directory or write a file; in cli.py only _write_csv makes them.
 WRITE_CALLS = {"mkdir", "write_text", "write_bytes", "open"}
 # functools decorators that keep results between calls.
@@ -44,18 +62,46 @@ def _names(node: ast.AST) -> set[str]:
     }
 
 
-def _type_tests(tree: ast.AST):
-    """(line, names) of each isinstance(...) call and each `type(...) is` test."""
+def _is_call_of(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+def _class_operands(tree: ast.AST):
+    """(node, classes) of each isinstance(...) call and each `type(...) is` test, where
+    classes are the expressions it tests against, a tuple's items one by one."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
-            yield node.lineno, _names(node.args[1]) if len(node.args) > 1 else set()
+        if _is_call_of(node, "isinstance"):
+            classes = node.args[1:2]
         elif isinstance(node, ast.Compare) and any(
             isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
         ):
             sides = [node.left, *node.comparators]
-            if any(isinstance(s, ast.Call) and getattr(s.func, "id", None) == "type"
-                   for s in sides):
-                yield node.lineno, set().union(*map(_names, sides))
+            if not any(_is_call_of(side, "type") for side in sides):
+                continue
+            classes = [side for side in sides if not _is_call_of(side, "type")]
+        else:
+            continue
+        yield node, [c for cls in classes for c in (cls.elts if isinstance(cls, ast.Tuple)
+                                                     else [cls])]
+
+
+def _type_tests(tree: ast.AST):
+    """(line, names) of each isinstance(...) call and each `type(...) is` test."""
+    for node, classes in _class_operands(tree):
+        yield node.lineno, set().union(*map(_names, classes))
+
+
+def _variable_class_tests(tree: ast.AST):
+    """Source of each type test whose class is a variable: a name that is neither a builtin
+    type nor a class or module the file defines or imports at its top level."""
+    named = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
+    named |= {(a.asname or a.name).split(".")[0] for n in tree.body
+              if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    named |= {n for n in dir(builtins) if isinstance(getattr(builtins, n), type)}
+    for node, classes in _class_operands(tree):
+        roots = [next(n for n in ast.walk(c) if isinstance(n, ast.Name)) for c in classes]
+        if any(root.id not in named for root in roots):
+            yield ast.unparse(node)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -70,6 +116,27 @@ def test_type_test_finder_sees_both_forms():
     assert [names & FAMILY_TYPES for _, names in _type_tests(tree)] == [
         {"FullModelParams"},
         {"MapReference"},
+    ]
+
+
+def test_type_tests_on_a_variable_class_are_pinned():
+    """A type test whose class comes from a variable can pick by family type unseen by the
+    name check above, so each such site is listed in VARIABLE_CLASS_TESTS with its reason."""
+    found = {(path.name, src) for path in sorted(SRC.glob("*.py"))
+             for src in _variable_class_tests(ast.parse(path.read_text(), filename=str(path)))}
+    assert found == set(VARIABLE_CLASS_TESTS)
+
+
+def test_variable_class_finder_sees_each_form():
+    tree = ast.parse(
+        "from .kinetics import FullModelParams\nimport numpy as np\n"
+        "isinstance(p, FullModelParams)\nisinstance(a, np.ndarray)\ntype(n) is int\n"
+        "isinstance(p, (int, cls))\ntype(v) is tp\nisinstance(c, self.kind)\n"
+        "isinstance(x, float) and type(y) is not kinds[k]\n"
+    )
+    assert list(_variable_class_tests(tree)) == [
+        "isinstance(p, (int, cls))", "type(v) is tp", "isinstance(c, self.kind)",
+        "type(y) is not kinds[k]",
     ]
 
 
@@ -203,9 +270,7 @@ def test_optics_import_nothing_of_the_package():
     assert "TYPE_CHECKING" not in {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
 
 
-@pytest.mark.parametrize(
-    "module", ["control", "kinetics", "plant", "radiative", "scenarios", "steady_state"]
-)
+@pytest.mark.parametrize("module", MODEL_MODULES)
 def test_package_exports_each_module_all(module):
     """`import pbrsim` gives every name in each model module's __all__."""
     mod = importlib.import_module(f"pbrsim.{module}")
@@ -217,3 +282,16 @@ def test_readme_python_example_runs(capsys):
     (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     exec(compile(block, "README.md", "exec"), {})
     assert "TrackingMetrics(" in capsys.readouterr().out
+
+
+def test_reference_functions_stay_out_of_the_package():
+    """The reference forms resolve, public, in their modules, and `import pbrsim` gives
+    none of them: the model modules export 41 names."""
+    for module, names in REFERENCE_NAMES.items():
+        mod = importlib.import_module(f"pbrsim.{module}")
+        for name in names:
+            assert name not in mod.__all__ and not hasattr(pbrsim, name), name
+            assert getattr(mod, name).__module__ == mod.__name__, name
+    exported = [name for module in MODEL_MODULES
+                for name in importlib.import_module(f"pbrsim.{module}").__all__]
+    assert len(set(exported)) == len(exported) <= 41

@@ -539,6 +539,39 @@ def test_output_and_steps_boundary_exits_2(tmp_path, capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--out", "x\0y"], "error: --out 'x\\x00y' holds a NUL byte"),
+        (["setpoint-map", "--steps", "2", "--out", "x\0y"], "error: --out 'x\\x00y' holds"),
+        (["sweep", "--out", "x\0y"], "error: --out 'x\\x00y' holds"),
+        (["campaigns", "--out", "x\0y"], "error: --out 'x\\x00y' holds"),
+        (["simulate", "--config", "a\0b"], "error: cannot read config 'a\\x00b': embedded null"),
+    ],
+    ids=["simulate", "setpoint-map", "sweep", "campaigns", "config"],
+)
+def test_path_with_a_nul_byte_exits_2(tmp_path, capsys, monkeypatch, argv, message):
+    """No file name holds a NUL byte, which only an in-process call can pass: such an --out
+    is refused before any run or solve, and such a --config is unreadable, not bad JSON."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the path check")
+
+    for name in ("run_scenario", "robustness_sweep", "setpoint_map"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert err.startswith(message) and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_mu0_error_names_its_range(tmp_path, capsys):
+    """--mu0 is checked against the range SimplifiedModelParams declares for mu_0."""
+    assert main(["sweep", "--mu0", "-1", "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --mu0: mu_0 must lie in (0, inf), got -1.0\n"
+
+
+@pytest.mark.parametrize(
     "argv", [["--out", "file"], ["--out", "out", "--seed", "-1"], ["--out", "wf"]]
 )
 def test_run_campaigns_boundary_exits_2(tmp_path, capsys, monkeypatch, argv):

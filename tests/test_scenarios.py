@@ -4,14 +4,17 @@ All frozen numbers below were measured with noise seed 0; the loop is
 deterministic, so they are regression pins rather than tolerances.
 """
 
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pbrsim.control import FlConfig, IpConfig
-from pbrsim.kinetics import SimplifiedModelParams
+from pbrsim.kinetics import FullModelParams, SimplifiedModelParams
 from pbrsim.plant import NoiseConfig, PiecewiseConstant, SamplingConfig
+from pbrsim.radiative import Q0_OPTICS_MAX
 from pbrsim.scenarios import (
     BUILTIN_SCENARIOS,
     MU0_SWEEP_VALUES,
@@ -366,6 +369,47 @@ def test_scenario_validation():
     for builder in BUILTIN_SCENARIOS.values():
         with pytest.raises(ValueError, match="choices: fl, ip"):
             builder("FL")
+
+
+@pytest.mark.parametrize("reference", [CONST_600, MapReference()], ids=["schedule", "map"])
+@pytest.mark.parametrize("plant", [FullModelParams(), SimplifiedModelParams()],
+                         ids=["full", "simplified"])
+def test_light_stays_in_each_parts_q0_range(plant, reference):
+    """Plant and reference each state the light they serve as a closed q0_range.  A held light
+    at an end of a part's range is accepted where the other part serves it too, and one float
+    beyond that end is refused by a message that names the part.  Ends at 0 and infinity are
+    left out: no light holds either value."""
+
+    def scenario(q0):
+        return Scenario("edge", 1.0, 0.2, PiecewiseConstant(((0.0, q0),)), reference, IpConfig(),
+                        plant=plant)
+
+    parts = {"plant": plant, "reference": reference}
+    checked = 0
+    for name, part in parts.items():
+        (other,) = (p for p in parts.values() if p is not part)
+        lo, hi = part.q0_range
+        for end, away in ((lo, -math.inf), (hi, math.inf)):
+            if not 0.0 < end < math.inf:
+                continue
+            if other.q0_range[0] <= end <= other.q0_range[1]:
+                assert scenario(end).light.value_range == (end, end)
+            with pytest.raises(ValueError, match=f"leaves the {name}'s range"):
+                scenario(math.nextafter(end, away))
+            checked += 1
+    assert checked == (1 if reference is CONST_600 else 3)  # the plant's top, and the map's ends
+
+
+def test_full_plant_serves_lights_below_the_optics_edge():
+    """The full plant's range ends one float below Q0_OPTICS_MAX, where the absorption
+    correlation reaches zero; the simplified plant serves every finite light."""
+    assert FullModelParams.q0_range == (0.0, math.nextafter(Q0_OPTICS_MAX, 0.0))
+    assert SimplifiedModelParams.q0_range == (0.0, 1.7976931348623157e308)
+    sc = replace(day_night_scenario(), duration_h=1.0)
+    assert replace(sc, light=replace(sc.light, peak=math.nextafter(Q0_OPTICS_MAX, 0.0)))
+    message = f"light range [100, {Q0_OPTICS_MAX:g}] leaves the plant's range {sc.plant.q0_range}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(sc, light=replace(sc.light, peak=Q0_OPTICS_MAX))
 
 
 def test_sweep_propagates_non_integration_errors(monkeypatch):
