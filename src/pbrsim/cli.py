@@ -9,6 +9,7 @@ notation so reruns can be diffed.
 import argparse
 import json
 import math
+import os
 import sys
 import time
 import typing
@@ -286,8 +287,11 @@ def _check_out(path: Path, is_dir: bool) -> None:
     path must be a directory if is_dir, else a file, or not exist yet with
     a directory as its nearest existing ancestor.  Nothing is created here.
     """
-    if "\0" in str(path):  # no file name holds one, and path.exists() reads it as missing
-        raise ConfigError(f"--out {_shown(str(path))} holds a NUL byte")
+    try:  # no file name holds NUL or a lone surrogate, and path.exists() reads either as missing
+        if b"\0" in os.fsencode(path):
+            raise ConfigError(f"--out {_shown(str(path))} holds a NUL byte")
+    except UnicodeEncodeError:
+        raise ConfigError(f"--out {_shown(str(path))} cannot be encoded as a file name") from None
     try:
         if path.exists():
             if path.is_dir() != is_dir:

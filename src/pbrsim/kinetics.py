@@ -24,9 +24,9 @@ from .radiative import (
     POSITIVE,
     Q0_OPTICS_MAX,
     Geometry,
-    _cross_sections,
     _two_flux,
     check_ranges,
+    optical_coefficients,
 )
 
 # local_oxygen_rate, mean_oxygen_rate, growth_rate_simplified stay public but unexported: tests
@@ -64,9 +64,10 @@ class FullModelParams:
     __post_init__ = check_ranges
 
     def rate_at(self, q0: float, geom: Geometry) -> Callable[[float], float]:
-        """r_X in kg/m3/h at light q0 >= 0, a function of X alone (_light keeps q0's constants)."""
-        if not 0 <= q0 < math.inf:  # NaN fails it too
-            raise ValueError(f"q0 must be nonnegative and finite, got {q0}")
+        """r_X in kg/m3/h at q0 in q0_range, a function of X alone (_light keeps q0's constants)."""
+        lo, hi = self.q0_range
+        if not lo <= q0 <= hi:  # NaN fails it too
+            raise ValueError(f"q0 must be nonnegative and at most {hi!r}, got {q0}")
         M_x, nu_O2_X = self.M_x, self.nu_O2_X
         return lambda X: 0.0 if X == 0 else mean_oxygen_rate(X, q0, self, geom) * M_x * X / nu_O2_X
 
@@ -94,11 +95,12 @@ class SimplifiedModelParams:
     __post_init__ = check_ranges
 
     def rate_at(self, q0: float, geom: Geometry) -> Callable[[float], float]:
-        """The Haldane rate in kg/m3/h at light q0 >= 0, as a function of X >= 0 alone. Its
+        """The Haldane rate in kg/m3/h at light q0 in q0_range, as a function of X >= 0 alone. Its
         light is the depth mean of q0 exp(-cXz), c = (1 + alpha_hat) / (2 alpha_hat) E_a_hat,
         which is q0 (1 - exp(-cXL)) / (cXL), or q0 in a clear slab."""
-        if not 0 <= q0 < math.inf:  # NaN fails it too
-            raise ValueError(f"q0 must be nonnegative and finite, got {q0}")
+        lo, hi = self.q0_range
+        if not lo <= q0 <= hi:  # NaN fails it too
+            raise ValueError(f"q0 must be nonnegative and at most {hi!r}, got {q0}")
         attenuation = (1.0 + self.alpha_hat) / (2.0 * self.alpha_hat) * self.E_a_hat
         depth, clear, exp = geom.depth, float(q0), math.exp
         mu_0, mu_r, K_I, K_II = self.mu_0, self.mu_r, self.K_I, self.K_II
@@ -150,11 +152,11 @@ def _mean_inverse(
 @functools.lru_cache(maxsize=1)
 def _light(q0: float) -> tuple[float, ...]:
     """E_a, extinction per unit X, (1 +- alpha)^2, 4 q0 (1 + alpha), 2 q0 (1 - alpha) and
-    4 q0 alpha: every factor of _closed_form that q0 alone sets, built with no OpticalProps.
+    4 q0 alpha: every factor of _closed_form that q0 alone sets.
 
     One entry: q0 holds over a setpoint solve, a held light's period and a night.
     """
-    E_a, E_s = _cross_sections(q0)
+    E_a, E_s = optical_coefficients(q0)
     extinction, alpha = _two_flux(E_a, E_s)
     up, down = 1.0 + alpha, 1.0 - alpha
     return E_a, extinction, up**2, down**2, 4.0 * q0 * up, 2.0 * q0 * down, 4.0 * q0 * alpha

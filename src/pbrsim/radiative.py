@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# optical_coefficients (with OpticalProps) and irradiance_at_depth stay public but unexported:
-# tests compare against them and perfbench's tracer labels them, until ROADMAP items 2 and 11.
+# optical_coefficients and irradiance_at_depth stay public but unexported: tests compare against
+# them and perfbench's tracer labels them, until ROADMAP items 2 and 11.
 __all__ = ["Geometry"]
 
 # Optical acclimation correlations, cross section versus ln(q0 in umol/m2/s).
@@ -52,26 +52,12 @@ class Geometry:
     __post_init__ = check_ranges
 
 
-@dataclass(frozen=True)
-class OpticalProps:
-    """Mass-specific optical cross sections of the cells."""
-
-    E_a: float  # absorption, m^2/kg
-    E_s: float  # scattering, m^2/kg
-    b: float = BACKSCATTER_FRACTION  # backward-scattered fraction
-
-
-def optical_coefficients(q0: float) -> OpticalProps:
-    """Cross sections of cells acclimated to incident light q0 (umol/m2/s).
+def optical_coefficients(q0: float) -> tuple[float, float]:
+    """E_a and E_s (m^2/kg) of cells acclimated to incident light q0 (umol/m2/s).
 
     Raises ValueError if q0 is non-positive or at least Q0_OPTICS_MAX, where
     the absorption correlation leaves its validity range (E_a reaches zero).
     """
-    return OpticalProps(*_cross_sections(q0))
-
-
-def _cross_sections(q0: float) -> tuple[float, float]:
-    """E_a and E_s at q0 from the correlations: optical_coefficients without the dataclass."""
     if not q0 > 0:  # NaN fails it too
         raise ValueError(f"q0 must be positive, got {q0}")
     if q0 >= Q0_OPTICS_MAX:
@@ -93,13 +79,14 @@ def irradiance_at_depth(
     X: float,
     q0: float,
     geom: Geometry = Geometry(),
-    props: OpticalProps | None = None,
+    props: tuple[float, float] | None = None,
+    b: float = BACKSCATTER_FRACTION,
 ):
     """Local irradiance G(z) in umol/m2/s; z may be a scalar or an array.
 
     By default the cross sections follow the acclimation correlations at q0;
-    pass props explicitly to pin the acclimation state (G is then exactly
-    linear in q0, as the two-flux solution is in its boundary flux).
+    props=(E_a, E_s) pins them (G is then exactly linear in q0, as the two-flux
+    solution is in its boundary flux), and b is the backward-scattered fraction.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z < 0) or np.any(z > geom.depth):
@@ -113,7 +100,7 @@ def irradiance_at_depth(
         props = optical_coefficients(q0)
     if not X >= 0:
         raise ValueError(f"X must be nonnegative, got {X}")
-    extinction, alpha = _two_flux(props.E_a, props.E_s, props.b)
+    extinction, alpha = _two_flux(*props, b)
     delta = X * extinction
     depth = geom.depth
     if delta * depth < _CLEAR_SLAB_THICKNESS:

@@ -90,7 +90,7 @@ def optimal_setpoint(
     """
     lo_q0, hi_q0 = Q0_VALID_RANGE
     if not lo_q0 <= q0 <= hi_q0:
-        raise ValueError(f"q0={q0} outside the supported range {Q0_VALID_RANGE}")
+        raise ValueError(f"q0={q0} outside the supported range [{lo_q0:.17g}, {hi_q0:.17g}]")
 
     productivity = p.rate_at(q0, geom)
     values = p._fast_rates(q0, geom, _GRID)

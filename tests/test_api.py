@@ -2,19 +2,22 @@
 reference, and each type test whose class is a variable pinned, one step call
 for both controllers and no law outside it, rate_at as the only call of both
 rate models, optics that import nothing of the package, one file writer in the
-CLI, every name the traced benchmark reads still exists, and the package
-exports what its modules export, reference functions aside."""
+CLI, every name the traced benchmark reads still exists, the package
+exports what its modules export, reference functions aside, and README's
+command lines parse."""
 
 import ast
 import builtins
 import importlib
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import pbrsim
+from pbrsim import cli
 from pbrsim.control import FlController, IpController
 from pbrsim.kinetics import FullModelParams, SimplifiedModelParams
 
@@ -39,13 +42,13 @@ VARIABLE_CLASS_TESTS = {
     ("cli.py", "type(value) is cls"): "_encode writes the kind tag the KINDS table gives the type",
     ("cli.py", "type(value) is tp"): "_decode checks a field declared int, str or bool",
 }
-# Public functions and classes kept in their modules but not exported: reference forms that
+# Public functions kept in their modules but not exported: reference forms that
 # tests compare against and perfbench's tracer labels, until ROADMAP items 2 and 11.
 REFERENCE_NAMES = {
     "control": ["estimate_F_open", "estimate_F_closed"],
     "kinetics": ["local_oxygen_rate", "mean_oxygen_rate", "growth_rate_simplified"],
     "plant": ["plant_derivative"],
-    "radiative": ["OpticalProps", "optical_coefficients", "irradiance_at_depth"],
+    "radiative": ["optical_coefficients", "irradiance_at_depth"],
 }
 MODEL_MODULES = ["control", "kinetics", "plant", "radiative", "scenarios", "steady_state"]
 # Calls that make a directory or write a file; in cli.py only _write_csv makes them.
@@ -282,6 +285,18 @@ def test_readme_python_example_runs(capsys):
     (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     exec(compile(block, "README.md", "exec"), {})
     assert "TrackingMetrics(" in capsys.readouterr().out
+
+
+def test_readme_command_lines_parse():
+    """Each `pbrsim` line of README's Command line block parses as written, so a renamed
+    subcommand or flag fails here; nothing runs."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = re.match(r"\s*```sh\n(.*?)```", section, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("pbrsim ")]
+    assert len(lines) == 5
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert cli.build_parser().parse_args(argv).command == argv[0], line
 
 
 def test_reference_functions_stay_out_of_the_package():

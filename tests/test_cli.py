@@ -546,12 +546,19 @@ def test_output_and_steps_boundary_exits_2(tmp_path, capsys, monkeypatch, argv):
         (["sweep", "--out", "x\0y"], "error: --out 'x\\x00y' holds"),
         (["campaigns", "--out", "x\0y"], "error: --out 'x\\x00y' holds"),
         (["simulate", "--config", "a\0b"], "error: cannot read config 'a\\x00b': embedded null"),
+        (["simulate", "--set", "duration_h=1", "--out", "x\ud800"],
+         "error: --out 'x\\ud800' cannot be encoded as a file name\n"),
+        (["setpoint-map", "--steps", "2", "--out", "m\ud800.csv"], "error: --out 'm\\ud800.csv'"),
+        (["sweep", "--out", "x\ud800"], "error: --out 'x\\ud800' cannot be encoded"),
+        (["campaigns", "--out", "x\ud800"], "error: --out 'x\\ud800' cannot be encoded"),
     ],
-    ids=["simulate", "setpoint-map", "sweep", "campaigns", "config"],
+    ids=["simulate", "setpoint-map", "sweep", "campaigns", "config", "simulate-surrogate",
+         "setpoint-map-surrogate", "sweep-surrogate", "campaigns-surrogate"],
 )
 def test_path_with_a_nul_byte_exits_2(tmp_path, capsys, monkeypatch, argv, message):
-    """No file name holds a NUL byte, which only an in-process call can pass: such an --out
-    is refused before any run or solve, and such a --config is unreadable, not bad JSON."""
+    """No file name holds a NUL byte or a lone surrogate, which only an in-process call can
+    pass: such an --out is refused before any run or solve, and a --config with NUL is
+    unreadable, not bad JSON."""
 
     def never(*args, **kwargs):
         raise AssertionError("ran before the path check")

@@ -2,6 +2,7 @@
 kernel, each model's bound rate."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -18,8 +19,10 @@ from pbrsim.kinetics import (
     local_oxygen_rate,
     mean_oxygen_rate,
 )
+from pbrsim.plant import PiecewiseConstant, step
 from pbrsim.radiative import (
     _CLEAR_SLAB_THICKNESS,
+    BACKSCATTER_FRACTION,
     Q0_OPTICS_MAX,
     Geometry,
     irradiance_at_depth,
@@ -75,7 +78,7 @@ def _simpson_mean_oxygen_rate(X, q0, n_nodes, geom=Geometry()):
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     G = irradiance_at_depth(z, X, q0, geom)
-    values = local_oxygen_rate(G, optical_coefficients(q0).E_a)
+    values = local_oxygen_rate(G, optical_coefficients(q0)[0])
     return float(weights @ values / (3.0 * (n_nodes - 1)))
 
 
@@ -112,9 +115,9 @@ def test_mean_oxygen_rate_thin_slab_edge(depth):
     form meets the oracle and has no seam: both sides agree to 1e-11."""
     geom = Geometry(depth)
     for q0 in (5e-324, 100.0, 600.0, 0.999 * Q0_OPTICS_MAX):
-        props = optical_coefficients(q0)
-        diffuse = props.E_a + 2.0 * props.b * props.E_s
-        X_edge = 1e-3 / (math.sqrt(props.E_a * diffuse) * depth)
+        E_a, E_s = optical_coefficients(q0)
+        diffuse = E_a + 2.0 * BACKSCATTER_FRACTION * E_s
+        X_edge = 1e-3 / (math.sqrt(E_a * diffuse) * depth)
         below, above = X_edge * (1.0 - 1e-9), X_edge * (1.0 + 1e-9)
         for X in (below, above):
             assert _rel_gap(X, q0, geom=geom) <= 1e-11, (X, q0)
@@ -138,9 +141,9 @@ def _reference_mean_oxygen_rate(X, q0, p, geom, n_nodes):
     if q0 == 0:
         return float(-p.resp_rate * SECONDS_PER_HOUR)
     z = np.linspace(0.0, geom.depth, n_nodes)
-    props = optical_coefficients(q0)
-    diffuse = props.E_a + 2.0 * props.b * props.E_s
-    delta, alpha = X * math.sqrt(props.E_a * diffuse), math.sqrt(props.E_a / diffuse)
+    E_a, E_s = optical_coefficients(q0)
+    diffuse = E_a + 2.0 * BACKSCATTER_FRACTION * E_s
+    delta, alpha = X * math.sqrt(E_a * diffuse), math.sqrt(E_a / diffuse)
     L = geom.depth
     if delta * L < 1e-12:
         G = q0 * np.ones_like(z)
@@ -149,7 +152,7 @@ def _reference_mean_oxygen_rate(X, q0, p, geom, n_nodes):
         num = up * np.exp(-delta * z) - down * np.exp(-delta * (2.0 * L - z))
         den = up * up - down * down * math.exp(-2.0 * delta * L)
         G = 2.0 * q0 * num / den
-    values = local_oxygen_rate(G, props.E_a, p)
+    values = local_oxygen_rate(G, E_a, p)
     weights = np.ones(n_nodes)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
@@ -242,8 +245,8 @@ def test_optics_computed_once_per_new_light(monkeypatch):
         calls.append(q0)
         return cross_sections(q0)
 
-    cross_sections = kinetics._cross_sections
-    monkeypatch.setattr(kinetics, "_cross_sections", counted)
+    cross_sections = kinetics.optical_coefficients
+    monkeypatch.setattr(kinetics, "optical_coefficients", counted)
     for q0 in (613.25, 613.25, 613.5, 613.5, 613.5, 613.25):
         for X in (0.1, 0.3, 0.7):
             mean_oxygen_rate(X, q0)
@@ -251,17 +254,17 @@ def test_optics_computed_once_per_new_light(monkeypatch):
 
 
 def _light_from_props(q0):
-    """_light's constants by way of OpticalProps, each in the closed form's own order."""
-    props = optical_coefficients(q0)
-    diffuse = props.E_a + 2.0 * props.b * props.E_s
-    extinction, alpha = math.sqrt(props.E_a * diffuse), math.sqrt(props.E_a / diffuse)
+    """_light's constants by way of optical_coefficients, each in the closed form's own order."""
+    E_a, E_s = optical_coefficients(q0)
+    diffuse = E_a + 2.0 * BACKSCATTER_FRACTION * E_s
+    extinction, alpha = math.sqrt(E_a * diffuse), math.sqrt(E_a / diffuse)
     up, down = 1.0 + alpha, 1.0 - alpha
-    return (props.E_a, extinction, up**2, down**2, 4.0 * q0 * up, 2.0 * q0 * down,
+    return (E_a, extinction, up**2, down**2, 4.0 * q0 * up, 2.0 * q0 * down,
             4.0 * q0 * alpha)
 
 
 def test_light_constants_equal_the_props_recipe():
-    """Every constant of _light equals the OpticalProps recipe bit for bit,
+    """Every constant of _light equals the optical_coefficients recipe bit for bit,
     from the smallest positive q0 to the last one below Q0_OPTICS_MAX."""
     top = math.nextafter(Q0_OPTICS_MAX, 0.0)
     rng = np.random.default_rng(22)
@@ -396,6 +399,21 @@ def test_bound_rate_refuses_a_bad_q0(params):
             params.rate_at(bad, Geometry())
     dark = params.rate_at(0.0, Geometry())
     assert dark(0.0) == 0.0 and dark(0.3) < 0.0
+
+
+def test_full_rate_binds_exactly_its_q0_range():
+    """The full model refuses at bind a light at or beyond the optics edge, the one float
+    below it binds, and a clear culture under such a light raises instead of stepping to 0."""
+    top = math.nextafter(Q0_OPTICS_MAX, 0.0)
+    assert FullModelParams.q0_range == (0.0, top)
+    message = re.escape(f"q0 must be nonnegative and at most {top!r}, got ")
+    for bad in (Q0_OPTICS_MAX, 2e5, math.inf):
+        with pytest.raises(ValueError, match=message):
+            FullModelParams().rate_at(bad, Geometry())
+    p = FullModelParams()
+    assert p.rate_at(top, Geometry())(0.3) == mean_oxygen_rate(0.3, top) * p.M_x * 0.3 / p.nu_O2_X
+    with pytest.raises(ValueError, match=message):
+        step(0.0, 0.0, 0.1, PiecewiseConstant(((0.0, 2e5),)), 0.1)
 
 
 def test_specific_growth_rate_consistency():

@@ -12,8 +12,8 @@ from hypothesis.extra import numpy as hnp
 from pbrsim.kinetics import SimplifiedModelParams, growth_rate_simplified
 from pbrsim.radiative import (
     Geometry,
+    BACKSCATTER_FRACTION,
     Q0_OPTICS_MAX,
-    OpticalProps,
     irradiance_at_depth,
     optical_coefficients,
 )
@@ -25,17 +25,17 @@ L = 0.05
 
 def test_optical_coefficients_frozen():
     """Cross sections at q0 = 600, high-precision reference values."""
-    oc = optical_coefficients(600.0)
-    assert oc.E_a == pytest.approx(157.8859696539479, rel=1e-14)
-    assert oc.E_s == pytest.approx(892.8712670357467, rel=1e-14)
-    assert oc.b == 0.08
+    E_a, E_s = optical_coefficients(600.0)
+    assert E_a == pytest.approx(157.8859696539479, rel=1e-14)
+    assert E_s == pytest.approx(892.8712670357467, rel=1e-14)
+    assert BACKSCATTER_FRACTION == 0.08
 
 
 def test_optical_coefficients_monotone_in_q0():
     """Stronger light -> less pigment -> lower E_a, higher E_s."""
-    lo, hi = optical_coefficients(100.0), optical_coefficients(1000.0)
-    assert hi.E_a < lo.E_a
-    assert hi.E_s > lo.E_s
+    (lo_E_a, lo_E_s), (hi_E_a, hi_E_s) = optical_coefficients(100.0), optical_coefficients(1000.0)
+    assert hi_E_a < lo_E_a
+    assert hi_E_s > lo_E_s
 
 
 def test_optical_coefficients_validation():
@@ -55,7 +55,7 @@ def test_optics_bound_is_the_validity_edge():
     optical_coefficients accepts exactly the q0 below it."""
     assert Q0_OPTICS_MAX == pytest.approx(math.exp(337.0 / 28.0), rel=1e-15)
     below = math.nextafter(Q0_OPTICS_MAX, 0.0)
-    assert 0.0 <= optical_coefficients(below).E_a < 1e-9
+    assert 0.0 <= optical_coefficients(below)[0] < 1e-9
     with pytest.raises(ValueError):
         optical_coefficients(Q0_OPTICS_MAX)
 
@@ -122,11 +122,10 @@ def test_irradiance_linear_in_q0_with_pinned_props():
 
 def test_irradiance_beer_lambert_limit():
     """Without backscatter the profile collapses to a single exponential."""
-    oc = optical_coefficients(600.0)
-    props = OpticalProps(E_a=oc.E_a, E_s=oc.E_s, b=0.0)
+    props = optical_coefficients(600.0)
     z = np.linspace(0.0, L, 101)
-    g = irradiance_at_depth(z, 0.3, 600.0, props=props)
-    beer = 600.0 * np.exp(-0.3 * oc.E_a * z)
+    g = irradiance_at_depth(z, 0.3, 600.0, props=props, b=0.0)
+    beer = 600.0 * np.exp(-0.3 * props[0] * z)
     assert np.max(np.abs(g - beer)) <= 1e-8
 
 

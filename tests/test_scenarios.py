@@ -325,6 +325,20 @@ def test_map_reference_tracks_optimizer():
     assert ref(1.0, 600.0) == ref(0.0, 600.0)
 
 
+def test_map_reference_solves_the_default_full_plant():
+    """A map reference solves optimal_setpoint's default full plant and geometry whatever the
+    scenario's plant: a simplified-plant run at 950 tracks the full model's optimum, although
+    the simplified model's own optimum there lies at the bracket's edge."""
+    from pbrsim.steady_state import NoAdmissibleSetpointError, optimal_setpoint
+
+    light = PiecewiseConstant(((0.0, 950.0),))
+    sc = Scenario("map", 1.0, 0.3, light, MapReference(), IpConfig(), plant=SimplifiedModelParams())
+    assert run_scenario(sc).y_ref.tolist() == [0.4638761718411624] * 11
+    assert optimal_setpoint(950.0).x_star == 0.4638761718411624
+    with pytest.raises(NoAdmissibleSetpointError, match="bracket's edge"):
+        optimal_setpoint(950.0, SimplifiedModelParams())
+
+
 def test_light_step_scenario_reference_modes():
     """Each built-in tracks its own setpoint schedule."""
     assert light_step_scenario().reference == PiecewiseConstant(((0.0, 0.38), (30.0, 0.17)))
@@ -407,9 +421,24 @@ def test_full_plant_serves_lights_below_the_optics_edge():
     assert SimplifiedModelParams.q0_range == (0.0, 1.7976931348623157e308)
     sc = replace(day_night_scenario(), duration_h=1.0)
     assert replace(sc, light=replace(sc.light, peak=math.nextafter(Q0_OPTICS_MAX, 0.0)))
-    message = f"light range [100, {Q0_OPTICS_MAX:g}] leaves the plant's range {sc.plant.q0_range}"
+    message = "light range [100, 168673] leaves the plant's range [0, 168672.50703880526]"
     with pytest.raises(ValueError, match=re.escape(message)):
         replace(sc, light=replace(sc.light, peak=Q0_OPTICS_MAX))
+
+
+def test_closed_ranges_print_in_brackets():
+    """A closed range prints as [lo, hi] with each end exact: a round end drops its '.0', and
+    '(' stays the mark of an open end, as in the config range messages."""
+    from pbrsim.steady_state import optimal_setpoint
+
+    sc = replace(day_night_scenario(), duration_h=1.0)
+    with pytest.raises(ValueError) as err:
+        replace(sc, light=replace(sc.light, peak=2e5))
+    assert str(err.value) == (
+        "light range [100, 200000] leaves the plant's range [0, 168672.50703880526]")
+    with pytest.raises(ValueError) as err:
+        optimal_setpoint(1000.5)
+    assert str(err.value) == "q0=1000.5 outside the supported range [100, 1000]"
 
 
 def test_sweep_propagates_non_integration_errors(monkeypatch):
