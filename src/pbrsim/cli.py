@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import time
 import typing
@@ -98,6 +99,11 @@ def _shown(value: Any) -> str:
     return text if len(text) <= 80 else f"{text[:80]}… ({len(text)} chars)"
 
 
+def _reason(exc: Exception) -> str:
+    """Why a file-system call failed, without the OS's copy of the path."""
+    return getattr(exc, "strerror", None) or str(exc)
+
+
 def _decode(tp: Any, value: Any, key: str) -> Any:
     """Build a value of type tp, or of the kind tagged in value when tp is a
     kind table, from its config form found at dotted key."""
@@ -136,7 +142,7 @@ def _decode(tp: Any, value: Any, key: str) -> Any:
     for name, v in value.items():
         sub = f"{key}.{name}" if key else name
         if name not in types:
-            raise ConfigError(f"unknown config key {sub!r}")
+            raise ConfigError(f"unknown config key {_shown(sub)}")
         kwargs[name] = _decode(types[name], v, sub)
     try:
         return tp(**kwargs)
@@ -168,12 +174,12 @@ def apply_overrides(cfg: dict[str, Any], pairs: Sequence[str]) -> dict[str, Any]
     split = [pair.partition("=") for pair in pairs]
     for key, sep, value in sorted(split, key=lambda kv: not kv[0].endswith(".kind")):
         if not sep:
-            raise ConfigError(f"--set expects key=value, got {key!r}")
+            raise ConfigError(f"--set expects key=value, got {_shown(key)}")
         *path, leaf = key.split(".")
         node: Any = cfg
         for part in (*path, leaf):
             if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"--set references unknown key {key!r}")
+                raise ConfigError(f"--set references unknown key {_shown(key)}")
             parent, node = node, node[part]
         new = _parse_scalar(value)
         kinds = KINDS.get(path[-1], {}) if path and leaf == "kind" else {}
@@ -198,21 +204,19 @@ def load_scenario(args: argparse.Namespace) -> Scenario:
     if args.config:
         if args.controller or args.reference:
             raise ConfigError("--controller and --reference apply to built-in scenarios only")
-        path = Path(args.config)
         try:
-            raw = path.read_bytes()
-        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-            raise ConfigError(f"cannot read config {_shown(args.config)}: {exc}") from exc
+            raw = Path(args.config).read_bytes()
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte or a lone surrogate
+            raise ConfigError(f"cannot read config {_shown(args.config)}: {_reason(exc)}") from exc
         try:
             cfg = json.loads(raw.decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # also not UTF-8, or too deep
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+            raise ConfigError(f"config {_shown(args.config)} is not valid JSON: {exc}") from exc
     else:
-        name = args.scenario
-        if name not in BUILTIN_SCENARIOS:
+        if args.scenario not in BUILTIN_SCENARIOS:
             known = ", ".join(sorted(BUILTIN_SCENARIOS))
-            raise ConfigError(f"unknown scenario {name!r} (built-ins: {known})")
-        cfg = scenario_to_config(BUILTIN_SCENARIOS[name]())
+            raise ConfigError(f"unknown scenario {_shown(args.scenario)} (built-ins: {known})")
+        cfg = scenario_to_config(BUILTIN_SCENARIOS[args.scenario]())
 
     scenario = scenario_from_config(apply_overrides(cfg, [*switches, *(args.set or [])]))
     return scenario if args.seed is None else _seeded(scenario, args.seed)
@@ -243,7 +247,7 @@ def _write_csv(path: Path, header: str, rows: Iterable[Sequence[Any]]) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+        raise ConfigError(f"cannot write {_shown(str(path))}: {_reason(exc)}") from exc
 
 
 def write_trace_csv(path: Path, trace: SimulationTrace) -> None:
@@ -287,24 +291,19 @@ def _check_out(path: Path, is_dir: bool) -> None:
     path must be a directory if is_dir, else a file, or not exist yet with
     a directory as its nearest existing ancestor.  Nothing is created here.
     """
-    try:  # no file name holds NUL or a lone surrogate, and path.exists() reads either as missing
-        if b"\0" in os.fsencode(path):
-            raise ConfigError(f"--out {_shown(str(path))} holds a NUL byte")
-    except UnicodeEncodeError:
-        raise ConfigError(f"--out {_shown(str(path))} cannot be encoded as a file name") from None
-    try:
-        if path.exists():
-            if path.is_dir() != is_dir:
-                kind = "not a directory" if is_dir else "a directory"
-                raise ConfigError(f"--out {path} is {kind}")
-            return
-        for ancestor in path.parents:
-            if ancestor.exists():
-                if not ancestor.is_dir():
-                    raise ConfigError(f"--out {path} lies under {ancestor}, a file")
-                return
-    except OSError as exc:
-        raise ConfigError(f"--out {path} cannot be checked: {exc}") from exc
+    shown = _shown(str(path))
+    for place in (path, *path.parents):
+        try:
+            place_is_dir = stat.S_ISDIR(os.stat(place).st_mode)
+        except (FileNotFoundError, NotADirectoryError):  # not there yet: ask its parent
+            continue
+        except (OSError, ValueError) as exc:  # a NUL byte, a lone surrogate, a loop, ...
+            raise ConfigError(f"--out {shown} cannot be checked: {_reason(exc)}") from exc
+        if place is path and place_is_dir != is_dir:
+            raise ConfigError(f"--out {shown} is {'not ' if is_dir else ''}a directory")
+        if place is not path and not place_is_dir:
+            raise ConfigError(f"--out {shown} lies under {_shown(str(place))}, a file")
+        return
 
 
 def _write_sweep(out: Path, cells: Sequence[SweepCell], prefix: str = "") -> None:

@@ -91,7 +91,7 @@ class IpConfig:
         if not abs(self.a) > 0:  # NaN fails it too
             raise ValueError("a must be nonzero")
         if self.estimator not in ("open", "closed"):
-            raise ValueError(f"unknown estimator variant: {self.estimator!r}")
+            raise ValueError(f"unknown estimator variant: {self.estimator!r:.80}")
 
     def build(self, bounds: ActuatorBounds, geom: Geometry, period_h: float) -> "IpController":
         """A fresh controller with these settings; geom is unused."""

@@ -68,9 +68,9 @@ def optical_coefficients(q0: float) -> tuple[float, float]:
     return E_A_LOG_SLOPE * log_q0 + E_A_INTERCEPT, E_S_LOG_SLOPE * log_q0 + E_S_INTERCEPT
 
 
-def _two_flux(E_a: float, E_s: float, b: float = BACKSCATTER_FRACTION) -> tuple[float, float]:
+def _two_flux(E_a: float, E_s: float) -> tuple[float, float]:
     """Extinction per unit biomass (m^2/kg, delta / X) and scattering modulus alpha."""
-    diffuse = E_a + 2.0 * b * E_s
+    diffuse = E_a + 2.0 * BACKSCATTER_FRACTION * E_s
     return math.sqrt(E_a * diffuse), math.sqrt(E_a / diffuse)
 
 
@@ -80,13 +80,12 @@ def irradiance_at_depth(
     q0: float,
     geom: Geometry = Geometry(),
     props: tuple[float, float] | None = None,
-    b: float = BACKSCATTER_FRACTION,
 ):
     """Local irradiance G(z) in umol/m2/s; z may be a scalar or an array.
 
     By default the cross sections follow the acclimation correlations at q0;
     props=(E_a, E_s) pins them (G is then exactly linear in q0, as the two-flux
-    solution is in its boundary flux), and b is the backward-scattered fraction.
+    solution is in its boundary flux); E_s = 0 gives the Beer-Lambert limit.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z < 0) or np.any(z > geom.depth):
@@ -100,7 +99,7 @@ def irradiance_at_depth(
         props = optical_coefficients(q0)
     if not X >= 0:
         raise ValueError(f"X must be nonnegative, got {X}")
-    extinction, alpha = _two_flux(*props, b)
+    extinction, alpha = _two_flux(*props)
     delta = X * extinction
     depth = geom.depth
     if delta * depth < _CLEAR_SLAB_THICKNESS:

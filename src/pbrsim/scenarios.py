@@ -128,7 +128,7 @@ class Scenario:
         for name, part in (("plant", self.plant), ("reference", self.reference)):
             part_lo, part_hi = part.q0_range  # the closed range of light it serves
             if not part_lo <= lo <= hi <= part_hi:
-                raise ValueError(f"light range [{lo:g}, {hi:g}] leaves the {name}'s range "
+                raise ValueError(f"light range [{lo:.17g}, {hi:.17g}] leaves the {name}'s range "
                                  f"[{part_lo:.17g}, {part_hi:.17g}]")
         # Rejects, e.g., an iP window too long to count.
         self.controller.build(self.bounds, self.geometry, self.sampling.period_h)

@@ -315,7 +315,7 @@ def test_criterion_7_radiative_limits():
     )
     beer = 600.0 * np.exp(-0.3 * props[0] * z)
     beer_dev = float(
-        np.max(np.abs(irradiance_at_depth(z, 0.3, 600.0, props=props, b=0.0) - beer))
+        np.max(np.abs(irradiance_at_depth(z, 0.3, 600.0, props=(props[0], 0.0)) - beer))
     )
     ok = clear_ok and mono_ok and linear_ok and beer_dev <= 1e-8
     _report(

@@ -168,6 +168,31 @@ def test_write_call_finder_sees_both_forms():
     assert sorted(call.lineno for call in _write_calls(tree)) == [1, 2, 4]
 
 
+def _repr_in_config_errors(tree: ast.AST) -> list[int]:
+    """Line of each ConfigError(...) call that formats a value with !r."""
+    return sorted(
+        call.lineno
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "ConfigError"
+        and any(isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+                for node in ast.walk(call))
+    )
+
+
+def test_cli_errors_show_values_through_shown():
+    """A refused value in a ConfigError message goes through _shown, which keeps at most 80
+    characters of its repr; !r would print a 5,000-character value whole."""
+    assert _repr_in_config_errors(ast.parse((SRC / "cli.py").read_text())) == []
+
+
+def test_repr_finder_sees_each_form():
+    tree = ast.parse(
+        'ConfigError(f"a {k!r}")\nConfigError(f"b {_shown(k)}")\nValueError(f"c {k!r}")\n'
+        'raise ConfigError("d " f"{k!r:.80}") from None\nConfigError(f"e {k!s}")\n'
+    )
+    assert _repr_in_config_errors(tree) == [1, 4]
+
+
 def _caches(tree: ast.AST):
     """(function name, decorator source) of each functools cache decorator,
     written bare, called, or through the functools module."""

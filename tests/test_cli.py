@@ -538,26 +538,44 @@ def test_output_and_steps_boundary_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
+# Each subcommand's argv up to its --out flag.
+OUT_FLAGS = {
+    "simulate": ["simulate", "--out"],
+    "setpoint-map": ["setpoint-map", "--steps", "2", "--out"],
+    "sweep": ["sweep", "--out"],
+    "campaigns": ["campaigns", "--out"],
+}
+LONG = "a" * 5000
+# --out paths that os.stat refuses: a symlink loop, a path under it, a name too long.
+REFUSED_OUT = [(name, label, [*flags, out]) for name, flags in OUT_FLAGS.items()
+               for label, out in (("loop", "loop"), ("under-loop", "loop/x"), ("long", LONG))]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["simulate", "--out", "x\0y"], "error: --out 'x\\x00y' holds a NUL byte"),
-        (["setpoint-map", "--steps", "2", "--out", "x\0y"], "error: --out 'x\\x00y' holds"),
-        (["sweep", "--out", "x\0y"], "error: --out 'x\\x00y' holds"),
-        (["campaigns", "--out", "x\0y"], "error: --out 'x\\x00y' holds"),
+        (["simulate", "--out", "x\0y"],
+         "error: --out 'x\\x00y' cannot be checked: embedded null byte\n"),
+        (["setpoint-map", "--steps", "2", "--out", "x\0y"], "error: --out 'x\\x00y' cannot be"),
+        (["sweep", "--out", "x\0y"], "error: --out 'x\\x00y' cannot be checked: embedded null"),
+        (["campaigns", "--out", "x\0y"], "error: --out 'x\\x00y' cannot be checked: embedded"),
         (["simulate", "--config", "a\0b"], "error: cannot read config 'a\\x00b': embedded null"),
         (["simulate", "--set", "duration_h=1", "--out", "x\ud800"],
-         "error: --out 'x\\ud800' cannot be encoded as a file name\n"),
+         "error: --out 'x\\ud800' cannot be checked: 'utf-8' codec can't encode character"),
         (["setpoint-map", "--steps", "2", "--out", "m\ud800.csv"], "error: --out 'm\\ud800.csv'"),
-        (["sweep", "--out", "x\ud800"], "error: --out 'x\\ud800' cannot be encoded"),
-        (["campaigns", "--out", "x\ud800"], "error: --out 'x\\ud800' cannot be encoded"),
+        (["sweep", "--out", "x\ud800"], "error: --out 'x\\ud800' cannot be checked: 'utf-8' codec"),
+        (["campaigns", "--out", "x\ud800"], "error: --out 'x\\ud800' cannot be checked: 'utf-8'"),
+        *((argv, f"error: --out {cli._shown(argv[-1])} cannot be checked: ")
+          for _, _, argv in REFUSED_OUT),
     ],
     ids=["simulate", "setpoint-map", "sweep", "campaigns", "config", "simulate-surrogate",
-         "setpoint-map-surrogate", "sweep-surrogate", "campaigns-surrogate"],
+         "setpoint-map-surrogate", "sweep-surrogate", "campaigns-surrogate",
+         *(f"{name}-{label}" for name, label, _ in REFUSED_OUT)],
 )
 def test_path_with_a_nul_byte_exits_2(tmp_path, capsys, monkeypatch, argv, message):
-    """No file name holds a NUL byte or a lone surrogate, which only an in-process call can
-    pass: such an --out is refused before any run or solve, and a --config with NUL is
+    """A path that os.stat refuses for a reason other than "missing" (a NUL byte or a lone
+    surrogate, which only an in-process call can pass, a symlink loop, or a name too long) is
+    refused as --out before any run or solve, in one short line; a --config with NUL is
     unreadable, not bad JSON."""
 
     def never(*args, **kwargs):
@@ -566,10 +584,40 @@ def test_path_with_a_nul_byte_exits_2(tmp_path, capsys, monkeypatch, argv, messa
     for name in ("run_scenario", "robustness_sweep", "setpoint_map"):
         monkeypatch.setattr(cli, name, never)
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "loop").symlink_to("loop")
     assert main(argv) == EXIT_CONFIG
     out, err = capsys.readouterr()
     assert err.startswith(message) and out == ""
-    assert list(tmp_path.iterdir()) == []
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert [p.name for p in tmp_path.iterdir()] == ["loop"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scenario", LONG],
+        ["--set", LONG],
+        ["--set", f"{LONG}=1"],
+        ["--config", "{unknown_key}"],
+        ["--set", f"controller.estimator={LONG}"],
+        ["--config", LONG],
+        ["--config", "{bad_json}"],
+    ],
+    ids=["scenario", "set-no-equals", "set-unknown-key", "config-unknown-key", "estimator",
+         "config-path", "config-not-json"],
+)
+def test_refused_long_input_gives_one_short_line(tmp_path, capsys, argv):
+    """A refused key, scenario name, value or path is shown by at most 80 characters of its
+    repr, so each error line stays under 200 bytes."""
+    unknown_key = tmp_path / "unknown_key.json"
+    unknown_key.write_text(json.dumps({LONG: 1}))
+    bad_json = tmp_path / ("d" * 200) / "bad.json"  # a path of over 250 characters
+    bad_json.parent.mkdir()
+    bad_json.write_text("not json")
+    argv = [arg.format(unknown_key=unknown_key, bad_json=bad_json) for arg in argv]
+    assert main(["simulate", *argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
 
 
 def test_sweep_mu0_error_names_its_range(tmp_path, capsys):
@@ -597,7 +645,7 @@ def test_run_campaigns_boundary_exits_2(tmp_path, capsys, monkeypatch, argv):
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and "Traceback" not in err
     if made:
-        assert err.startswith("error: cannot write wf")
+        assert err == "error: cannot write 'wf/setpoint_map.csv': Is a directory\n"
         assert out.startswith("== productivity-optimal setpoints ==")
         assert "closed-loop" not in out
     else:
@@ -654,7 +702,8 @@ def test_write_failure_exits_2(tmp_path, capsys):
     argv = ["simulate", "--set", "duration_h=0.5", "--out", str(tmp_path)]
     with pytest.warns(UserWarning, match="run shorter than"):
         assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}")
+    shown = cli._shown(str(tmp_path / "trace.csv"))
+    assert capsys.readouterr().err == f"error: cannot write {shown}: Is a directory\n"
 
 
 def test_sweep_outputs(tmp_path):

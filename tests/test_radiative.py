@@ -121,10 +121,10 @@ def test_irradiance_linear_in_q0_with_pinned_props():
 
 
 def test_irradiance_beer_lambert_limit():
-    """Without backscatter the profile collapses to a single exponential."""
+    """Without scattering the profile collapses to a single exponential."""
     props = optical_coefficients(600.0)
     z = np.linspace(0.0, L, 101)
-    g = irradiance_at_depth(z, 0.3, 600.0, props=props, b=0.0)
+    g = irradiance_at_depth(z, 0.3, 600.0, props=(props[0], 0.0))
     beer = 600.0 * np.exp(-0.3 * props[0] * z)
     assert np.max(np.abs(g - beer)) <= 1e-8
 

@@ -421,9 +421,21 @@ def test_full_plant_serves_lights_below_the_optics_edge():
     assert SimplifiedModelParams.q0_range == (0.0, 1.7976931348623157e308)
     sc = replace(day_night_scenario(), duration_h=1.0)
     assert replace(sc, light=replace(sc.light, peak=math.nextafter(Q0_OPTICS_MAX, 0.0)))
-    message = "light range [100, 168673] leaves the plant's range [0, 168672.50703880526]"
+    message = ("light range [100, 168672.50703880528] leaves the plant's range "
+               "[0, 168672.50703880526]")
     with pytest.raises(ValueError, match=re.escape(message)):
         replace(sc, light=replace(sc.light, peak=Q0_OPTICS_MAX))
+
+
+def test_refused_light_prints_its_own_ends_exactly():
+    """A refused peak just above the optics edge does not print like a round one beside it."""
+    sc = replace(day_night_scenario(), duration_h=1.0)
+    messages = set()
+    for peak in (168673.0, Q0_OPTICS_MAX):
+        with pytest.raises(ValueError, match="leaves the plant's range") as err:
+            replace(sc, light=replace(sc.light, peak=peak))
+        messages.add(str(err.value))
+    assert len(messages) == 2
 
 
 def test_closed_ranges_print_in_brackets():
