@@ -21,7 +21,7 @@ weighted sums (an FIR filter) instead of calling an estimator.
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import mul
 
 import numpy as np
@@ -57,13 +57,13 @@ def saturate(u: float, bounds: ActuatorBounds = ActuatorBounds()) -> float:
 X_FLOOR = 1e-4  # FL division guard on the measurement, kg/m3
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlConfig:
     """Feedback-linearizing controller settings."""
 
     ranges = {"lam": POSITIVE}
     lam: float = 1.0  # imposed error decay rate, 1/h
-    sp: SimplifiedModelParams = field(default_factory=SimplifiedModelParams)
+    sp: SimplifiedModelParams = SimplifiedModelParams()
 
     __post_init__ = check_ranges
 
@@ -76,7 +76,7 @@ class FlConfig:
         return replace(self, sp=replace(self.sp, mu_0=mu_0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class IpConfig:
     """Intelligent-proportional controller settings."""
 
@@ -98,8 +98,8 @@ class IpConfig:
         return IpController(self, bounds, period_h)
 
     def with_model_rate(self, mu_0: float) -> "IpConfig":
-        """A copy: the model-free law has no model rate to perturb."""
-        return replace(self)
+        """Itself: the model-free law has no model rate to perturb."""
+        return self
 
 
 def _elapsed(t: np.ndarray, *signals: np.ndarray) -> np.ndarray:

@@ -64,14 +64,14 @@ CONTROLLERS: dict[str, type] = {"fl": FlConfig, "ip": IpConfig}
 
 # Most sampling periods in one run; its seven float64 trace columns take ~56 MB.
 MAX_SAMPLES = 10**6
-# Most RK4 steps (periods x substeps) in one run: MAX_SAMPLES at 10 substeps.
-MAX_RK4_STEPS = 10**7
+# Most RK4 steps (periods x substeps) in one run: MAX_SAMPLES at the default substeps.
+MAX_RK4_STEPS = MAX_SAMPLES * SamplingConfig.substeps
 
 OFFSET_WINDOW_H = 10.0  # tail window the steady-state offset is averaged over
 BAND = 0.02  # relative band of the settle time and time_to_band
 
 
-@dataclass
+@dataclass(frozen=True)
 class MapReference:
     """Track the productivity-optimal setpoint for the current light level,
     as `optimal_setpoint` finds it with its default plant and geometry.
@@ -96,7 +96,7 @@ class MapReference:
 Reference = PiecewiseConstant | MapReference
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """Complete description of one closed-loop run."""
 
@@ -107,11 +107,11 @@ class Scenario:
     light: LightProfile
     reference: Reference
     controller: FlConfig | IpConfig
-    plant: FullModelParams | SimplifiedModelParams = field(default_factory=FullModelParams)
-    geometry: Geometry = field(default_factory=Geometry)
-    sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
-    bounds: ActuatorBounds = field(default_factory=ActuatorBounds)
+    plant: FullModelParams | SimplifiedModelParams = FullModelParams()
+    geometry: Geometry = Geometry()
+    sampling: SamplingConfig = SamplingConfig()
+    noise: NoiseConfig = NoiseConfig()
+    bounds: ActuatorBounds = ActuatorBounds()
 
     def __post_init__(self) -> None:
         check_ranges(self)
@@ -146,9 +146,6 @@ class SimulationTrace:
     d_applied: np.ndarray
     q0: np.ndarray
     f_est: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.t)
 
 
 def run_scenario(scenario: Scenario) -> SimulationTrace:
@@ -324,10 +321,10 @@ def robustness_sweep(
     """Run both controllers across a grid of controller-model rate scales.
 
     Only the model inside the model-based controller is perturbed; the true
-    plant never changes, and the model-free controller does not read mu_0 at
-    all (its cells differ only in label).  Every cell reuses the same noise
-    seed, so cells are pairwise comparable sample by sample.  Cells are
-    independent; a diverging cell (IntegrationError) is recorded with its
+    plant never changes, and the model-free controller does not read mu_0, so
+    its cells share one equal scenario (each cell keeps the base's name).  All
+    cells reuse one noise seed, so they are comparable sample by sample.  Cells
+    are independent; a diverging cell (IntegrationError) is recorded with its
     error message and the sweep continues.  Any other error propagates.
     """
     cells: list[SweepCell] = []
@@ -335,7 +332,7 @@ def robustness_sweep(
         kind_base = base.controller if isinstance(base.controller, config_type) else config_type()
         for mu_0 in mu0_values:
             cfg = kind_base.with_model_rate(mu_0)
-            cell_scenario = replace(base, name=f"{base.name}[{kind},mu0={mu_0:g}]", controller=cfg)
+            cell_scenario = replace(base, controller=cfg)
             try:
                 trace = run_scenario(cell_scenario)
                 metrics = compute_metrics(trace)

@@ -3,11 +3,12 @@ reference, and each type test whose class is a variable pinned, one step call
 for both controllers and no law outside it, rate_at as the only call of both
 rate models, optics that import nothing of the package, one file writer in the
 CLI, every name the traced benchmark reads still exists, the package
-exports what its modules export, reference functions aside, and README's
-command lines parse."""
+exports what its modules export, reference functions aside, README's
+command lines parse, and every config is a frozen value."""
 
 import ast
 import builtins
+import dataclasses
 import importlib
 import inspect
 import re
@@ -20,6 +21,7 @@ import pbrsim
 from pbrsim import cli
 from pbrsim.control import FlController, IpController
 from pbrsim.kinetics import FullModelParams, SimplifiedModelParams
+from pbrsim.scenarios import MapReference, Scenario, day_night_scenario, light_step_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pbrsim"
@@ -335,3 +337,26 @@ def test_reference_functions_stay_out_of_the_package():
     exported = [name for module in MODEL_MODULES
                 for name in importlib.import_module(f"pbrsim.{module}").__all__]
     assert len(set(exported)) == len(exported) <= 41
+
+
+def _config_classes() -> list[type]:
+    """Every class in the cli.KINDS tables, Scenario, and every class with a ranges table."""
+    found = {cls for kinds in cli.KINDS.values() for cls in kinds.values()} | {Scenario}
+    for module in MODEL_MODULES:
+        members = inspect.getmembers(importlib.import_module(f"pbrsim.{module}"), inspect.isclass)
+        found |= {cls for _, cls in members if hasattr(cls, "ranges")}
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", _config_classes(), ids=lambda cls: cls.__name__)
+def test_configs_are_frozen(cls):
+    """A config value is set only by construction or dataclasses.replace, which both run its
+    checks: assigning any field of a built-in's part raises."""
+    step, day_night = light_step_scenario(), day_night_scenario("fl")
+    samples = [step, day_night, MapReference(), SimplifiedModelParams(),
+               *(getattr(sc, f.name) for sc in (step, day_night) for f in dataclasses.fields(sc))]
+    value = next(v for v in samples if type(v) is cls)
+    assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+    for f in dataclasses.fields(cls):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, f.name, getattr(value, f.name))

@@ -549,6 +549,8 @@ LONG = "a" * 5000
 # --out paths that os.stat refuses: a symlink loop, a path under it, a name too long.
 REFUSED_OUT = [(name, label, [*flags, out]) for name, flags in OUT_FLAGS.items()
                for label, out in (("loop", "loop"), ("under-loop", "loop/x"), ("long", LONG))]
+DANGLING_OUT = [(name, label, [*flags, out]) for name, flags in OUT_FLAGS.items()
+                for label, out in (("dangling", "dangling"), ("under-dangling", "dangling/x"))]
 
 
 @pytest.mark.parametrize(
@@ -567,16 +569,18 @@ REFUSED_OUT = [(name, label, [*flags, out]) for name, flags in OUT_FLAGS.items()
         (["campaigns", "--out", "x\ud800"], "error: --out 'x\\ud800' cannot be checked: 'utf-8'"),
         *((argv, f"error: --out {cli._shown(argv[-1])} cannot be checked: ")
           for _, _, argv in REFUSED_OUT),
+        *((argv, f"error: --out {cli._shown(argv[-1])}: 'dangling' is a dangling symlink\n")
+          for _, _, argv in DANGLING_OUT),
     ],
     ids=["simulate", "setpoint-map", "sweep", "campaigns", "config", "simulate-surrogate",
          "setpoint-map-surrogate", "sweep-surrogate", "campaigns-surrogate",
-         *(f"{name}-{label}" for name, label, _ in REFUSED_OUT)],
+         *(f"{name}-{label}" for name, label, _ in REFUSED_OUT + DANGLING_OUT)],
 )
 def test_path_with_a_nul_byte_exits_2(tmp_path, capsys, monkeypatch, argv, message):
     """A path that os.stat refuses for a reason other than "missing" (a NUL byte or a lone
-    surrogate, which only an in-process call can pass, a symlink loop, or a name too long) is
-    refused as --out before any run or solve, in one short line; a --config with NUL is
-    unreadable, not bad JSON."""
+    surrogate, which only an in-process call can pass, a symlink loop, or a name too long), or
+    one that meets a dangling symlink, is refused as --out before any run or solve, in one
+    short line, and nothing is created; a --config with NUL is unreadable, not bad JSON."""
 
     def never(*args, **kwargs):
         raise AssertionError("ran before the path check")
@@ -585,11 +589,12 @@ def test_path_with_a_nul_byte_exits_2(tmp_path, capsys, monkeypatch, argv, messa
         monkeypatch.setattr(cli, name, never)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "loop").symlink_to("loop")
+    (tmp_path / "dangling").symlink_to("nowhere")
     assert main(argv) == EXIT_CONFIG
     out, err = capsys.readouterr()
     assert err.startswith(message) and out == ""
     assert err.count("\n") == 1 and len(err.encode()) < 200
-    assert [p.name for p in tmp_path.iterdir()] == ["loop"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling", "loop"]
 
 
 @pytest.mark.parametrize(

@@ -48,7 +48,7 @@ def test_builtin_scenario_names():
 
 def test_trace_shape_and_sampling(nominal_traces):
     tr, _ = nominal_traces["ip"]
-    assert len(tr) == 501
+    assert len(tr.t) == 501
     assert tr.t[0] == 0.0
     assert tr.t[-1] == 50.0
     assert tr.t[300] == 30.0  # exact float: 300 * 0.1
@@ -170,8 +170,7 @@ def test_metric_windows_slack_by_the_clock_tolerance():
 
 
 def test_metrics_short_run_warns():
-    sc = light_step_scenario(controller="ip", seed=0)
-    sc.duration_h = 5.0
+    sc = replace(light_step_scenario(controller="ip", seed=0), duration_h=5.0)
     tr = run_scenario(sc)
     with pytest.warns(UserWarning):
         m = compute_metrics(tr)
@@ -193,6 +192,15 @@ def test_sweep_ip_cells_identical(sweep_41):
     for c in ip_cells[1:]:
         assert np.array_equal(c.trace.x_true, ref.x_true)
         assert np.array_equal(c.trace.d_applied, ref.d_applied)
+
+
+def test_sweep_ip_cells_share_one_scenario(sweep_41):
+    """A scenario is a hashable value: the three iP cells run one equal scenario under the
+    base's name, and the three FL cells, whose models differ, are distinct."""
+    by_kind = {kind: {c.scenario for c in sweep_41 if c.controller_kind == kind}
+               for kind in ("fl", "ip")}
+    assert (len(by_kind["ip"]), len(by_kind["fl"])) == (1, 3)
+    assert {sc.name for sc in by_kind["ip"] | by_kind["fl"]} == {"paper-4.1"}
 
 
 def test_sweep_fl_offset_grows_with_mismatch(sweep_41):
@@ -234,8 +242,8 @@ def test_first_stretch_dichotomy(sweep_41):
 def test_sweep_isolates_failing_cells():
     from pbrsim.kinetics import FullModelParams
 
-    base = light_step_scenario(controller="ip", seed=0)
-    base.plant = FullModelParams(M_x=1e100, nu_O2_X=1e-100)
+    base = replace(light_step_scenario(controller="ip", seed=0),
+                   plant=FullModelParams(M_x=1e100, nu_O2_X=1e-100))
     cells = robustness_sweep(base, (0.14,))
     assert len(cells) == 2
     assert all(c.trace is None and c.error for c in cells)
@@ -268,8 +276,8 @@ def test_day_night_ip_beats_fl_under_mismatch():
 def test_closed_estimator_in_loop_characterization():
     """Reference-side estimation freezes in closed loop: large standing
     error and an order-of-magnitude IAE penalty versus the open form."""
-    sc = light_step_scenario(controller="ip", seed=0)
-    sc.controller = IpConfig(estimator="closed")
+    sc = replace(light_step_scenario(controller="ip", seed=0),
+                 controller=IpConfig(estimator="closed"))
     m = compute_metrics(run_scenario(sc))
     assert abs(m.steady_state_offset) > 0.01
     assert m.iae > 4.0
