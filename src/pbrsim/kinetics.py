@@ -128,27 +128,6 @@ def local_oxygen_rate(G, E_a: float, p: FullModelParams = FullModelParams()):
     return (photo - resp) * SECONDS_PER_HOUR
 
 
-def _mean_inverse(
-    c: float, two_A, four_AB, B_L, G_L, em, thickness, sqrt: Callable, log1p: Callable
-):
-    """Depth mean of 1 / (c + G) for G = A w - B / w, w = exp(-delta z).
-
-    In w, it is the integral of dw / (A w^2 + c w - B) over [w_L, 1], divided
-    by delta L.  With s = sqrt(c^2 + 4AB) that is
-    (1 + (ln R + ln(1 - em 2A / (2A + c + s))) / delta L) / s, where
-    em = 1 - w_L and R - 1 = em (B_L + 2AB / (c + s)) / (G_L + c), with
-    B_L = B / w_L and G_L = G(L).  Every operand of R - 1 is nonnegative, so
-    nothing cancels in a thin slab, and an opaque one gives 1 / c.
-    """
-    s = sqrt(c * c + four_AB)
-    cs = c + s
-    log_sum = (
-        log1p(em * (B_L + 0.5 * four_AB / cs) / (G_L + c))
-        + log1p(-em * two_A / (two_A + cs))
-    )
-    return (1.0 + log_sum / thickness) / s
-
-
 @functools.lru_cache(maxsize=1)
 def _light(q0: float) -> tuple[float, ...]:
     """E_a, extinction per unit X, (1 +- alpha)^2, 4 q0 (1 + alpha), 2 q0 (1 - alpha) and
@@ -168,7 +147,7 @@ def mean_oxygen_rate(
     """Depth-averaged net O2 rate in mol O2/kg/h, in closed form.
 
     K G / (K + G) = K - K^2 / (K + G), so the mean needs only the depth means
-    of 1 / (c + G) at c = K and c = K_R (_mean_inverse).  A slab thinner than
+    of 1 / (c + G) at c = K and c = K_R (_closed_form).  A slab thinner than
     radiative's clear-slab thickness sees q0 throughout.
     """
     if not X >= 0:  # NaN fails it too
@@ -187,10 +166,20 @@ def mean_oxygen_rate(
 
 def _closed_form(thickness, p: FullModelParams, light: tuple, libm=_LIBM):
     """mean_oxygen_rate beyond the clear slab, at one thickness or, with
-    libm=_NUMPY, at each of a float64 array's: the one copy of the formula."""
+    libm=_NUMPY, at each of a float64 array's: the one copy of the formula.
+
+    The two-flux profile of irradiance_at_depth is G = A w - B / w with
+    w = exp(-delta z).  In w, the depth mean of 1 / (c + G) is the integral
+    of dw / (A w^2 + c w - B) over [w_L, 1], divided by delta L.  With
+    s = sqrt(c^2 + 4AB) that is
+    (1 + (ln R + ln(1 - em 2A / (2A + c + s))) / delta L) / s, where
+    em = 1 - w_L and R - 1 = em (B_L + 2AB / (c + s)) / (G_L + c), with
+    B_L = B / w_L and G_L = G(L).  Every operand of R - 1 is nonnegative, so
+    nothing cancels in a thin slab, and an opaque one gives 1 / c.  It is
+    written out in place for c = K and c = K_R: a call runs no inner frame.
+    """
     sqrt, exp, expm1, log1p = libm
     E_a, _, up2, down2, four_q0_up, two_q0_down, four_q0_alpha = light
-    # The two-flux profile of irradiance_at_depth, written as A w - B / w.
     w_L = exp(-thickness)
     den = up2 - down2 * w_L * w_L
     two_A = four_q0_up / den
@@ -199,8 +188,18 @@ def _closed_form(thickness, p: FullModelParams, light: tuple, libm=_LIBM):
     G_L = four_q0_alpha * w_L / den
     em = -expm1(-thickness)
     K, K_R = p.K, p.K_R
-    photo = K - K * K * _mean_inverse(K, two_A, four_AB, B_L, G_L, em, thickness, sqrt, log1p)
-    resp = K_R * _mean_inverse(K_R, two_A, four_AB, B_L, G_L, em, thickness, sqrt, log1p)
+    s = sqrt(K * K + four_AB)
+    cs = K + s
+    log_sum = (
+        log1p(em * (B_L + 0.5 * four_AB / cs) / (G_L + K)) + log1p(-em * two_A / (two_A + cs))
+    )
+    photo = K - K * K * ((1.0 + log_sum / thickness) / s)
+    s = sqrt(K_R * K_R + four_AB)
+    cs = K_R + s
+    log_sum = (
+        log1p(em * (B_L + 0.5 * four_AB / cs) / (G_L + K_R)) + log1p(-em * two_A / (two_A + cs))
+    )
+    resp = K_R * ((1.0 + log_sum / thickness) / s)
     return (p.rho_m * p.phi_prime * E_a * photo - p.resp_rate * resp) * SECONDS_PER_HOUR
 
 

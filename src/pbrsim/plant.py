@@ -5,9 +5,9 @@ dilution rate D is the single manipulated input.  Integration uses a fixed
 step Runge-Kutta 4 scheme with the control held constant over the sampling
 period (zero-order hold) while the light schedule is evaluated at the actual
 stage times, so intra-sample light changes are seen by the integrator.  The
-model's rate is bound to the light once per distinct stage time, or once per
-period for a light that holds its value over it (profile.held_until), as a
-day/night light does through the night.
+model's rate is bound once per distinct stage time, a substep's start sharing
+the previous substep's end, or once per period for a light that holds its
+value over it (profile.held_until), as a day/night light does through the night.
 """
 
 from bisect import bisect_left
@@ -194,8 +194,10 @@ def step(
 ) -> float:
     """Biomass X after dt hours from time t under constant D (zero-order hold).
 
-    params.rate_at binds the light at each distinct RK4 stage time, or once, at
-    t, when the profile holds its value up to the last stage time (held_until).
+    params.rate_at binds the light once per distinct stage time (a substep's
+    start equal to the previous substep's end bit for bit shares that bind), or
+    once, at t, when the profile holds its value up to the last stage time
+    (held_until).  light_at checks t, and a last stage time that is not finite.
     Biomass is clamped at zero from below: the vessel cannot hold negative
     concentration, and RK4 stage excursions below zero are cut the same way.
     Raises ValueError for a bad t, dt, substeps or D before any stage runs,
@@ -211,10 +213,15 @@ def step(
     if D < 0:
         raise ValueError(f"D must be nonnegative, got {D}")
     h = dt / substeps
-    # Every stage time lies in [t, t_last], so a light held that long gives
-    # each stage the q0 it has at t.
+    # Every stage time lies in [t, t_last]: a light held that long gives each stage
+    # t's q0, and if light_at takes t, it refuses a stage time only if t_last is inf or NaN.
     t_last = (t + (substeps - 1) * h) + h
-    held = params.rate_at(light_at(t, profile), geom) if t_last <= profile.held_until(t) else None
+    held = t_last <= profile.held_until(t)
+    q0 = light_at(t, profile)
+    if not (held or t_last < inf):
+        light_at(t_last, profile)  # raises
+    rate_at, tau = params.rate_at, t
+    r0 = r_mid = r1 = rate_at(q0, geom)
 
     half, sixth = 0.5 * h, h / 6.0
     # Each stage clamps its X at zero before the rate sees it, k1's too (an
@@ -222,9 +229,11 @@ def step(
     # than reach the rate: the NaN it came from makes the new X NaN, which raises below.
     for i in range(substeps):
         t0 = t + i * h
-        r0 = held or params.rate_at(light_at(t0, profile), geom)
-        r_mid = held or params.rate_at(light_at(t0 + half, profile), geom)
-        r1 = held or params.rate_at(light_at(t0 + h, profile), geom)
+        if not held:  # r1 is bound at tau, the previous substep's last stage time
+            r0 = r1 if t0 == tau else rate_at(profile(t0), geom)
+            r_mid = rate_at(profile(t0 + half), geom)
+            tau = t0 + h
+            r1 = rate_at(profile(tau), geom)
         x = X if X >= 0.0 else 0.0
         k1 = r0(x) - D * x
         x = X + half * k1

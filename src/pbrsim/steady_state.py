@@ -94,16 +94,17 @@ def optimal_setpoint(
 
     productivity = p.rate_at(q0, geom)
     values = p._fast_rates(q0, geom, _GRID)
-    top, tol = values.max(), SCAN_MARGIN * abs(values).max()
-    if not min(top, abs(np.diff(values)).min()) > tol or np.count_nonzero(values >= top - tol) > 1:
+    top = values.max()
+    tol = SCAN_MARGIN * max(top, -values.min())  # of max|value|, NaN if a value is
+    if not min(top, abs(values[1:] - values[:-1]).min()) > tol or (values >= top - tol).sum() > 1:
         values = np.fromiter(map(productivity, _GRID.tolist()), float)
-    if np.all(values <= 0):
+    if (values <= 0).all():
         raise NoAdmissibleSetpointError(
             f"no positive productivity for q0={q0} in [{X_MIN}, {X_MAX}]"
         )
 
     inner = values[1:-1]
-    interior_maxima = np.flatnonzero((inner >= values[:-2]) & (inner > values[2:])) + 1
+    interior_maxima = ((inner >= values[:-2]) & (inner > values[2:])).nonzero()[0] + 1
     if len(interior_maxima) > 1:
         xs = ", ".join(f"{_GRID[i]:.4g}" for i in interior_maxima)
         raise NotUnimodalError(
@@ -111,7 +112,7 @@ def optimal_setpoint(
             "refusing to pick one"
         )
 
-    best = int(np.argmax(values))  # first index on ties: smallest X
+    best = int(values.argmax())  # first index on ties: smallest X
     lo = float(_GRID[max(best - 1, 0)])
     hi = float(_GRID[min(best + 1, GRID_POINTS - 1)])
     x_star = _golden_max(productivity, lo, hi, X_TOL)

@@ -314,15 +314,26 @@ def test_step_rejects_nan_time(no_stage):
 
 
 @pytest.mark.parametrize("profile", [LIGHT_STEP_PROFILE, DayNightLight()], ids=["held", "daynight"])
-@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, -0.005])
 def test_a_time_not_finite_is_refused(no_stage, profile, t):
     """light_at and step blame t, not the light, for a time that is not finite,
-    under either light kind and either model, before any stage runs."""
+    and for a negative one, under either light kind and either model, before
+    any stage runs.  At t = -0.005 the last stage time, 0.095, is one light_at
+    takes, so a check of that time alone would let t through."""
     with pytest.raises(ValueError, match="t must be finite and nonnegative"):
         light_at(t, profile)
     for params in (FullModelParams(), SimplifiedModelParams()):
         with pytest.raises(ValueError, match="t must be finite and nonnegative"):
             step(0.3, t, 0.05, profile, 0.1, params)
+
+
+@pytest.mark.parametrize("params", [FullModelParams(), SimplifiedModelParams()],
+                         ids=["full", "simplified"])
+def test_a_last_stage_time_past_the_floats_is_refused(no_stage, params):
+    """At a finite t whose last stage time rounds to inf, step refuses that time as
+    light_at does, before it binds any light."""
+    with pytest.raises(ValueError, match="t must be finite and nonnegative, got inf"):
+        step(0.3, 1.7e308, 0.05, DayNightLight(), 1e308, params)
 
 
 @pytest.mark.parametrize("D", [math.nan, math.inf, -math.inf])
@@ -425,49 +436,77 @@ def test_held_light_matches_per_stage_light_on_any_schedule(case, x0, D, params)
     assert got == _per_stage_step(x0, t, D, profile, dt, params, substeps)
 
 
-def _count_light_calls(monkeypatch):
-    calls = []
+class _CountedLight:
+    """A light that logs the time of each lookup, and of each held_until call."""
 
-    def counted(t, profile):
-        calls.append(t)
-        return light_at(t, profile)
+    def __init__(self, profile):
+        self.profile, self.calls, self.held_calls = profile, [], []
 
-    monkeypatch.setattr(plant, "light_at", counted)
-    return calls
+    def __call__(self, t):
+        self.calls.append(t)
+        return self.profile(t)
+
+    def held_until(self, t):
+        self.held_calls.append(t)
+        return self.profile.held_until(t)
 
 
 def _stage_times(t, dt, substeps):
     """The distinct stage times t0, t0 + h/2 and t0 + h of each substep, in
-    order, as step computes them."""
+    order, as step computes them: a substep's t0 that equals the previous
+    substep's t0 + h bit for bit is that same time, and is not repeated."""
     h = dt / substeps
-    starts = [t + i * h for i in range(substeps)]
-    return [tau for t0 in starts for tau in (t0, t0 + 0.5 * h, t0 + h)]
+    times = []
+    for i in range(substeps):
+        t0 = t + i * h
+        if times[-1:] != [t0]:
+            times.append(t0)
+        times += [t0 + 0.5 * h, t0 + h]
+    return times
 
 
 @pytest.mark.parametrize("substeps", [1, 2, 10])
-def test_light_evaluations_per_period(monkeypatch, substeps):
-    """Once for a held period; at each distinct stage time, in order, across
-    a switch and under day/night light."""
-    calls = _count_light_calls(monkeypatch)
+def test_light_evaluations_per_period(substeps):
+    """Once for a held period; at each distinct stage time, once and in
+    order, across a switch and under day/night light."""
     sp = SimplifiedModelParams()
-    step(0.3, 10.0, 0.05, LIGHT_STEP_PROFILE, 0.1, sp, substeps=substeps)
-    assert len(calls) == 1
-    calls.clear()
-    step(0.3, 29.95, 0.05, LIGHT_STEP_PROFILE, 0.1, sp, substeps=substeps)
-    assert calls == _stage_times(29.95, 0.1, substeps)
-    calls.clear()
-    step(0.3, 10.0, 0.05, DayNightLight(), 0.1, sp, substeps=substeps)
-    assert calls == _stage_times(10.0, 0.1, substeps)
+
+    def lookups(t, profile):
+        light = _CountedLight(profile)
+        step(0.3, t, 0.05, light, 0.1, sp, substeps=substeps)
+        return light.calls
+
+    assert lookups(10.0, LIGHT_STEP_PROFILE) == [10.0]
+    assert lookups(29.95, LIGHT_STEP_PROFILE) == _stage_times(29.95, 0.1, substeps)
+    assert lookups(10.0, DayNightLight()) == _stage_times(10.0, 0.1, substeps)
     # At night, up to a last stage at dawn exactly, once; across the dawn, at
-    # each stage time.
+    # each distinct stage time.
     for t in (12.0, 18.0, 23.9):
-        calls.clear()
-        step(0.3, t, 0.05, DayNightLight(), 0.1, sp, substeps=substeps)
-        assert calls == [t]
+        assert lookups(t, DayNightLight()) == [t]
     for t in (239 * 0.1, 23.95):
-        calls.clear()
-        step(0.3, t, 0.05, DayNightLight(), 0.1, sp, substeps=substeps)
-        assert calls == _stage_times(t, 0.1, substeps)
+        assert lookups(t, DayNightLight()) == _stage_times(t, 0.1, substeps)
+
+
+@pytest.mark.parametrize("params", [FullModelParams(), SimplifiedModelParams()],
+                         ids=["full", "simplified"])
+def test_a_held_period_binds_once(monkeypatch, params):
+    """A held period calls held_until, light_at and rate_at once each, as the
+    simplified plant's runs do in all but their switching periods."""
+    light, looked_up, bound = _CountedLight(LIGHT_STEP_PROFILE), [], []
+    rate_at = type(params).rate_at
+
+    def counted_light_at(t, profile):
+        looked_up.append(t)
+        return light_at(t, profile)
+
+    def counted_rate_at(self, q0, geom):
+        bound.append(q0)
+        return rate_at(self, q0, geom)
+
+    monkeypatch.setattr(plant, "light_at", counted_light_at)
+    monkeypatch.setattr(type(params), "rate_at", counted_rate_at)
+    step(0.3, 10.0, 0.05, light, 0.1, params)
+    assert (light.held_calls, looked_up, light.calls, bound) == ([10.0], [10.0], [10.0], [600.0])
 
 
 # step's results as the per-stage right-hand side gave them (a434ee1), as float.hex: both

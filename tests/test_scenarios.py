@@ -347,6 +347,31 @@ def test_map_reference_solves_the_default_full_plant():
         optimal_setpoint(950.0, SimplifiedModelParams())
 
 
+def test_day_night_map_pair_work_counts(monkeypatch):
+    """paper-4.2, fl then ip, each under its own MapReference at seed 0, from a cleared _light:
+    46,156 full-model rate calls and 11,644 _light misses, and 13,248 binds, since a substep
+    that starts at the previous substep's last stage time reuses that bind (16,520 without)."""
+    from pbrsim import kinetics
+
+    binds, rates = [], []
+    rate_at, mean_oxygen_rate = FullModelParams.rate_at, kinetics.mean_oxygen_rate
+
+    def counted_rate_at(self, q0, geom):
+        binds.append(q0)
+        return rate_at(self, q0, geom)
+
+    def counted_rate(*args):
+        rates.append(args[0])
+        return mean_oxygen_rate(*args)
+
+    monkeypatch.setattr(FullModelParams, "rate_at", counted_rate_at)
+    monkeypatch.setattr(kinetics, "mean_oxygen_rate", counted_rate)
+    kinetics._light.cache_clear()
+    for kind in ("fl", "ip"):
+        run_scenario(replace(day_night_scenario(kind, seed=0), reference=MapReference()))
+    assert (len(rates), kinetics._light.cache_info().misses, len(binds)) == (46_156, 11_644, 13_248)
+
+
 def test_light_step_scenario_reference_modes():
     """Each built-in tracks its own setpoint schedule."""
     assert light_step_scenario().reference == PiecewiseConstant(((0.0, 0.38), (30.0, 0.17)))
