@@ -52,15 +52,11 @@ TRACE_HEADER = ",".join(f.name for f in fields(SimulationTrace))
 METRICS_HEADER = "offset,iae,settle_time,batch_duration"
 SWEEP_HEADER = f"controller,mu0,{METRICS_HEADER},status"
 MAP_HEADER = ",".join(f.name for f in fields(OperatingPoint))
+NUMBER_FORMAT = "%.8e"  # every number written: fixed 9-significant-digit scientific notation
 
 
 class ConfigError(ValueError):
     """Configuration input the CLI refuses to run."""
-
-
-def _fmt(x: float) -> str:
-    """Fixed 9-significant-digit scientific notation."""
-    return f"{x:.8e}"
 
 
 # --- scenario <-> config dict -------------------------------------------------
@@ -237,23 +233,31 @@ def _field(x: float | str | None) -> str:
     """One CSV field: None or NaN is empty, a string goes as is."""
     if x is None or x != x:  # NaN is the one value unequal to itself
         return ""
-    return x if isinstance(x, str) else _fmt(x)
+    return x if isinstance(x, str) else NUMBER_FORMAT % x
 
 
-def _write_csv(path: Path, header: str, rows: Iterable[Sequence[Any]]) -> None:
+def _fields(rows: Iterable[Sequence[Any]]) -> Iterable[str]:
+    """Rows of mixed fields as CSV lines, each field through _field."""
+    return (",".join(map(_field, row)) for row in rows)
+
+
+def _write_csv(path: Path, header: str, lines: Iterable[str]) -> None:
     """The one file writer: makes path's directory; an OSError is a ConfigError."""
-    lines = [header, *(",".join(map(_field, row)) for row in rows)]
+    text = "\n".join([header, *lines]) + "\n"
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {_shown(str(path))}: {_reason(exc)}") from exc
 
 
 def write_trace_csv(path: Path, trace: SimulationTrace) -> None:
     """One row per sample; the header names are the trace's column fields."""
-    columns = (getattr(trace, name).tolist() for name in TRACE_HEADER.split(","))
-    _write_csv(path, TRACE_HEADER, zip(*columns))
+    columns = [getattr(trace, name).tolist() for name in TRACE_HEADER.split(",")]
+    # One format call per all-float row; of its fields only NaN's reads "nan",
+    # a field _field leaves empty.
+    row = ",".join([NUMBER_FORMAT] * len(columns))
+    _write_csv(path, TRACE_HEADER, ((row % v).replace("nan", "") for v in zip(*columns)))
 
 
 def _metrics_fields(m: TrackingMetrics) -> tuple[float | None, ...]:
@@ -261,11 +265,11 @@ def _metrics_fields(m: TrackingMetrics) -> tuple[float | None, ...]:
 
 
 def write_metrics_csv(path: Path, m: TrackingMetrics) -> None:
-    _write_csv(path, METRICS_HEADER, [_metrics_fields(m)])
+    _write_csv(path, METRICS_HEADER, _fields([_metrics_fields(m)]))
 
 
 def write_map_csv(path: Path, points: Sequence[OperatingPoint]) -> None:
-    _write_csv(path, MAP_HEADER, map(astuple, points))
+    _write_csv(path, MAP_HEADER, _fields(map(astuple, points)))
 
 
 def write_sweep_summary(path: Path, cells: Sequence[SweepCell]) -> None:
@@ -279,7 +283,7 @@ def write_sweep_summary(path: Path, cells: Sequence[SweepCell]) -> None:
             reason = (cell.error or "failed").replace(",", ";").replace("\n", " ")
             cols = (None, None, None, None, f"failed: {reason}")
         rows.append((cell.controller_kind, cell.mu_0, *cols))
-    _write_csv(path, SWEEP_HEADER, rows)
+    _write_csv(path, SWEEP_HEADER, _fields(rows))
 
 
 # --- output locations ----------------------------------------------------------

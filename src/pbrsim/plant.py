@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from math import inf, isfinite, nextafter, pi, sin
 from typing import ClassVar
 
-import numpy as np
-
 from .kinetics import FullModelParams, SimplifiedModelParams
 from .radiative import POSITIVE, Geometry, check_ranges
 
@@ -200,12 +198,12 @@ def step(
     (held_until).  light_at checks t, and a last stage time that is not finite.
     Biomass is clamped at zero from below: the vessel cannot hold negative
     concentration, and RK4 stage excursions below zero are cut the same way.
-    Raises ValueError for a bad t, dt, substeps or D before any stage runs,
-    and IntegrationError for a non-finite D (before any stage) or if the
-    state stops being finite.
+    Raises ValueError for a bad t, dt (not positive and finite), substeps or D
+    before any stage runs, and IntegrationError for a non-finite D (before any
+    stage) or if the state stops being finite.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < inf:  # NaN fails it too
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if not (type(substeps) is int and substeps >= 1):  # True fails it too
         raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
     if not isfinite(D):
@@ -228,8 +226,8 @@ def step(
     # entering X may be negative or NaN).  A NaN stage X becomes 0.0 rather
     # than reach the rate: the NaN it came from makes the new X NaN, which raises below.
     for i in range(substeps):
-        t0 = t + i * h
         if not held:  # r1 is bound at tau, the previous substep's last stage time
+            t0 = t + i * h
             r0 = r1 if t0 == tau else rate_at(profile(t0), geom)
             r_mid = rate_at(profile(t0 + half), geom)
             tau = t0 + h
@@ -247,13 +245,13 @@ def step(
         k4 = r1(x) - D * x
         X = X + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not isfinite(X):
-            raise IntegrationError("state became non-finite", t=t0 + h, X=X, D=D)
+            raise IntegrationError("state became non-finite", t=(t + i * h) + h, X=X, D=D)
         X = X if X >= 0.0 else 0.0
     return X
 
 
-# Quoted: evaluating np.random.Generator at import would load numpy.random.
-def measure(X: float, noise: NoiseConfig, rng: "np.random.Generator") -> float:
-    """Noisy biomass measurement y = X * (1 + nu), clamped at +0.0 (so X = 0 reads +0.0)."""
-    y = X * (1.0 + rng.normal(0.0, noise.relative_std))
+def measure(X: float, nu: float) -> float:
+    """Noisy biomass measurement y = X * (1 + nu), clamped at +0.0 (so X = 0 reads +0.0),
+    for nu a draw of rng.normal(0.0, NoiseConfig.relative_std)."""
+    y = X * (1.0 + nu)
     return y if y > 0.0 else 0.0

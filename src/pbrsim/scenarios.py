@@ -154,31 +154,35 @@ def run_scenario(scenario: Scenario) -> SimulationTrace:
     The controller runs first at t = 0 on a fresh measurement; the plant is
     then integrated over one sampling period under the held command.  The
     final sample at the horizon is recorded (controller included) but not
-    integrated further.  A fixed noise seed reproduces the trace bit for bit.
+    integrated further.  A fixed noise seed reproduces the trace bit for bit; its
+    n + 1 noise values come from one draw, equal to n + 1 scalar draws in order.
     """
     s = scenario
-    n = round(s.duration_h / s.sampling.period_h)
-    rng = np.random.default_rng(s.noise.seed)
-    controller = s.controller.build(s.bounds, s.geometry, s.sampling.period_h)
+    period_h, substeps = s.sampling.period_h, s.sampling.substeps
+    light, reference, plant, geom = s.light, s.reference, s.plant, s.geometry
+    n = round(s.duration_h / period_h)
+    nus = np.random.default_rng(s.noise.seed).normal(0.0, s.noise.relative_std, n + 1)
+    controller = s.controller.build(s.bounds, geom, period_h)
     X = s.x0
 
     tr = SimulationTrace(*(np.empty(n + 1) for _ in fields(SimulationTrace)))
-    for k in range(n + 1):
-        t = k * s.sampling.period_h
-        q0 = light_at(t, s.light)
-        y_ref = s.reference(t, q0)
-        y = measure(X, s.noise, rng)
+    t_col, x_col, y_col, ref_col, d_col, q0_col, f_col = (
+        getattr(tr, f.name) for f in fields(SimulationTrace))
+    for k, nu in enumerate(map(float, nus)):  # floats, as the scalar draws were
+        t = k * period_h
+        q0 = light_at(t, light)
+        y_ref = reference(t, q0)
+        y = measure(X, nu)
         d = controller.step(t, y, y_ref, q0)
-        tr.t[k] = t
-        tr.x_true[k] = X
-        tr.y_meas[k] = y
-        tr.y_ref[k] = y_ref
-        tr.d_applied[k] = d
-        tr.q0[k] = q0
-        tr.f_est[k] = controller.f_estimate
+        t_col[k] = t
+        x_col[k] = X
+        y_col[k] = y
+        ref_col[k] = y_ref
+        d_col[k] = d
+        q0_col[k] = q0
+        f_col[k] = controller.f_estimate
         if k < n:
-            X = step(X, t, d, s.light, s.sampling.period_h, s.plant, s.geometry,
-                     s.sampling.substeps)
+            X = step(X, t, d, light, period_h, plant, geom, substeps)
     return tr
 
 

@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,9 @@ from pbrsim.control import FlConfig, IpConfig
 from pbrsim.kinetics import FullModelParams, SimplifiedModelParams
 from pbrsim.plant import DayNightLight
 from pbrsim.scenarios import (
+    BUILTIN_SCENARIOS,
     MapReference,
+    SimulationTrace,
     SweepCell,
     day_night_scenario,
     light_step_scenario,
@@ -88,6 +91,42 @@ def test_fl_trace_has_empty_estimate_column(tmp_path):
     main(["simulate", "--controller", "fl", "--out", str(tmp_path)])
     _, rows = _rows(tmp_path / "trace.csv")
     assert all(r[6] == "" for r in rows)
+
+
+def _field_by_field(x):
+    """A copy of the per-field CSV formatter: None or NaN empty, a string as is, else
+    9 significant digits."""
+    if x is None or x != x:
+        return ""
+    return x if isinstance(x, str) else f"{x:.8e}"
+
+
+EDGES = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.7e308,
+         -1.7e308, 0.3]
+
+
+def _edge_traces():
+    """Every edge value in every column: each row one value, then rotated per column."""
+    width = len(fields(SimulationTrace))
+    yield SimulationTrace(*(np.array(EDGES) for _ in range(width)))
+    yield SimulationTrace(*(np.roll(EDGES, j) for j in range(width)))
+
+
+def _builtin_traces():
+    for make in BUILTIN_SCENARIOS.values():
+        for kind in ("fl", "ip"):
+            yield run_scenario(make(kind, 0))
+
+
+@pytest.mark.parametrize("traces", [_edge_traces, _builtin_traces], ids=["edges", "builtins"])
+def test_trace_writer_matches_the_field_by_field_format(tmp_path, traces):
+    """write_trace_csv's one format per row writes the bytes a field-by-field writer
+    does, NaN of either sign as an empty field, inf, -inf, -0.0 and subnormals alike."""
+    for trace in traces():
+        cli.write_trace_csv(tmp_path / "trace.csv", trace)
+        rows = zip(*(getattr(trace, f.name).tolist() for f in fields(SimulationTrace)))
+        lines = [TRACE_HEADER, *(",".join(map(_field_by_field, row)) for row in rows)]
+        assert (tmp_path / "trace.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_window_that_never_fills_runs_with_zero_estimate(tmp_path):
@@ -852,8 +891,8 @@ def test_module_entry_point():
 
 
 def test_import_leaves_numpy_random_unloaded():
-    """Importing the package and its CLI loads no numpy.random: measure's
-    Generator annotation stays a string, so config set-up does not pay for it."""
+    """Importing the package and its CLI loads no numpy.random: only a run's noise
+    draw needs it, so config set-up does not pay for it."""
     code = "import sys, pbrsim, pbrsim.cli; print('numpy.random' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_env()

@@ -1,9 +1,11 @@
-"""Every output bit of the built-in runs and the setpoint map, pinned by SHA-256.
+"""Every output bit of the built-in runs and the setpoint map, and every byte of
+the files the CLI writes for them, pinned by SHA-256.
 
 The rel=1e-9 pins elsewhere are the portable check; these digests say that a
-change moved no bit at all.  They depend on the interpreter, numpy and the C
-library (libm), so the digest file records those versions, and on any other
-environment the test fails and names the version that differs.
+change moved no bit at all, and wrote no byte differently.  They depend on the
+interpreter, numpy and the C library (libm), so the digest file records those
+versions, and on any other environment each test fails and names the version
+that differs.
 
 Rewriting the file is a deliberate move of bits:
 
@@ -12,15 +14,19 @@ Rewriting the file is a deliberate move of bits:
 regenerates tests/digests.json from this checkout.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import platform
+import tempfile
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pbrsim.cli import EXIT_OK, main
 from pbrsim.kinetics import FullModelParams, SimplifiedModelParams
 from pbrsim.scenarios import (
     BUILTIN_SCENARIOS,
@@ -87,7 +93,28 @@ def compute_digests() -> dict:
     }
 
 
-def test_every_output_bit_is_pinned():
+def _cli_calls(out: Path):
+    """Each pinned CLI call, writing under out: `campaigns --seed 0`, `setpoint-map`
+    at its defaults, and `simulate` of each built-in under each controller."""
+    yield ["campaigns", "--seed", "0", "--out", str(out / "campaigns")]
+    yield ["setpoint-map", "--out", str(out / "setpoint_map.csv")]
+    for name in BUILTIN_SCENARIOS:
+        for kind in ("fl", "ip"):
+            yield ["simulate", "--scenario", name, "--controller", kind,
+                   "--out", str(out / "simulate" / name / kind)]
+
+
+def compute_file_digests(out: Path) -> dict[str, str]:
+    """SHA-256 of every file the pinned CLI calls write, keyed by its path under out."""
+    for argv in _cli_calls(out):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_OK, argv
+    return {p.relative_to(out).as_posix(): _sha256(p.read_bytes())
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def _stored_digests() -> dict:
+    """The digest file, after checking that this is the environment it records."""
     stored = json.loads(DIGEST_FILE.read_text())
     env = _environment()
     for name, version in stored["environment"].items():
@@ -97,6 +124,11 @@ def test_every_output_bit_is_pinned():
                 f"{env.get(name)}: the bits need not match; rely on the rel=1e-9 pins "
                 "or regenerate the file on purpose (see this module's docstring)"
             )
+    return stored
+
+
+def test_every_output_bit_is_pinned():
+    stored = _stored_digests()
     now = compute_digests()
     assert now["runs"].keys() == stored["runs"].keys()
     moved = [
@@ -111,9 +143,19 @@ def test_every_output_bit_is_pinned():
         if now["setpoint_map"][name] != digest
     ]
     assert not moved, f"{len(moved)} digests moved: {moved[:10]}"
+    assert {**now, "files": stored["files"]} == stored
+
+
+def test_every_output_byte_is_pinned(tmp_path):
+    stored = _stored_digests()["files"]
+    now = compute_file_digests(tmp_path)
+    moved = sorted(name for name, digest in stored.items() if now.get(name) != digest)
+    assert not moved, f"{len(moved)} files moved: {moved[:10]}"
     assert now == stored
 
 
 if __name__ == "__main__":
-    DIGEST_FILE.write_text(json.dumps(compute_digests(), indent=1, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory() as out:
+        digests = {**compute_digests(), "files": compute_file_digests(Path(out))}
+    DIGEST_FILE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGEST_FILE}")

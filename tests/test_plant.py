@@ -302,6 +302,16 @@ def test_step_rejects_nan_dt(no_stage):
         step(0.3, 0.0, 0.05, LIGHT_STEP_PROFILE, math.nan, SimplifiedModelParams())
 
 
+@pytest.mark.parametrize("params", [FullModelParams(), SimplifiedModelParams()],
+                         ids=["full", "simplified"])
+@pytest.mark.parametrize("t", [40.0, 10.0], ids=["held", "unheld"])
+def test_an_infinite_dt_is_refused_as_dt(no_stage, params, t):
+    """dt = inf is refused as dt before any bind, where the light holds over the
+    period (past LIGHT_STEP_PROFILE's switch) and where it does not (before it)."""
+    with pytest.raises(ValueError, match=r"^dt must be positive and finite, got inf$"):
+        step(0.3, t, 0.05, LIGHT_STEP_PROFILE, math.inf, params)
+
+
 @pytest.mark.parametrize("substeps", [0, 1.5, True])
 def test_step_rejects_zero_substeps(no_stage, substeps):
     with pytest.raises(ValueError, match="substeps"):
@@ -590,21 +600,22 @@ def test_integration_error_carries_context():
 
 
 def test_measure_deterministic_per_seed():
-    a = measure(0.3, NoiseConfig(seed=5), np.random.default_rng(5))
-    b = measure(0.3, NoiseConfig(seed=5), np.random.default_rng(5))
+    cfg = NoiseConfig(seed=5)
+    a = measure(0.3, np.random.default_rng(5).normal(0.0, cfg.relative_std))
+    b = measure(0.3, np.random.default_rng(5).normal(0.0, cfg.relative_std))
     assert a == b
 
 
 def test_measure_noise_free():
     rng = np.random.default_rng(0)
-    assert measure(0.3, NoiseConfig(relative_std=0.0), rng) == 0.3
+    assert measure(0.3, rng.normal(0.0, NoiseConfig(relative_std=0.0).relative_std)) == 0.3
 
 
 def test_measure_statistics():
     """Sample std matches the configured 1% relative noise."""
     rng = np.random.default_rng(7)
     cfg = NoiseConfig(relative_std=0.01)
-    vals = np.array([measure(0.3, cfg, rng) for _ in range(100000)])
+    vals = np.array([measure(0.3, rng.normal(0.0, cfg.relative_std)) for _ in range(100000)])
     assert abs(vals.mean() - 0.3) / 0.3 <= 5e-4
     assert abs(vals.std() / 0.3 - 0.01) <= 3e-4
 
@@ -612,7 +623,7 @@ def test_measure_statistics():
 def test_measure_clamped_at_zero():
     rng = np.random.default_rng(0)
     cfg = NoiseConfig(relative_std=3.0)  # huge noise to force excursions
-    vals = [measure(0.1, cfg, rng) for _ in range(2000)]
+    vals = [measure(0.1, rng.normal(0.0, cfg.relative_std)) for _ in range(2000)]
     assert min(vals) >= 0.0
 
 
@@ -621,7 +632,8 @@ def test_empty_vessel_reads_positive_zero():
     or -0.0 (1 + nu < 0, the 2nd and 5th) still reads +0.0."""
     rng = np.random.default_rng(0)
     cfg = NoiseConfig(relative_std=1.7e308)
-    assert [measure(0.0, cfg, rng).hex() for _ in range(8)] == [(0.0).hex()] * 8
+    nus = [rng.normal(0.0, cfg.relative_std) for _ in range(8)]
+    assert [measure(0.0, nu).hex() for nu in nus] == [(0.0).hex()] * 8
 
 
 def test_noise_config_validation():

@@ -13,7 +13,7 @@ import pytest
 
 from pbrsim.control import FlConfig, IpConfig
 from pbrsim.kinetics import FullModelParams, SimplifiedModelParams
-from pbrsim.plant import NoiseConfig, PiecewiseConstant, SamplingConfig
+from pbrsim.plant import NoiseConfig, PiecewiseConstant, SamplingConfig, measure
 from pbrsim.radiative import Q0_OPTICS_MAX
 from pbrsim.scenarios import (
     BUILTIN_SCENARIOS,
@@ -77,6 +77,20 @@ def test_bit_exact_determinism():
     assert np.array_equal(a.y_meas, b.y_meas)
     assert np.array_equal(a.d_applied, b.d_applied)
     assert np.array_equal(a.f_est[16:], b.f_est[16:])
+
+
+@pytest.mark.parametrize("relative_std", [0.0, 0.01, 3.0])
+@pytest.mark.parametrize("kind", ["fl", "ip"])
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+def test_one_call_draw_is_the_scalar_stream(name, kind, relative_std):
+    """Each sample's measurement is measure(x_true[k], nu_k) bit for bit, with nu_k
+    the k-th scalar draw of a fresh default_rng(seed): the one-call draw is that stream."""
+    for seed in range(4):
+        noise = NoiseConfig(relative_std=relative_std, seed=seed)
+        trace = run_scenario(replace(BUILTIN_SCENARIOS[name](kind, seed), noise=noise))
+        rng = np.random.default_rng(seed)
+        expected = [measure(x, rng.normal(0.0, relative_std)) for x in trace.x_true.tolist()]
+        assert [y.hex() for y in trace.y_meas.tolist()] == [y.hex() for y in expected]
 
 
 def test_seed_changes_noise():
