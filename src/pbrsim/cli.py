@@ -21,6 +21,7 @@ from typing import Any, Iterable, Sequence
 
 from .kinetics import FullModelParams, SimplifiedModelParams
 from .plant import LIGHT_STEP_PROFILE, DayNightLight, IntegrationError, PiecewiseConstant
+from .radiative import _shown
 from .scenarios import (
     BUILTIN_SCENARIOS,
     CONTROLLERS,
@@ -87,12 +88,6 @@ def _encode(value: Any, kinds: dict[str, type] | None = None) -> Any:
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
     return value
-
-
-def _shown(value: Any) -> str:
-    """repr(value) for an error line, cut after 80 characters."""
-    text = repr(value)
-    return text if len(text) <= 80 else f"{text[:80]}… ({len(text)} chars)"
 
 
 def _reason(exc: Exception) -> str:
@@ -183,7 +178,7 @@ def apply_overrides(cfg: dict[str, Any], pairs: Sequence[str]) -> dict[str, Any]
             try:
                 fresh = _encode(kinds[new](), kinds)
             except TypeError:
-                raise ConfigError(f"--set {key}={value}: {new} has no defaults") from None
+                raise ConfigError(f"--set {key}={new}: {new} has no defaults") from None
             parent.clear()
             parent.update(fresh)
         else:
@@ -343,7 +338,7 @@ def _map_grid(lo: float, hi: float, steps: int) -> list[float]:
     if not (q_min <= lo < hi <= q_max):
         raise ConfigError(f"need {q_min:g} <= q0-min < q0-max <= {q_max:g}, got [{lo}, {hi}]")
     if not 2 <= steps <= MAX_MAP_STEPS:
-        raise ConfigError(f"steps must lie in [2, {MAX_MAP_STEPS}], got {steps}")
+        raise ConfigError(f"steps must lie in [2, {MAX_MAP_STEPS}], got {_shown(steps)}")
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps - 1)] + [hi]
 
 

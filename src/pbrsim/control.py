@@ -28,7 +28,7 @@ import numpy as np
 
 from .kinetics import SimplifiedModelParams, growth_rate_simplified
 from .plant import CLOCK_TOL, SamplingConfig
-from .radiative import POSITIVE, Geometry, check_ranges
+from .radiative import POSITIVE, Geometry, _shown, check_ranges
 
 # estimate_F_open and estimate_F_closed stay public but unexported: reference forms that tests
 # compare against and perfbench's tracer labels, until ROADMAP items 2 and 11 move them out.
@@ -91,7 +91,7 @@ class IpConfig:
         if not abs(self.a) > 0:  # NaN fails it too
             raise ValueError("a must be nonzero")
         if self.estimator not in ("open", "closed"):
-            raise ValueError(f"unknown estimator variant: {self.estimator!r:.80}")
+            raise ValueError(f"unknown estimator variant: {_shown(self.estimator)}")
 
     def build(self, bounds: ActuatorBounds, geom: Geometry, period_h: float) -> "IpController":
         """A fresh controller with these settings; geom is unused."""

@@ -16,7 +16,7 @@ from math import inf, isfinite, nextafter, pi, sin
 from typing import ClassVar
 
 from .kinetics import FullModelParams, SimplifiedModelParams
-from .radiative import POSITIVE, Geometry, check_ranges
+from .radiative import POSITIVE, Geometry, _shown, check_ranges
 
 # plant_derivative stays public but unexported: the reference right-hand side that tests compare
 # against and perfbench's tracer labels, until ROADMAP items 2 and 11 move it out.
@@ -128,28 +128,22 @@ def light_at(t: float, profile: LightProfile) -> float:
 class NoiseConfig:
     """Multiplicative Gaussian measurement noise."""
 
-    ranges = {"relative_std": ("[", 0.0, inf, ")")}
+    ranges = {"relative_std": ("[", 0.0, inf, ")"), "seed": ("[", 0, inf, ")")}
     relative_std: float = 0.01
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        check_ranges(self)
-        if not (type(self.seed) is int and self.seed >= 0):  # True fails it too
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
 class SamplingConfig:
     """Controller sampling period and integrator resolution."""
 
-    ranges = {"period_h": POSITIVE}
+    ranges = {"period_h": POSITIVE, "substeps": ("[", 1, inf, ")")}
     period_h: float = 0.1  # 6 min
     substeps: int = 10  # RK4 steps per sampling period
 
-    def __post_init__(self) -> None:
-        check_ranges(self)
-        if not (type(self.substeps) is int and self.substeps >= 1):  # True fails it too
-            raise ValueError(f"substeps must be an integer >= 1, got {self.substeps!r}")
+    __post_init__ = check_ranges
 
 
 CLOCK_TOL = 1e-9  # slack on the sampling clock, as a fraction of period_h
@@ -205,7 +199,7 @@ def step(
     if not 0 < dt < inf:  # NaN fails it too
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not (type(substeps) is int and substeps >= 1):  # True fails it too
-        raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
+        raise ValueError(f"substeps must be an integer >= 1, got {_shown(substeps)}")
     if not isfinite(D):
         raise IntegrationError("dilution command is not finite", t=t, X=X, D=D)
     if D < 0:

@@ -34,12 +34,25 @@ _CLEAR_SLAB_THICKNESS = 1e-12
 POSITIVE = ("(", 0.0, math.inf, ")")  # a config field's interval: brackets and ends
 
 
+def _shown(value: object) -> str:
+    """repr(value) for an error line, cut after 80 characters; its type if repr fails."""
+    try:
+        text = repr(value)
+    except (RecursionError, ValueError):  # nested too deep, or an int of over 4,300 digits
+        return f"<unprintable {type(value).__name__}>"
+    return text if len(text) <= 80 else f"{text[:80]}… ({len(text)} chars)"
+
+
 def check_ranges(config: object) -> None:
-    """Raise ValueError for the first field outside its interval in config.ranges."""
+    """Raise ValueError for the first field of config.ranges outside its interval or,
+    where annotated int, not an int (True included)."""
+    types = type(config).__annotations__  # Python 3.14 serves none through an instance
     for name, (left, lo, hi, right) in config.ranges.items():
         v = getattr(config, name)
+        if types[name] is int and type(v) is not int:
+            raise ValueError(f"{name} must be an integer, got {_shown(v)}")
         if not ((lo < v if left == "(" else lo <= v) and (v < hi if right == ")" else v <= hi)):
-            raise ValueError(f"{name} must lie in {left}{lo:g}, {hi:g}{right}, got {v}")
+            raise ValueError(f"{name} must lie in {left}{lo:g}, {hi:g}{right}, got {_shown(v)}")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .plant import (
     measure,
     step,
 )
-from .radiative import POSITIVE, Geometry, check_ranges
+from .radiative import POSITIVE, Geometry, _shown, check_ranges
 from .steady_state import Q0_VALID_RANGE, optimal_setpoint
 
 __all__ = [
@@ -118,12 +118,11 @@ class Scenario:
         periods = self.duration_h / self.sampling.period_h
         if not periods <= MAX_SAMPLES:
             raise ValueError(f"duration_h / sampling.period_h is {periods:g}, over {MAX_SAMPLES}")
-        rk4_steps = periods * self.sampling.substeps
-        if not rk4_steps <= MAX_RK4_STEPS:
-            raise ValueError(f"periods x sampling.substeps is {rk4_steps:g}, over {MAX_RK4_STEPS}")
         n, period_h = round(periods), self.sampling.period_h
         if n < 1 or abs(n * period_h - self.duration_h) > CLOCK_TOL * period_h:
             raise ValueError("duration_h must be a whole number of sampling periods")
+        if not n * self.sampling.substeps <= MAX_RK4_STEPS:  # in ints: exact at any size
+            raise ValueError(f"{n} periods x sampling.substeps is over {MAX_RK4_STEPS} RK4 steps")
         lo, hi = self.light.value_range
         for name, part in (("plant", self.plant), ("reference", self.reference)):
             part_lo, part_hi = part.q0_range  # the closed range of light it serves
@@ -258,7 +257,7 @@ def time_to_band(trace: SimulationTrace, t_from: float) -> float | None:
 
 def _controller_config(name: str) -> FlConfig | IpConfig:
     if name not in CONTROLLERS:
-        raise ValueError(f"unknown controller {name!r} (choices: {', '.join(CONTROLLERS)})")
+        raise ValueError(f"unknown controller {_shown(name)} (choices: {', '.join(CONTROLLERS)})")
     return CONTROLLERS[name]()
 
 

@@ -33,6 +33,7 @@ from pbrsim.kinetics import FullModelParams, SimplifiedModelParams
 from pbrsim.plant import DayNightLight
 from pbrsim.scenarios import (
     BUILTIN_SCENARIOS,
+    MAX_RK4_STEPS,
     MapReference,
     SimulationTrace,
     SweepCell,
@@ -646,9 +647,10 @@ def test_path_with_a_nul_byte_exits_2(tmp_path, capsys, monkeypatch, argv, messa
         ["--set", f"controller.estimator={LONG}"],
         ["--config", LONG],
         ["--config", "{bad_json}"],
+        ["--scenario", "paper-4.2", "--set", f'light.kind={" " * 5000}"piecewise"'],
     ],
     ids=["scenario", "set-no-equals", "set-unknown-key", "config-unknown-key", "estimator",
-         "config-path", "config-not-json"],
+         "config-path", "config-not-json", "kind-without-defaults"],
 )
 def test_refused_long_input_gives_one_short_line(tmp_path, capsys, argv):
     """A refused key, scenario name, value or path is shown by at most 80 characters of its
@@ -662,6 +664,61 @@ def test_refused_long_input_gives_one_short_line(tmp_path, capsys, argv):
     assert main(["simulate", *argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
+
+
+NINES = "9" * 4000  # an int literal that JSON and int() still read (the limit is 4,300 digits)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--set", f"noise.seed=-{NINES}"],
+        ["simulate", "--set", f"sampling.substeps=-{NINES}"],
+        ["simulate", "--seed", f"-{NINES}"],
+        ["campaigns", "--seed", f"-{NINES}"],
+        ["setpoint-map", "--steps", NINES],
+    ],
+    ids=["noise-seed", "substeps", "seed", "campaigns-seed", "map-steps"],
+)
+def test_refused_long_number_gives_one_short_line(tmp_path, capsys, argv):
+    """A 4,000-digit number refused by a config range, or by setpoint-map's step range, is
+    shown by at most 80 characters of its repr."""
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
+    assert " chars)\n" in err and not (tmp_path / "out").exists()
+
+
+def test_substeps_beyond_float_range_meet_the_step_cap(tmp_path, capsys):
+    """A 4,000-digit sampling.substeps lies in its range [1, inf); the run's RK4 step cap
+    refuses it, counted in integers rather than as a product beyond float range."""
+    argv = ["simulate", "--set", f"sampling.substeps={NINES}", "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: bad scenario: 500 periods x sampling.substeps is over {MAX_RK4_STEPS} RK4 steps\n"
+    )
+
+
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_deeply_nested_value_gives_one_short_line(tmp_path, capsys, source):
+    """light.points nested 500 to 1,000 deep, by --set or in a --config file, exits 2 with one
+    short line at every depth: near the stack's limit the repr of the refused value overflows,
+    and where it does depends on the caller's stack, so the whole range is scanned."""
+    cfg = json.dumps(scenario_to_config(light_step_scenario()))
+    points = json.dumps(light_step_scenario().light.points)
+    assert points in cfg
+    for depth in range(500, 1001):
+        nested = "[" * depth + "]" * depth
+        if source == "set":
+            argv = ["--set", f"light.points={nested}", "--set", "duration_h=1"]
+        else:
+            path = tmp_path / "deep.json"
+            path.write_text(cfg.replace(points, nested))
+            argv = ["--config", str(path)]
+        assert main(["simulate", *argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG, depth
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, depth
+        assert len(err.encode()) < 200 and "Traceback" not in err, depth
 
 
 def test_sweep_mu0_error_names_its_range(tmp_path, capsys):
@@ -698,25 +755,13 @@ def test_run_campaigns_boundary_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert sorted(tmp_path.rglob("*")) == before
 
 
-# SHA-256 of each file `pbrsim campaigns --seed 0` writes.  A change that moves
-# output bits on purpose updates these pins and lists the files that moved.
+# SHA-256 of each file `pbrsim campaigns --seed 0` writes, as tests/digests.json pins them.
+# A change that moves output bits on purpose regenerates that file (see tests/test_digests.py).
+FILE_SHA256 = json.loads(Path(__file__).with_name("digests.json").read_text())["files"]
 CAMPAIGN_SHA256 = {
-    "metrics_paper_4_1_fl.csv": "28182ede5ec849b740dbd3a0093d8f436117c11ec91ea812f19b487213e6bc2b",
-    "metrics_paper_4_1_ip.csv": "546ed44072d27f3b6b8b411bdbbefaa7008da83625225551b8097f5f0ba4ad70",
-    "metrics_paper_4_2_fl.csv": "8acb8f55c21c33d30370e87b99d3861c9630613df32f5221d29d5f11c557f8ab",
-    "metrics_paper_4_2_ip.csv": "63b52149d694964af7efe209d22f784e5dccae2cef84d78981d046aa16a9cf3d",
-    "setpoint_map.csv": "41f7b1209ff8f72032dc74be0451b965c11b200bf541eb8268adc04144128c0a",
-    "sweep_summary.csv": "1c10f8bb88d562162e65016346a8180b8994ad6126c1a0a6661e54bc519d5e76",
-    "trace_paper_4_1_fl.csv": "ecd1f864b8445a5e472c8b13bb311af51349da2818c6fdfa08248bb1a054e5ac",
-    "trace_paper_4_1_ip.csv": "2379f1beeaafd741550139b6e4196ad6f91c074c13e628bfda31825f10a8f501",
-    "trace_paper_4_2_fl.csv": "dc3373550f6d49dd8ac257b536b5305ba1096599e806fc00a6be693fdef031b1",
-    "trace_paper_4_2_ip.csv": "6c6aa65da57b04e8371619d693c7d7946a16c9839d14e443d8f4d75b35dcbc7e",
-    "trace_sweep_fl_mu0.07.csv": "38727e992af126c986d05900e16cf4a5bd759d6690128010eba18aeef2a4a9f3",
-    "trace_sweep_fl_mu0.14.csv": "ecd1f864b8445a5e472c8b13bb311af51349da2818c6fdfa08248bb1a054e5ac",
-    "trace_sweep_fl_mu0.21.csv": "f353a363a33a81cf38b14c1bd935708b7645735c45a7ea39169498d939964099",
-    "trace_sweep_ip_mu0.07.csv": "2379f1beeaafd741550139b6e4196ad6f91c074c13e628bfda31825f10a8f501",
-    "trace_sweep_ip_mu0.14.csv": "2379f1beeaafd741550139b6e4196ad6f91c074c13e628bfda31825f10a8f501",
-    "trace_sweep_ip_mu0.21.csv": "2379f1beeaafd741550139b6e4196ad6f91c074c13e628bfda31825f10a8f501",
+    name.removeprefix("campaigns/"): digest
+    for name, digest in FILE_SHA256.items()
+    if name.startswith("campaigns/")
 }
 
 

@@ -19,7 +19,7 @@ from pbrsim.cli import EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK, main
 from pbrsim.control import ActuatorBounds, FlConfig, IpConfig
 from pbrsim.kinetics import FullModelParams, SimplifiedModelParams
 from pbrsim.plant import DayNightLight, NoiseConfig, SamplingConfig
-from pbrsim.radiative import Geometry
+from pbrsim.radiative import Geometry, _shown
 from pbrsim.scenarios import Scenario, light_step_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,10 +57,14 @@ def _inside(interval, v: float) -> bool:
     return lo <= v <= hi and not (v == lo and left == "(") and not (v == hi and right == ")")
 
 
-def _values(interval) -> list[float]:
-    """Each finite end and the float beyond it, 0, a subnormal, NaN and both infinities."""
+def _values(interval, tp: type) -> list[float | int]:
+    """Each finite end and the number beyond it, and 0; then for a float field a subnormal,
+    NaN and both infinities, and for an int field (tp) the integers +-10**4000."""
     _, lo, hi, _ = interval
     ends = [e for e in (lo, hi) if math.isfinite(e)]
+    if tp is int:
+        beyond = [lo - 1] + [hi + 1] * (hi in ends)
+        return list(dict.fromkeys([*ends, *beyond, 0, 10**4000, -(10**4000)]))
     beyond = [math.nextafter(lo, -math.inf)] + [math.nextafter(hi, math.inf)] * (hi in ends)
     return list(dict.fromkeys([*ends, *beyond, 0.0, 5e-324, math.nan, math.inf, -math.inf]))
 
@@ -69,7 +73,7 @@ CASES = [
     (cls, name, v)
     for cls, table in TABLES.items()
     for name, interval in table.items()
-    for v in _values(interval)
+    for v in _values(interval, cls.__annotations__[name])
 ]
 
 
@@ -110,14 +114,14 @@ def test_range_table_decides_construction_and_exit_code(case):
         message = str(exc)
     assert message.startswith(f"{name} must lie in ") == (not inside), message
     if not inside:
-        assert message == f"{name} must lie in {_text(interval)}, got {v}"
+        assert message == f"{name} must lie in {_text(interval)}, got {_shown(v)}"
 
     code, err = _cli(cls, name, v)
     if inside:
         assert code in (EXIT_OK, EXIT_INTEGRATION) or (
             code == EXIT_CONFIG and "must lie in" not in err
         ), err
-    elif math.isfinite(v):
+    elif type(v) is int or math.isfinite(v):
         assert code == EXIT_CONFIG and err.endswith(f"{message}\n"), err
     else:
         assert code == EXIT_CONFIG and "must be a finite number" in err, err
@@ -154,3 +158,22 @@ def test_readme_table_matches_the_code():
             for cls, table in TABLES.items() for name, interval in table.items()}
     assert len(rows) == len(set(rows))
     assert set(rows) == code
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: NoiseConfig(seed=-(10**5000)), "seed must lie in [0, inf), got <unprintable int>"),
+        (lambda: NoiseConfig(seed=True), "seed must be an integer, got True"),
+        (lambda: SamplingConfig(substeps=2.5), "substeps must be an integer, got 2.5"),
+        (lambda: SamplingConfig(substeps=True), "substeps must be an integer, got True"),
+    ],
+    ids=["huge-seed", "bool-seed", "float-substeps", "bool-substeps"],
+)
+def test_int_fields_refuse_by_range_and_by_type(make, message):
+    """An int over 4,300 digits, which only the Python API can pass, gets the range error and
+    a placeholder for its value rather than the error of printing it; a float or True in an
+    int field is still no integer."""
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
