@@ -16,6 +16,7 @@ import time
 import typing
 import warnings
 from dataclasses import astuple, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -45,8 +46,8 @@ EXIT_CONFIG = 2
 EXIT_INTEGRATION = 3
 
 MAP_STEPS = 10  # setpoint-map grid points by default
-# Each map point is one setpoint solve, 0.1-0.2 ms on a 2-vCPU host, so this cap holds
-# setpoint-map to about 0.5 s wall (there, --steps 1000 took 0.3-0.5 s) and 1001 CSV lines.
+# A map point's solve, its share of the chunked numpy scan included, takes 0.05-0.07 ms on a
+# 2-vCPU host: there, --steps 1000 took 0.31-0.34 s wall, mostly start-up, for 1001 CSV lines.
 MAX_MAP_STEPS = 1000
 
 TRACE_HEADER = ",".join(f.name for f in fields(SimulationTrace))
@@ -431,12 +432,21 @@ def cmd_campaigns(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _typed(kind: type, text: str) -> Any:
+    """kind(text) for argparse's type= (bound by partial), showing a refused text by _shown."""
+    try:
+        return kind(text)
+    except ValueError:  # not a number, or an int of over 4,300 digits
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {_shown(text)}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pbrsim",
         description="Closed-loop photobioreactor simulation workbench.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    integer, real = partial(_typed, int), partial(_typed, float)
 
     def add_scenario_args(p: argparse.ArgumentParser) -> None:
         src = p.add_mutually_exclusive_group()
@@ -457,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="reference for built-in scenarios: their own setpoints "
             "(anchors, the default) or the live productivity optimizer (map)",
         )
-        p.add_argument("--seed", type=int, default=None, help="measurement noise seed")
+        p.add_argument("--seed", type=integer, default=None, help="measurement noise seed")
         p.add_argument(
             "--set",
             action="append",
@@ -473,11 +483,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_map = sub.add_parser(
         "setpoint-map", help="tabulate productivity-optimal setpoints versus light"
     )
-    p_map.add_argument("--q0-min", type=float, default=Q0_VALID_RANGE[0], dest="lo", metavar="Q0")
-    p_map.add_argument("--q0-max", type=float, default=Q0_VALID_RANGE[1], dest="hi", metavar="Q0")
+    p_map.add_argument("--q0-min", type=real, default=Q0_VALID_RANGE[0], dest="lo", metavar="Q0")
+    p_map.add_argument("--q0-max", type=real, default=Q0_VALID_RANGE[1], dest="hi", metavar="Q0")
     p_map.add_argument(
         "--steps",
-        type=int,
+        type=integer,
         default=MAP_STEPS,
         help=f"grid points, 2 to {MAX_MAP_STEPS} (default: %(default)s)",
     )
@@ -492,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_args(p_sweep)
     p_sweep.add_argument(
         "--mu0",
-        type=float,
+        type=real,
         action="append",
         help="mu_0 value for the controller model (repeatable; default "
         + " ".join(f"{v:g}" for v in MU0_SWEEP_VALUES)
@@ -508,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_camp.add_argument("--out", default="results", help="output directory (default: %(default)s)")
     p_camp.add_argument(
-        "--seed", type=int, default=0, help="measurement noise seed (default: %(default)s)"
+        "--seed", type=integer, default=0, help="measurement noise seed (default: %(default)s)"
     )
     p_camp.set_defaults(func=cmd_campaigns)
     return parser

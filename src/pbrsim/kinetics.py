@@ -15,7 +15,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -71,12 +71,12 @@ class FullModelParams:
         M_x, nu_O2_X = self.M_x, self.nu_O2_X
         return lambda X: 0.0 if X == 0 else mean_oxygen_rate(X, q0, self, geom) * M_x * X / nu_O2_X
 
-    def _fast_rates(self, q0: float, geom: Geometry, X: np.ndarray) -> np.ndarray:
-        """rate_at(q0, geom) at each X by one closed-form pass on _NUMPY; NaN if a slab is clear."""
-        light = _light(q0)
-        if (t := X * light[1] * geom.depth).min() >= _CLEAR_SLAB_THICKNESS:
-            return _closed_form(t, self, light, _NUMPY) * self.M_x * X / self.nu_O2_X
-        return X * math.nan
+    def _fast_rates(self, q0s: Sequence[float], geom: Geometry, X: np.ndarray) -> np.ndarray:
+        """rate_at(q0, geom) at each X, a row per light of q0s (NaN where a slab is clear)."""
+        light = np.array([_light(q0) for q0 in q0s]).T[..., None]
+        t = X * light[1] * geom.depth
+        rates = _closed_form(t, self, light, _NUMPY) * self.M_x * X / self.nu_O2_X
+        return np.where(t.min(axis=1, keepdims=True) >= _CLEAR_SLAB_THICKNESS, rates, math.nan)
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,8 @@ class SimplifiedModelParams:
 
         return rate
 
-    def _fast_rates(self, q0: float, geom: Geometry, X: np.ndarray) -> np.ndarray:
-        return X * math.nan  # no array form: every scan is the exact one
+    def _fast_rates(self, q0s: Sequence[float], geom: Geometry, X: np.ndarray) -> np.ndarray:
+        return np.full((len(q0s), len(X)), math.nan)  # no array form: every scan is the exact one
 
 
 def local_oxygen_rate(G, E_a: float, p: FullModelParams = FullModelParams()):
@@ -165,8 +165,8 @@ def mean_oxygen_rate(
 
 
 def _closed_form(thickness, p: FullModelParams, light: tuple, libm=_LIBM):
-    """mean_oxygen_rate beyond the clear slab, at one thickness or, with
-    libm=_NUMPY, at each of a float64 array's: the one copy of the formula.
+    """mean_oxygen_rate beyond the clear slab, at one thickness or, with libm=_NUMPY, at each
+    of a float64 array's (a row per light, light's factors as columns): the formula's one copy.
 
     The two-flux profile of irradiance_at_depth is G = A w - B / w with
     w = exp(-delta z).  In w, the depth mean of 1 / (c + G) is the integral

@@ -13,7 +13,7 @@ value over it (profile.held_until), as a day/night light does through the night.
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import inf, isfinite, nextafter, pi, sin
-from typing import ClassVar
+from typing import ClassVar, Iterable
 
 from .kinetics import FullModelParams, SimplifiedModelParams
 from .radiative import POSITIVE, Geometry, _shown, check_ranges
@@ -59,6 +59,9 @@ class PiecewiseConstant:
     def __call__(self, t: float, q0: float = 0.0) -> float:
         idx = bisect_left(self._starts, t)  # first point starting at or after t
         return self.points[max(idx - 1, 0)][1]
+
+    def prepare(self, lights: Iterable[float]) -> None:
+        """As a reference, a schedule has no light to solve ahead of a run."""
 
     def held_until(self, t: float) -> float:
         """Latest time T with self(tau) == self(t) for every tau in [t, T]."""

@@ -14,7 +14,7 @@ feedback to absorb.
 
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from typing import ClassVar
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .plant import (
     step,
 )
 from .radiative import POSITIVE, Geometry, _shown, check_ranges
-from .steady_state import Q0_VALID_RANGE, optimal_setpoint
+from .steady_state import Q0_VALID_RANGE, _scan, optimal_setpoint
 
 __all__ = [
     "MapReference",
@@ -76,16 +76,21 @@ class MapReference:
     """Track the productivity-optimal setpoint for the current light level,
     as `optimal_setpoint` finds it with its default plant and geometry.
 
-    Each distinct q0 is solved once and cached, so the cache grows by at most
-    one entry per sample of the runs that share the instance.
+    Each distinct q0 is solved once and cached, so the cache grows by at most one entry per
+    sample of the runs that share the instance.  `prepare` scans a run's unsolved sample lights
+    ahead in numpy passes; each is still solved, from its bracket, at the first sample that asks.
     """
 
     q0_range: ClassVar[tuple[float, float]] = Q0_VALID_RANGE  # light it can solve at
     _cache: dict[float, float] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _scanned: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def prepare(self, lights: Iterable[float]) -> None:
+        self._scanned.update(_scan(q0 for q0 in map(float, lights) if q0 not in self._cache))
 
     def value_at(self, q0: float) -> float:
         if q0 not in self._cache:
-            op = optimal_setpoint(q0)
+            op = optimal_setpoint(q0, bracket=self._scanned.pop(q0, None))
             self._cache[q0] = op.x_star
         return self._cache[q0]
 
@@ -155,6 +160,7 @@ def run_scenario(scenario: Scenario) -> SimulationTrace:
     final sample at the horizon is recorded (controller included) but not
     integrated further.  A fixed noise seed reproduces the trace bit for bit; its
     n + 1 noise values come from one draw, equal to n + 1 scalar draws in order.
+    The reference is handed every sample light (reference.prepare) before the loop.
     """
     s = scenario
     period_h, substeps = s.sampling.period_h, s.sampling.substeps
@@ -167,9 +173,10 @@ def run_scenario(scenario: Scenario) -> SimulationTrace:
     tr = SimulationTrace(*(np.empty(n + 1) for _ in fields(SimulationTrace)))
     t_col, x_col, y_col, ref_col, d_col, q0_col, f_col = (
         getattr(tr, f.name) for f in fields(SimulationTrace))
-    for k, nu in enumerate(map(float, nus)):  # floats, as the scalar draws were
+    q0_col[:] = np.fromiter((light_at(k * period_h, light) for k in range(n + 1)), float, n + 1)
+    reference.prepare(q0_col)
+    for k, (nu, q0) in enumerate(zip(map(float, nus), map(float, q0_col))):  # as Python floats
         t = k * period_h
-        q0 = light_at(t, light)
         y_ref = reference(t, q0)
         y = measure(X, nu)
         d = controller.step(t, y, y_ref, q0)
@@ -178,7 +185,6 @@ def run_scenario(scenario: Scenario) -> SimulationTrace:
         y_col[k] = y
         ref_col[k] = y_ref
         d_col[k] = d
-        q0_col[k] = q0
         f_col[k] = controller.f_estimate
         if k < n:
             X = step(X, t, d, light, period_h, plant, geom, substeps)

@@ -640,30 +640,44 @@ def test_path_with_a_nul_byte_exits_2(tmp_path, capsys, monkeypatch, argv, messa
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--scenario", LONG],
-        ["--set", LONG],
-        ["--set", f"{LONG}=1"],
-        ["--config", "{unknown_key}"],
-        ["--set", f"controller.estimator={LONG}"],
-        ["--config", LONG],
-        ["--config", "{bad_json}"],
-        ["--scenario", "paper-4.2", "--set", f'light.kind={" " * 5000}"piecewise"'],
+        ["simulate", "--scenario", LONG],
+        ["simulate", "--set", LONG],
+        ["simulate", "--set", f"{LONG}=1"],
+        ["simulate", "--config", "{unknown_key}"],
+        ["simulate", "--set", f"controller.estimator={LONG}"],
+        ["simulate", "--config", LONG],
+        ["simulate", "--config", "{bad_json}"],
+        ["simulate", "--scenario", "paper-4.2", "--set", f'light.kind={" " * 5000}"piecewise"'],
+        ["simulate", "--seed", LONG],
+        ["simulate", "--seed", "9" * 5000],
+        ["setpoint-map", "--steps", LONG],
+        ["setpoint-map", "--q0-min", LONG],
+        ["setpoint-map", "--q0-max", LONG],
+        ["sweep", "--mu0", LONG],
     ],
     ids=["scenario", "set-no-equals", "set-unknown-key", "config-unknown-key", "estimator",
-         "config-path", "config-not-json", "kind-without-defaults"],
+         "config-path", "config-not-json", "kind-without-defaults", "seed", "seed-5000-digits",
+         "steps", "q0-min", "q0-max", "mu0"],
 )
 def test_refused_long_input_gives_one_short_line(tmp_path, capsys, argv):
     """A refused key, scenario name, value or path is shown by at most 80 characters of its
-    repr, so each error line stays under 200 bytes."""
+    repr, so each error line stays under 200 bytes.  A typed flag's text that is no number is
+    refused by argparse, which prints its usage block first and names the command."""
     unknown_key = tmp_path / "unknown_key.json"
     unknown_key.write_text(json.dumps({LONG: 1}))
     bad_json = tmp_path / ("d" * 200) / "bad.json"  # a path of over 250 characters
     bad_json.parent.mkdir()
     bad_json.write_text("not json")
     argv = [arg.format(unknown_key=unknown_key, bad_json=bad_json) for arg in argv]
-    assert main(["simulate", *argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
+    try:
+        code = main([*argv, "--out", str(tmp_path / "out")])
+    except SystemExit as exc:  # argparse's own refusal
+        code = exc.code
+    assert code == EXIT_CONFIG
+    *usage, line = capsys.readouterr().err.split("\n")[:-1]
+    prefix = f"pbrsim {argv[0]}: " if usage else ""
+    assert line.startswith(f"{prefix}error: ") and len(line.encode()) < 200
+    assert all(u.startswith(("usage: ", " ")) for u in usage)
 
 
 NINES = "9" * 4000  # an int literal that JSON and int() still read (the limit is 4,300 digits)

@@ -6,7 +6,7 @@ deterministic, so they are regression pins rather than tolerances.
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -363,8 +363,10 @@ def test_map_reference_solves_the_default_full_plant():
 
 def test_day_night_map_pair_work_counts(monkeypatch):
     """paper-4.2, fl then ip, each under its own MapReference at seed 0, from a cleared _light:
-    46,156 full-model rate calls and 11,644 _light misses, and 13,248 binds, since a substep
-    that starts at the previous substep's last stage time reuses that bind (16,520 without)."""
+    46,156 full-model rate calls and 11,968 _light misses (a reference's scan ahead reads each of
+    its 162 lights' factors, and that light's solve reads them again), and 13,248 binds, since a
+    substep that starts at the previous substep's last stage time reuses that bind (16,520
+    without)."""
     from pbrsim import kinetics
 
     binds, rates = [], []
@@ -383,7 +385,30 @@ def test_day_night_map_pair_work_counts(monkeypatch):
     kinetics._light.cache_clear()
     for kind in ("fl", "ip"):
         run_scenario(replace(day_night_scenario(kind, seed=0), reference=MapReference()))
-    assert (len(rates), kinetics._light.cache_info().misses, len(binds)) == (46_156, 11_644, 13_248)
+    assert (len(rates), kinetics._light.cache_info().misses, len(binds)) == (46_156, 11_968, 13_248)
+
+
+@pytest.mark.parametrize("kind", ["fl", "ip"])
+def test_map_reference_scan_ahead_leaves_every_bit(monkeypatch, kind):
+    """paper-4.2 under a MapReference scans its 162 lights ahead in chunks of 16 and gives every
+    trace bit of the same run whose reference scans nothing ahead, one light per solve."""
+    rows, fast_rates = [], FullModelParams._fast_rates
+
+    def counted(self, q0s, geom, X):
+        rows.append(len(q0s))
+        return fast_rates(self, q0s, geom, X)
+
+    def run():
+        trace = run_scenario(replace(day_night_scenario(kind, seed=0), reference=MapReference()))
+        return [getattr(trace, f.name).tobytes() for f in fields(trace)]
+
+    monkeypatch.setattr(FullModelParams, "_fast_rates", counted)
+    ahead = run()
+    assert rows == [16] * 10 + [2]
+    rows.clear()
+    monkeypatch.setattr(MapReference, "prepare", lambda self, lights: None)
+    assert run() == ahead
+    assert rows == [1] * 162
 
 
 def test_light_step_scenario_reference_modes():

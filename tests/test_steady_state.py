@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import astuple
 
@@ -14,6 +15,7 @@ from pbrsim.radiative import Geometry
 from pbrsim.steady_state import (
     GRID_POINTS,
     Q0_VALID_RANGE,
+    SCAN_CHUNK,
     SCAN_MARGIN,
     X_MAX,
     X_MIN,
@@ -171,6 +173,56 @@ def test_setpoint_map_structure():
     assert all(b > a for a, b in zip(prod, prod[1:]))
 
 
+@pytest.fixture(scope="module")
+def solo_solves():
+    """The map's lights and 1,000 random ones, each with its own optimal_setpoint's outcome."""
+    q0s = MAP_Q0 + np.random.default_rng(23).uniform(*Q0_VALID_RANGE, 1000).tolist()
+    return q0s, [_solve(q0) for q0 in q0s]
+
+
+@pytest.mark.parametrize("size", [1, SCAN_CHUNK, SCAN_CHUNK + 1, 2 * SCAN_CHUNK + 1])
+def test_a_batch_gives_each_light_a_solo_solve(solo_solves, size):
+    """setpoint_map scans all its lights, SCAN_CHUNK at a time, before it refines one: over
+    maps of size lights, each OperatingPoint equals its light's solo solve by float.hex."""
+    q0s, solo = solo_solves
+    maps = [setpoint_map(q0s[i : i + size]) for i in range(0, len(q0s), size)]
+    assert [[v.hex() for v in astuple(op)] for ops in maps for op in ops] == solo
+
+
+@pytest.mark.parametrize(
+    "q0s, p, error",
+    [([100.0, 500.0, 1500.0, 50.0, 700.0], FullModelParams(), ValueError),
+     ([100.0 + 20.0 * i for i in range(46)], SimplifiedModelParams(), NoAdmissibleSetpointError)],
+    ids=["out-of-range", "simplified-edge"],
+)
+def test_a_batch_raises_as_the_loop(monkeypatch, q0s, p, error):
+    """A map raises what a loop of optimal_setpoint over its lights raises, with the same
+    message, after binding the same lights: its scan ahead raises nothing."""
+    binds, _ = _count_rate_calls(monkeypatch, type(p))
+    with pytest.raises(error) as loop:
+        for q0 in q0s:
+            optimal_setpoint(q0, p)
+    loop_binds = binds.copy()
+    binds.clear()
+    with pytest.raises(error, match=re.escape(str(loop.value))):
+        setpoint_map(q0s, p)
+    assert binds == loop_binds
+
+
+def test_a_batch_scan_stays_small():
+    """A chunked scan holds SCAN_CHUNK rows of temporaries, not one per light: a map of 1,000
+    lights peaks under 1 MB of traced memory (a scan of all at once took 24 MB)."""
+    q0s = np.random.default_rng(29).uniform(*Q0_VALID_RANGE, 1000).tolist()
+    setpoint_map(q0s[:SCAN_CHUNK])  # numpy's own first-call allocations
+    tracemalloc.start()
+    try:
+        setpoint_map(q0s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 class _GaussianPeaks:
     """A stub rate model: r_X is a sum of Gaussian bumps of width 0.1 kg/m3,
     centred at peaks(q0).  It has no array form, so every scan is the exact one."""
@@ -182,8 +234,8 @@ class _GaussianPeaks:
         centres = self.peaks(q0)
         return lambda X: sum(math.exp(-(((X - c) / 0.1) ** 2)) for c in centres)
 
-    def _fast_rates(self, q0, geom, X):
-        return X * math.nan
+    def _fast_rates(self, q0s, geom, X):
+        return np.full((len(q0s), len(X)), math.nan)
 
 
 def test_two_maxima_are_refused():
@@ -267,17 +319,21 @@ def test_scan_equals_the_bound_rate(monkeypatch):
 
 
 def test_fast_scan_decides_as_the_exact_scan(monkeypatch):
-    """At the map's lights and 1,000 random ones the numpy scan's values sit
-    within half of SCAN_MARGIN of the exact ones (what its decisions need),
-    no solve reruns the exact scan (19 bound-rate calls, the golden ones),
-    and each OperatingPoint is the one that an exact scan gives, bit for bit."""
+    """At the map's lights and 1,000 random ones the numpy scan's values, of
+    each light alone and of each as a row of a SCAN_CHUNK batch, sit within
+    half of SCAN_MARGIN of the exact ones (what its decisions need), no solve
+    reruns the exact scan (19 bound-rate calls, the golden ones), and each
+    OperatingPoint is the one that an exact scan gives, bit for bit."""
     rng = np.random.default_rng(21)
     q0s = MAP_Q0 + rng.uniform(*Q0_VALID_RANGE, 1000).tolist()
     p, geom = FullModelParams(), Geometry()
-    for q0 in q0s:
+    batched = np.concatenate([p._fast_rates(q0s[i : i + SCAN_CHUNK], geom, GRID)
+                              for i in range(0, len(q0s), SCAN_CHUNK)])
+    for q0, row in zip(q0s, batched):
         exact = _exact_scan(p, q0, geom)
-        gap = np.abs(p._fast_rates(q0, geom, GRID) - exact).max()
-        assert gap <= 0.5 * SCAN_MARGIN * np.abs(exact).max(), q0
+        for fast in (p._fast_rates([q0], geom, GRID)[0], row):
+            gap = np.abs(fast - exact).max()
+            assert gap <= 0.5 * SCAN_MARGIN * np.abs(exact).max(), q0
     exact_ops = [_exact_solve(monkeypatch, q0) for q0 in q0s]
     binds, calls = _count_rate_calls(monkeypatch)
     for q0, exact_op in zip(q0s, exact_ops):
@@ -315,8 +371,8 @@ def test_uncertified_scan_reruns_exact(monkeypatch, case):
     expected = optimal_setpoint(600.0)
     fast = FullModelParams._fast_rates
 
-    def uncertified(self, q0, geom, X):
-        return _uncertified(fast(self, q0, geom, X), case)
+    def uncertified(self, q0s, geom, X):
+        return np.array([_uncertified(row, case) for row in fast(self, q0s, geom, X)])
 
     monkeypatch.setattr(FullModelParams, "_fast_rates", uncertified)
     binds, calls = _count_rate_calls(monkeypatch)
